@@ -139,7 +139,10 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
         sign, rat, exp1, exp2 = m.groups()
         if seen and not sign:
             raise ParseError(f"line {lineno}: missing +/- between terms in {expr!r}")
-        coeff = Fraction(rat) if rat else Fraction(1)
+        try:
+            coeff = Fraction(rat) if rat else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"line {lineno}: zero denominator in {expr!r}") from None
         if sign == "-":
             coeff = -coeff
         exp = exp1 if exp1 is not None else exp2
@@ -150,6 +153,13 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
     if not seen:
         raise ParseError(f"line {lineno}: empty coefficient")
     return total
+
+
+def _parse_int(tok: str, what: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad {what} {tok!r}") from None
 
 
 def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
@@ -171,17 +181,19 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
         if not line:
             continue
         parts = line.split(None, 1)
+        if parts[0] in ("level", "modulus") and len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected '{parts[0]} N'")
         if parts[0] == "level":
             if level is not None:
                 raise ParseError(f"line {lineno}: duplicate level declaration")
-            level = int(parts[1])
+            level = _parse_int(parts[1], "level", lineno)
             if level < 1:
                 raise ParseError(f"line {lineno}: level must be positive")
         elif parts[0] == "modulus":
             if level is None:
                 raise ParseError(f"line {lineno}: 'level N' must precede the first modulus")
             flush(lineno)
-            modulus = int(parts[1])
+            modulus = _parse_int(parts[1], "modulus", lineno)
             if modulus < 1:
                 raise ParseError(f"line {lineno}: modulus must be positive")
         else:
@@ -189,7 +201,7 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
                 raise ParseError(f"line {lineno}: term outside a modulus block")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 't <coefficient>'")
-            t = int(parts[0])
+            t = _parse_int(parts[0], "term index", lineno)
             terms.append((t, _parse_coefficient(parts[1], level, lineno)))
     flush(0)
     if not seqs:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +50,6 @@ from .numtheory import f_additive, lcm_all, least_prime_factor
 
 DEFAULT_ORACLE_CAP = 10**6
 
-# scaled table values must stay clear of int64 overflow before the fast
-# kernels may be used
-_INT64_GUARD = 2**62
-
 __all__ = [
     "DEFAULT_ORACLE_CAP",
     "WeightedSequence",
@@ -65,7 +62,6 @@ __all__ = [
     "cover_scaled",
     "cover_table",
     "first_mismatch",
-    "sum_tables_window",
     "tables_scaled",
     "window_zero_check",
     "verify_covering_function",
@@ -189,22 +185,27 @@ def cover_count(system: System, x: int) -> Fraction:
     return sum((s.weight for s in system.seqs if s.contains(x)), Fraction(0))
 
 
-def _scaled_weights(seqs: Sequence[WeightedSequence]) -> tuple[list[int], int]:
-    D = math.lcm(*(s.weight.denominator for s in seqs))
-    return [int(s.weight * D) for s in seqs], D
-
-
 def cover_scaled(system: System, start: int, length: int):
     """(int64 array of D*w(x) for x in the window, denominator D), or None
     when the scaled weights might not fit int64."""
-    nums, D = _scaled_weights(system.seqs)
-    big = max(abs(start), abs(start + length)) if length else abs(start)
-    if sum(abs(w) for w in nums) >= _INT64_GUARD or big >= _INT64_GUARD:
+    scaled = _kernels._scaled([(s.weight,) for s in system.seqs], start, length)
+    if scaled is None:
         return None
+    nums, D = scaled
     arr = _kernels.cover_counts(
         [s.residue for s in system.seqs], system.moduli, nums, start, length
     )
     return arr, D
+
+
+def _cover_exact(system: System, start: int, length: int) -> list:
+    # big-integer evaluation of w over the window, exact for any weights
+    out = [Fraction(0)] * length
+    for s in system.seqs:
+        first = (s.residue - start) % s.modulus
+        for j in range(first, length, s.modulus):
+            out[j] += s.weight
+    return out
 
 
 def cover_values(system: System, start: int, length: int) -> tuple:
@@ -214,18 +215,12 @@ def cover_values(system: System, start: int, length: int) -> tuple:
     int64 kernels when the scaled weights provably fit.
     """
     scaled = cover_scaled(system, start, length)
-    if scaled is not None:
-        arr, D = scaled
-        if D == 1:
-            return tuple(int(v) for v in arr)
-        return tuple(Fraction(int(v), D) for v in arr)
-    # big-integer fallback, exact for any weights
-    out = [Fraction(0)] * length
-    for s in system.seqs:
-        first = (s.residue - start) % s.modulus
-        for j in range(first, length, s.modulus):
-            out[j] += s.weight
-    return tuple(out)
+    if scaled is None:
+        return tuple(_cover_exact(system, start, length))
+    arr, D = scaled
+    if D == 1:
+        return tuple(int(v) for v in arr)
+    return tuple(Fraction(int(v), D) for v in arr)
 
 
 def cover_table(system: System, cap: int = DEFAULT_ORACLE_CAP) -> PeriodicValueTable:
@@ -249,78 +244,56 @@ def _common_char(psis: Sequence[PeriodicValueTable]) -> int:
 
 def tables_scaled(psis: Sequence[PeriodicValueTable], start: int, length: int):
     """(int64 array of scaled sums of the tables over the window, denominator),
-    or None when the scaled values might not fit int64.  Sums over F_p come
+    or None when the scaled sums might not fit int64.  Sums over F_p come
     back reduced mod p with denominator 1."""
     char = _common_char(psis)
-    periods = [t.period for t in psis]
-    if char:
-        flat, offs = [], []
-        for t in psis:
-            offs.append(len(flat))
-            flat.extend(t.values)
-        return _kernels.table_sums(flat, offs, periods, start, length, char), 1
-    vals = [tuple(Fraction(v) for v in t.values) for t in psis]
-    D = math.lcm(*(v.denominator for t in vals for v in t))
-    flat, offs = [], []
-    for t in vals:
-        offs.append(len(flat))
-        flat.extend(int(v * D) for v in t)
-    big = max(abs(start), abs(start + length)) if length else abs(start)
-    if max(abs(v) for v in flat) * len(psis) >= _INT64_GUARD or big >= _INT64_GUARD:
+    scaled = _kernels._scaled([t.values for t in psis], start, length)
+    if scaled is None:
         return None
-    return _kernels.table_sums(flat, offs, periods, start, length, 0), D
+    flat, D = scaled
+    periods = [t.period for t in psis]
+    offsets = [0, *accumulate(periods[:-1])]
+    return _kernels.table_sums(flat, offsets, periods, start, length, char), D
 
 
-def sum_tables_window(psis: Sequence[PeriodicValueTable], start: int, length: int) -> list:
-    """Exact values of sum_s psi_s(x) for x in [start, start+length).
-
-    All tables must share one field; sums over F_p come back reduced mod p.
-    """
+def _first_nonzero(psis: Sequence[PeriodicValueTable], start: int, length: int) -> Verdict:
+    """Scan [start, start+length) for the first x where sum_s psi_s(x) is
+    nonzero in the tables' field; the witness of a failed Verdict."""
     scaled = tables_scaled(psis, start, length)
     if scaled is not None:
-        arr, D = scaled
-        if D == 1:
-            return [int(v) for v in arr]
-        return [Fraction(int(v), D) for v in arr]
-    return [
-        sum((t.value_at(x) for t in psis), Fraction(0))
-        for x in range(start, start + length)
-    ]
+        nonzero = scaled[0] != 0
+        if nonzero.any():
+            return Verdict(False, start + int(nonzero.argmax()))
+        return Verdict(True)
+    char = psis[0].char
+    for x in range(start, start + length):
+        total = sum(t.value_at(x) for t in psis)
+        if char:
+            total %= char
+        if total:
+            return Verdict(False, x)
+    return Verdict(True)
 
 
-def window_zero_check(
-    psis: Sequence[PeriodicValueTable],
-    start: int = 0,
-    *,
-    enforce_field_hypothesis: bool = True,
-) -> Verdict:
+def window_zero_check(psis: Sequence[PeriodicValueTable], start: int = 0) -> Verdict:
     """Decide whether sum_s psi_s vanishes identically from one short window.
 
     The window length is the totient sum over the union of the divisor sets
     of the periods; vanishing there certifies vanishing on all of Z.  Over
     F_p the criterion requires p to divide no period, and violating inputs
-    are rejected.  Passing ``enforce_field_hypothesis=False`` runs the
-    (unguaranteed) window comparison anyway — exploratory use only, the
-    certificate is void.
+    are rejected.
     """
     if not psis:
         raise ValueError("need at least one periodic map")
-    chars = {t.char for t in psis}
-    if len(chars) != 1:
-        raise ValueError("tables must live over one common field")
-    char = chars.pop()
-    if char and enforce_field_hypothesis:
+    char = _common_char(psis)
+    if char:
         for t in psis:
             if t.period % char == 0:
                 raise ValueError(
                     f"characteristic divides period: p={char} divides n={t.period}"
                 )
     L = phi_sum_cardinality([t.period for t in psis])
-    vals = sum_tables_window(psis, start, L)
-    for i, v in enumerate(vals):
-        if v != 0:
-            return Verdict(False, start + i)
-    return Verdict(True)
+    return _first_nonzero(psis, start, L)
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +307,19 @@ def first_mismatch(
     if target.char != 0:
         raise ValueError("target must be rational-valued")
     scaled = cover_scaled(system, start, length)
-    if scaled is not None:
+    if scaled is None:
+        values = _cover_exact(system, start, length)
+    else:
         arr, D = scaled
-        tnums = [Fraction(v) * D for v in target.values]
-        if (
-            all(t.denominator == 1 for t in tnums)
-            and max((abs(int(t)) for t in tnums), default=0) < _INT64_GUARD
-        ):
-            tarr = np.asarray([int(t) for t in tnums], dtype=np.int64)
+        tscaled = _kernels._scaled([target.values], den=D)
+        if tscaled is None or tscaled[1] != D:
+            # target values past the guard, or finer than the weights' D
+            values = [Fraction(int(v), D) for v in arr]
+        else:
             idx = np.arange(start, start + length, dtype=np.int64) % target.period
-            diff = arr != tarr[idx]
-            if diff.any():
-                return start + int(diff.argmax())
-            return None
-    for i, v in enumerate(cover_values(system, start, length)):
+            diff = arr != tscaled[0][idx]
+            return start + int(diff.argmax()) if diff.any() else None
+    for i, v in enumerate(values):
         if v != target.value_at(start + i):
             return start + i
     return None
@@ -390,10 +362,10 @@ def non_exact_witness(system: System, m: int) -> int:
     if m <= bound:
         raise ValueError(f"hypothesis not met: need m > k - f(N) = {bound}, got m={m}")
     size = phi_sum_cardinality(system.moduli)
-    for x, w in enumerate(cover_values(system, 0, size)):
-        if w != m:
-            return x
-    raise AssertionError("no witness in the window; this contradicts the guarantee")
+    x = first_mismatch(system, PeriodicValueTable.constant(m), 0, size)
+    if x is None:
+        raise AssertionError("no witness in the window; this contradicts the guarantee")
+    return x
 
 
 # ---------------------------------------------------------------------------

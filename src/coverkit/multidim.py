@@ -17,16 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
+from .covering import DEFAULT_ORACLE_CAP
 from .fracsets import FractionSet, fraction_set
 from .numtheory import least_prime_factor
-
-DEFAULT_BOX_CAP = 10**6
-_INT64_GUARD = 2**62
 
 IntVector = tuple[int, ...]
 
 __all__ = [
-    "DEFAULT_BOX_CAP",
     "IntVector",
     "MultiSequence",
     "PeriodicityVerdict",
@@ -110,10 +108,10 @@ def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
 def _box_array(seqs: Sequence[MultiSequence], dims: tuple[int, ...]) -> np.ndarray | None:
     """w over the box as a scaled-int64 array, or None when scaling could
     overflow (callers then fall back to exact per-point evaluation)."""
-    D = math.lcm(*(s.weight.denominator for s in seqs))
-    nums = [int(s.weight * D) for s in seqs]
-    if sum(abs(v) for v in nums) >= _INT64_GUARD:
+    scaled = _kernels._scaled([(s.weight,) for s in seqs])
+    if scaled is None:
         return None
+    nums, _ = scaled
     l = len(dims)
     out = np.zeros(dims, dtype=np.int64)
     for s, num in zip(seqs, nums):
@@ -128,7 +126,7 @@ def _box_array(seqs: Sequence[MultiSequence], dims: tuple[int, ...]) -> np.ndarr
 
 
 def is_periodic_mod_vec(
-    seqs: Sequence[MultiSequence], n0: IntVector, cap: int = DEFAULT_BOX_CAP
+    seqs: Sequence[MultiSequence], n0: IntVector, cap: int = DEFAULT_ORACLE_CAP
 ) -> PeriodicityVerdict:
     """Exhaustively decide whether w is periodic modulo n0.
 
@@ -183,7 +181,7 @@ def divisibility_chain_report(
     seqs: Sequence[MultiSequence],
     n0: IntVector,
     d: IntVector,
-    cap: int = DEFAULT_BOX_CAP,
+    cap: int = DEFAULT_ORACLE_CAP,
 ) -> DivisibilityChainReport:
     """For w periodic mod n0 and a divisor vector d not dividing n0, bound
     the number of moduli divisible by d from below.
@@ -236,7 +234,7 @@ def divisibility_chain_report(
 
 
 def decide_periodic_by_divisibility(
-    seqs: Sequence[MultiSequence], n0: IntVector, cap: int = DEFAULT_BOX_CAP
+    seqs: Sequence[MultiSequence], n0: IntVector, cap: int = DEFAULT_ORACLE_CAP
 ) -> bool:
     """Decide periodicity mod n0 purely from modulus divisibility.
 

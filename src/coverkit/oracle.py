@@ -2,9 +2,10 @@
 benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
-exhaustive scan here.  The scans reuse the int64 kernels (falling back to
-exact big-integer code when scaling would overflow), but they never consult
-the window theorems themselves.
+exhaustive scan here.  The scans reuse the window engines of
+:mod:`coverkit.covering` (int64 kernels, with the exact big-integer
+fallback when scaling would overflow) over one full period, but they never
+consult the window theorems themselves.
 """
 
 from __future__ import annotations
@@ -12,18 +13,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from .covering import (
     DEFAULT_ORACLE_CAP,
     PeriodicValueTable,
     System,
     Verdict,
+    _first_nonzero,
     first_mismatch,
-    sum_tables_window,
-    tables_scaled,
     verify_covering_function,
 )
 from .fracsets import phi_sum_cardinality
@@ -56,30 +56,20 @@ def brute_tables_zero_verdict(
     N = math.lcm(*(t.period for t in psis))
     if N > cap:
         raise ValueError(f"period too large: lcm {N} exceeds cap {cap}")
-    scaled = tables_scaled(psis, 0, N)
-    if scaled is not None:
-        arr, _ = scaled
-        if arr.any():
-            return Verdict(False, int(arr.astype(bool).argmax()))
-        return Verdict(True)
-    for x, v in enumerate(sum_tables_window(psis, 0, N)):
-        if v != 0:
-            return Verdict(False, x)
-    return Verdict(True)
+    return _first_nonzero(psis, 0, N)
 
 
 def brute_least_period(table: PeriodicValueTable) -> int:
     """Smallest divisor d of the period with table(x) = table(x+d) for all x."""
-    vals = [Fraction(v) for v in table.values]
-    D = math.lcm(*(v.denominator for v in vals))
-    nums = [int(v * D) for v in vals]
-    if max(abs(v) for v in nums) < 2**62:
-        arr = np.asarray(nums, dtype=np.int64)
-        for d in divisors_of(table.period):
+    n, vals = table.period, table.values
+    scaled = _kernels._scaled([vals])
+    if scaled is not None:
+        arr = scaled[0]
+        for d in divisors_of(n):
             if np.array_equal(arr, np.roll(arr, -d)):
                 return d
-    for d in divisors_of(table.period):
-        if all(nums[x] == nums[(x + d) % table.period] for x in range(table.period)):
+    for d in divisors_of(n):
+        if all(vals[x] == vals[(x + d) % n] for x in range(n)):
             return d
     raise AssertionError("the full period is always a period")
 
@@ -112,8 +102,8 @@ def bench_window_vs_full(
     """Run the windowed verification and the exhaustive one, check they
     agree, and report the point counts and wall times of both.
 
-    One untimed warmup run precedes the measurements so kernel compilation
-    never lands in the timings.  This is an illustrative contrast, not a
+    One untimed warmup run precedes the measurements so one-time first-call
+    costs never land in the timings.  This is an illustrative contrast, not a
     statistically careful benchmark.
     """
     window_points = phi_sum_cardinality(system.moduli + [target.period])

@@ -125,11 +125,23 @@ def test_parse_coefficient_file():
         ("level 4\nmodulus 2\n0 2 3\n", "missing"),
         ("level 4\nmodulus 2\n", "no terms"),
         ("level 4\nmodulus 2\n0 1 1\n", "missing"),
+        ("level\nmodulus 2\n0 1\n", "line 1: expected 'level N'"),
+        ("level 4\nmodulus\n0 1\n", "line 2: expected 'modulus N'"),
+        ("level x\nmodulus 2\n0 1\n", "line 1: bad level 'x'"),
+        ("level 4\nmodulus y\n0 1\n", "line 2: bad modulus 'y'"),
+        ("level 4\nmodulus 2\nq 1\n", "line 3: bad term index 'q'"),
+        ("level 4\nmodulus 2\n0 1/0\n", "line 3: zero denominator"),
     ],
 )
 def test_parse_coefficient_errors(text, msg):
     with pytest.raises(ParseError, match=msg):
         parse_coefficient_file(text)
+
+
+def test_malformed_coefficient_file_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "c.txt", "level 4\nmodulus\n0 1\n")
+    code, out = run(capsys, "expsum-cover", "--m", "1", f)
+    assert code == 2 and "line 2" in out
 
 
 def test_coefficient_terms_grammar():

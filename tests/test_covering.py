@@ -124,13 +124,31 @@ def test_window_zero_matches_oracle_over_prime_fields():
         assert window.ok == full.ok
 
 
+@pytest.fixture(scope="module")
+def wide_prime_tables():
+    """2**15 + 1 references to one table of value p - 1 plus one table of
+    value 2**15 + 1 over F_p, p = 2**48 - 59: the sum is 0 mod p, but its
+    unreduced value passes 2**63.  Built once, since checking that a 48-bit
+    characteristic is prime takes about a second."""
+    p = 2**48 - 59
+    count = 2**15 + 1
+    return [PeriodicValueTable(1, (p - 1,), p)] * count + [PeriodicValueTable(1, (count,), p)]
+
+
+def test_window_zero_prime_field_sum_past_int64(wide_prime_tables):
+    assert window_zero_check(wide_prime_tables).ok
+    assert brute_tables_zero_verdict(wide_prime_tables).ok
+    assert window_zero_check(wide_prime_tables, start=2**64).ok
+    broken = wide_prime_tables[:-1]
+    v = window_zero_check(broken, start=2**64)
+    assert (v.ok, v.witness) == (False, 2**64)
+    assert not brute_tables_zero_verdict(broken).ok
+
+
 def test_window_zero_rejects_characteristic_dividing_period():
     psis = [PeriodicValueTable(4, (1, 0, 1, 0), char=2)]
     with pytest.raises(ValueError, match="characteristic divides period"):
         window_zero_check(psis)
-    # exploratory escape hatch: runs, but certifies nothing
-    v = window_zero_check(psis, enforce_field_hypothesis=False)
-    assert isinstance(v.ok, bool)
 
 
 def test_window_zero_rejects_mixed_fields():

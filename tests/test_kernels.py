@@ -1,62 +1,30 @@
 import random
+from fractions import Fraction
 
-import numpy as np
-import pytest
-
-from coverkit import _kernels, covering
-from coverkit.covering import System, cover_count, cover_values
-
-needs_both = pytest.mark.skipif(
-    "numba" not in _kernels.BACKENDS, reason="numba backend not active"
+from coverkit import _kernels
+from coverkit.covering import (
+    PeriodicValueTable,
+    System,
+    cover_count,
+    cover_scaled,
+    cover_table,
+    cover_values,
+    non_exact_witness,
+    tables_scaled,
+    verify_covering_function,
+    window_zero_check,
 )
-
-
-@needs_both
-def test_backends_agree_cover_counts():
-    rng = random.Random(31337)
-    for _ in range(50):
-        k = rng.randint(1, 8)
-        mod = [rng.randint(1, 20) for _ in range(k)]
-        res = [rng.randrange(n) for n in mod]
-        wts = [rng.randint(-5, 5) for _ in range(k)]
-        start = rng.randint(-100, 100)
-        length = rng.randint(0, 200)
-        args = (
-            np.asarray(res, np.int64),
-            np.asarray(mod, np.int64),
-            np.asarray(wts, np.int64),
-            start,
-            length,
-        )
-        a = _kernels.BACKENDS["numpy"][0](*args)
-        b = _kernels.BACKENDS["numba"][0](*args)
-        assert np.array_equal(a, b)
-
-
-@needs_both
-def test_backends_agree_table_sums():
-    rng = random.Random(90210)
-    for _ in range(50):
-        k = rng.randint(1, 5)
-        periods = [rng.randint(1, 10) for _ in range(k)]
-        flat, offs = [], []
-        for n in periods:
-            offs.append(len(flat))
-            flat.extend(rng.randint(-9, 9) for _ in range(n))
-        start = rng.randint(-50, 50)
-        length = rng.randint(0, 120)
-        char = rng.choice((0, 2, 3, 5))
-        args = (
-            np.asarray(flat, np.int64),
-            np.asarray(offs, np.int64),
-            np.asarray(periods, np.int64),
-            start,
-            length,
-            char,
-        )
-        a = _kernels.BACKENDS["numpy"][1](*args)
-        b = _kernels.BACKENDS["numba"][1](*args)
-        assert np.array_equal(a, b)
+from coverkit.multidim import is_periodic_mod_vec
+from coverkit.numtheory import f_additive
+from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
+from helpers import (
+    random_distinct_moduli_instance,
+    random_prime_field_tables,
+    random_unweighted_system,
+    random_weighted_system,
+    random_zero_system,
+    sequence_table,
+)
 
 
 def test_cover_counts_matches_pointwise_definition():
@@ -75,11 +43,25 @@ def test_cover_counts_matches_pointwise_definition():
             assert out[j] == expected
 
 
+def test_scaled_refuses_at_the_guard():
+    g = _kernels._INT64_GUARD
+    nums, D = _kernels._scaled([(Fraction(1, 2), 3), (Fraction(-1, 3),)])
+    assert (nums.tolist(), D) == ([3, 18, -2], 6)
+    assert _kernels._scaled([(g - 2, -5), (1,)]) is not None
+    assert _kernels._scaled([(g - 2, -5), (2,)]) is None  # the group peaks sum to g
+    assert _kernels._scaled([(-(2**63),)]) is None
+    assert _kernels._scaled([(2**63,)]) is None
+    assert _kernels._scaled([(Fraction(g - 2, 3),)]) is not None
+    assert _kernels._scaled([(Fraction(g - 2, 3), Fraction(1, 2))]) is None  # D = 6
+    assert _kernels._scaled([(1,)], start=g - 5, length=4) is not None
+    assert _kernels._scaled([(1,)], start=g - 5, length=5) is None
+    assert _kernels._scaled([(1,)], start=-g) is None
+    assert _kernels._scaled([(Fraction(1, 2),)], den=3)[1] == 6
+
+
 def test_cover_values_exact_fallback_agrees(monkeypatch):
     rng = random.Random(55)
     systems = []
-    from fractions import Fraction
-
     for _ in range(10):
         k = rng.randint(1, 5)
         systems.append(
@@ -91,9 +73,58 @@ def test_cover_values_exact_fallback_agrees(monkeypatch):
             )
         )
     fast = [cover_values(s, -7, 40) for s in systems]
-    monkeypatch.setattr(covering, "_INT64_GUARD", 1)  # force the big-int path
+    monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
     slow = [cover_values(s, -7, 40) for s in systems]
     assert fast == slow
+
+
+def _table_sets(rng):
+    """Seeded table lists over Q and F_p, about half of them vanishing."""
+    sets = []
+    for _ in range(15):
+        zero = random_zero_system(rng)
+        sets.append([sequence_table(s.residue, s.modulus, weight=s.weight) for s in zero.seqs])
+        other = random_weighted_system(rng)
+        sets.append([sequence_table(s.residue, s.modulus, weight=s.weight) for s in other.seqs])
+    for _ in range(30):
+        p = rng.choice((2, 3, 5, 7))
+        sets.append(random_prime_field_tables(rng, p, force_zero_sum=rng.random() < 0.5))
+    return sets
+
+
+def _answers(seed: int) -> list:
+    """Verdicts and witnesses of every check that scales values for the
+    int64 kernels, on seeded inputs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(30):
+        system = random_unweighted_system(rng)
+        table = cover_table(system)
+        mutated = list(table.values)
+        mutated[rng.randrange(table.period)] += rng.choice((1, -1, Fraction(1, 2)))
+        start = rng.randint(-40, 40)
+        for target in (table, PeriodicValueTable(table.period, tuple(mutated))):
+            out.append(verify_covering_function(system, target, start))
+            out.append(brute_cover_verdict(system, target))
+        out.append(non_exact_witness(system, system.k - f_additive(system.lcm()) + rng.randint(1, 2)))
+    for psis in _table_sets(rng):
+        out.append(window_zero_check(psis, rng.randint(-40, 40)))
+        out.append(brute_tables_zero_verdict(psis))
+    for _ in range(30):
+        out.append(brute_least_period(cover_table(random_weighted_system(rng))))
+    for _ in range(20):
+        seqs, n0 = random_distinct_moduli_instance(rng, rng.randint(1, 3))
+        out.append(is_periodic_mod_vec(seqs, n0))
+    return out
+
+
+def test_int64_guard_changes_speed_never_answers(monkeypatch):
+    fast = _answers(8128)
+    monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)
+    system = System.of((0, 2), (1, 2))
+    assert cover_scaled(system, 0, 4) is None
+    assert tables_scaled([PeriodicValueTable(2, (1, 0), 3)], 0, 4) is None
+    assert _answers(8128) == fast
 
 
 def test_cover_values_is_pointwise_cover_count():
