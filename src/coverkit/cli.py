@@ -6,7 +6,9 @@ one machine-readable line
 
     result|cmd=<name>|verdict=<str>|witness=<int-or-none>
 
-and the bench subcommand additionally emits its own ``bench|...`` line.
+where a vector witness pair x, y (``multidim-period``, ``cor14``) is
+written ``witness=<x1,x2,...>:<y1,y2,...>``.  The bench subcommand
+additionally emits its own ``bench|...`` line.
 """
 
 from __future__ import annotations
@@ -298,7 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(args, cap: int) -> tuple[int, str, int | None]:
+Witness = int | tuple[tuple[int, ...], tuple[int, ...]] | None
+
+
+def _witness_text(witness: Witness) -> str:
+    if witness is None:
+        return "none"
+    if isinstance(witness, tuple):
+        return ":".join(",".join(map(str, v)) for v in witness)
+    return str(witness)
+
+
+def _run(args, cap: int) -> tuple[int, str, Witness]:
     """Execute one subcommand; returns (exit code, verdict string, witness)."""
     cmd = args.cmd
 
@@ -366,7 +379,7 @@ def _run(args, cap: int) -> tuple[int, str, int | None]:
             return 0, "periodic", None
         x, y = verdict.witness
         print(f"not periodic: w{x} != w{y}")
-        return 1, "not-periodic", None
+        return 1, "not-periodic", verdict.witness
 
     if cmd == "thm14":
         report = divisibility_chain_report(
@@ -388,9 +401,10 @@ def _run(args, cap: int) -> tuple[int, str, int | None]:
         if decision:
             print("all moduli divide n0: periodic")
             return 0, "periodic", None
-        x, y = is_periodic_mod_vec(sf.entries, n0, cap).witness
+        witness = is_periodic_mod_vec(sf.entries, n0, cap).witness
+        x, y = witness
         print(f"some modulus does not divide n0: not periodic, w{x} != w{y}")
-        return 1, "not-periodic", None
+        return 1, "not-periodic", witness
 
     if cmd == "zero-coeffs":
         system = sf.as_system()
@@ -459,8 +473,7 @@ def run_command(argv=None) -> int:
         print(f"error: {e}")
         print(f"result|cmd={args.cmd}|verdict=error|witness=none")
         return 2
-    wtxt = "none" if witness is None else str(witness)
-    print(f"result|cmd={args.cmd}|verdict={verdict}|witness={wtxt}")
+    print(f"result|cmd={args.cmd}|verdict={verdict}|witness={_witness_text(witness)}")
     return code
 
 

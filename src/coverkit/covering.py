@@ -40,6 +40,7 @@ from .cyclotomic import CyclotomicElement, root_power
 from .fracsets import (
     SUBSET_ENUMERATION_CAP,
     FractionSet,
+    divisor_union_phis,
     fraction_set,
     multiples_set,
     phi_sum_cardinality,
@@ -488,27 +489,31 @@ def min_on_window(
 
 
 def _coefficient(system: System, alpha: Fraction) -> CyclotomicElement:
-    # c_alpha = sum over {s : alpha*n_s integral} of (weight/n) * zeta_q^(p*a),
-    # built directly at level q = denominator(alpha)
+    # c_alpha = sum over {s : q | n_s} of (weight/n_s) * zeta_q^(p*a_s) with
+    # alpha = p/q in lowest terms, built in one pass at level q
     q, p = alpha.denominator, alpha.numerator
-    c = CyclotomicElement.zero(q)
+    coeffs = [Fraction(0)] * q
     for seq in system.seqs:
-        if (alpha * seq.modulus).denominator == 1:
-            c = c + root_power(q, p * seq.residue) * Fraction(seq.weight, seq.modulus)
-    return c
+        if seq.modulus % q == 0:
+            coeffs[p * seq.residue % q] += seq.weight / seq.modulus
+    return CyclotomicElement(q, tuple(coeffs))
 
 
 def least_period(system: System) -> int:
     """Smallest positive period of the weighted covering function.
 
-    Equals the least n making alpha*n integral for every alpha in [0,1)
-    whose coefficient c_alpha is nonzero; concretely the lcm of the
-    denominators of the surviving alphas (1 when none survive).
+    Equals the lcm of the denominators of the alphas in [0,1) whose
+    coefficient c_alpha is nonzero (1 when none is).  For alpha = p/q in
+    lowest terms, c_{p/q} is the image of c_{1/q} under the automorphism
+    zeta_q -> zeta_q^p, which fixes the rational weights, so one exact zero
+    test per denominator q decides all of them.  Denominators are visited
+    in descending order and a q already dividing the running lcm is skipped,
+    since it cannot change the answer.
     """
     result = 1
-    for alpha in multiples_set(system.moduli):
-        if not _coefficient(system, alpha).is_zero():
-            result = math.lcm(result, alpha.denominator)
+    for q in sorted(divisor_union_phis(system.moduli), reverse=True):
+        if result % q and not _coefficient(system, Fraction(1, q)).is_zero():
+            result = math.lcm(result, q)
     return result
 
 

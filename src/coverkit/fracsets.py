@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .numtheory import divisors_of, euler_phi
+from .numtheory import divisor_phis
 
 FractionSet = tuple[Fraction, ...]
 
@@ -25,6 +25,7 @@ __all__ = [
     "frac_mod1",
     "fraction_set",
     "multiples_set",
+    "divisor_union_phis",
     "phi_sum_cardinality",
     "sumset_mod1",
     "subset_sum_set",
@@ -55,18 +56,33 @@ def multiples_set(moduli: list[int]) -> FractionSet:
     return tuple(sorted(out))
 
 
+def divisor_union_phis(moduli: list[int]) -> dict[int, int]:
+    """phi(d) for every d dividing some modulus.
+
+    Only the moduli that divide no other modulus are factorized: every
+    divisor of the others divides one of them.
+    """
+    if not moduli:
+        raise ValueError("expected a nonempty list of moduli")
+    if min(moduli) < 1:
+        raise ValueError(f"moduli must be positive, got {min(moduli)}")
+    top: list[int] = []
+    for n in sorted(set(moduli), reverse=True):
+        if all(m % n for m in top):
+            top.append(n)
+    out: dict[int, int] = {}
+    for n in top:
+        out.update(divisor_phis(n))
+    return out
+
+
 def phi_sum_cardinality(moduli: list[int]) -> int:
     """Sum of phi(d) over the union of the divisor sets of the moduli.
 
     Equals len(multiples_set(moduli)): each reduced fraction c/d with d
     dividing some modulus is counted exactly once.
     """
-    if not moduli:
-        raise ValueError("phi_sum_cardinality expects a nonempty list")
-    divs: set[int] = set()
-    for n in moduli:
-        divs.update(divisors_of(n))
-    return sum(euler_phi(d) for d in divs)
+    return sum(divisor_union_phis(moduli).values())
 
 
 def sumset_mod1(A: FractionSet, B: FractionSet) -> FractionSet:

@@ -13,6 +13,7 @@ from functools import lru_cache
 __all__ = [
     "euler_phi",
     "divisors_of",
+    "divisor_phis",
     "lcm_all",
     "factorize",
     "cyclotomic_poly",
@@ -50,19 +51,23 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def divisor_phis(n: int) -> dict[int, int]:
+    """Each positive divisor d of n mapped to phi(d), from one factorization
+    of n (phi is multiplicative, so no divisor is factorized again)."""
+    if n < 1:
+        raise ValueError(f"divisor_phis expects n >= 1, got {n}")
+    out = {1: 1}
+    for p, e in factorize(n):
+        powers = [(p**j, p ** (j - 1) * (p - 1)) for j in range(1, e + 1)]
+        out.update({d * pj: f * fj for d, f in out.items() for pj, fj in powers})
+    return out
+
+
 def divisors_of(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise ValueError(f"divisors_of expects n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return sorted(divisor_phis(n))
 
 
 def lcm_all(ns: list[int]) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coverkit import MultiSequence
+from coverkit import MultiSequence, multidim_value
 from coverkit.cli import ParseError, parse_coefficient_file, parse_system, run_command
 
 B_TEXT = "1 2\n2 4\n0 4\n"
@@ -27,7 +27,9 @@ modulus 4
 1 -1
 """
 
-RESULT_RE = re.compile(r"^result\|cmd=[a-z0-9-]+\|verdict=[^|]*\|witness=(none|-?\d+)$")
+RESULT_RE = re.compile(
+    r"^result\|cmd=[a-z0-9-]+\|verdict=[^|]*\|witness=(none|-?\d+|-?\d+(,-?\d+)*:-?\d+(,-?\d+)*)$"
+)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -234,6 +236,27 @@ def test_multidim_commands(tmp_path, capsys):
     assert run(capsys, "cor14", "--n0", "1,2", f)[0] == 1
     dup = write(tmp_path, "dup.txt", "0,0 2,2\n1,1 2,2\n")
     assert run(capsys, "cor14", "--n0", "2,2", dup)[0] == 2
+
+
+def vector_witness(out: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    text = out.strip().splitlines()[-1].rsplit("|witness=", 1)[1]
+    x, y = text.split(":")
+    return tuple(map(int, x.split(","))), tuple(map(int, y.split(",")))
+
+
+@pytest.mark.parametrize("cmd,n0", [("multidim-period", "1,1"), ("cor14", "1,2")])
+def test_vector_witness_in_machine_line(tmp_path, capsys, cmd, n0):
+    text = "0,0 2,2\n1,0 2,3 -1/2\n"
+    f = write(tmp_path, "m.txt", text)
+    code, out = run(capsys, cmd, "--n0", n0, f)
+    assert code == 1 and "verdict=not-periodic" in out
+    x, y = vector_witness(out)
+    assert f"w{x} != w{y}" in out
+    a, b = map(int, n0.split(","))
+    assert tuple(v - u for u, v in zip(x, y)) in [(a, 0), (0, b)]
+    entries = parse_system(text).entries
+    assert multidim_value(entries, x) != multidim_value(entries, y)
+    assert run(capsys, cmd, "--n0", "2,6", f)[1].strip().endswith("|witness=none")
 
 
 def test_zero_coeffs_command(tmp_path, capsys):

@@ -16,17 +16,21 @@ from coverkit import (
     cover_count,
     cover_table,
     cover_values,
+    divisors_of,
     equal_cover_superset_check,
     expsum_cover_check,
     is_exact_m_cover,
     least_period,
     min_on_window,
+    multiples_set,
     non_exact_witness,
+    root_power,
     verify_covering_function,
     weighted_average_check,
     window_zero_check,
     zero_system_coefficients,
 )
+from coverkit.covering import DEFAULT_ORACLE_CAP
 from helpers import (
     erdos_cover,
     erdos_system,
@@ -341,6 +345,82 @@ def test_least_period_matches_brute():
     for _ in range(60):
         system = random_weighted_system(rng)
         assert least_period(system) == brute_least_period(cover_table(system))
+
+
+def coefficient_by_definition(system: System, alpha: F) -> CyclotomicElement:
+    """c_alpha as a sum of dense root_power terms, one per sequence whose
+    modulus the denominator q of alpha divides, at level q."""
+    q, p = alpha.denominator, alpha.numerator
+    c = CyclotomicElement.zero(q)
+    for s in system.seqs:
+        if s.modulus % q == 0:
+            c = c + root_power(q, p * s.residue) * (s.weight / s.modulus)
+    return c
+
+
+def planted_split(rng: random.Random, n: int, p: int, w: F) -> list[tuple]:
+    """a(n)*w plus (a+j*n)(p*n)*(-w) for j < p: the refined classes partition
+    a(n), so together they add nothing to w anywhere."""
+    a = rng.randrange(n)
+    return [(a, n, w)] + [(a + j * n, p * n, -w) for j in range(p)]
+
+
+def test_least_period_one_test_per_denominator_matches_definition():
+    rng = random.Random(27720)
+    small = [n for n in divisors_of(27720) if n <= 100]
+    weights = (F(1), F(-1), F(1, 2), F(-2, 3), F(3))
+    for i in range(14):
+        k = rng.randint(3, 8)
+        entries = []
+        if i % 2:
+            n, p = rng.choice([(n, p) for n in small for p in (2, 3, 5) if n * p in small])
+            entries = planted_split(rng, n, p, rng.choice(weights))
+        while len(entries) < k:
+            n = rng.choice(small)
+            entries.append((rng.randrange(n), n, rng.choice(weights)))
+        system = System.of(*entries)
+        got = least_period(system)
+        assert got == brute_least_period(cover_table(system))
+        by_denominator = {}
+        by_definition = 1
+        for alpha in multiples_set(system.moduli):
+            q = alpha.denominator
+            if q not in by_denominator:
+                by_denominator[q] = coefficient_by_definition(system, F(1, q)).is_zero()
+            zero = coefficient_by_definition(system, alpha).is_zero()
+            assert zero == by_denominator[q], (entries, alpha)  # Galois invariance
+            if not zero:
+                by_definition = math.lcm(by_definition, q)
+        assert got == by_definition
+
+
+def test_least_period_above_oracle_cap_certified_by_window():
+    # primes 2..19 at nonzero weights give period 9699690; a planted split of
+    # 7(23) into 7(46) and 30(46) adds moduli 23 and 46 but cancels, so the
+    # lcm 223092870 is not the period.  Both exceed the oracle cap.
+    rng = random.Random(23)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    entries = [(rng.randrange(p), p, rng.choice((F(1), F(-1, 2), F(3)))) for p in primes]
+    entries += [(7, 23, F(2, 3)), (7, 46, F(-2, 3)), (30, 46, F(-2, 3))]
+    system = System.of(*entries)
+    assert system.lcm() > DEFAULT_ORACLE_CAP
+    d = least_period(system)
+    assert d == 9699690 > DEFAULT_ORACLE_CAP
+
+    def shift_tables(t: int) -> list[PeriodicValueTable]:
+        # psi_s(x) = w_s * ([x + t = a_s] - [x = a_s]) mod n_s: their sum is
+        # w(x + t) - w(x), which vanishes identically iff t is a period
+        tables = []
+        for s in system.seqs:
+            tables.append(sequence_table(s.residue - t, s.modulus, weight=s.weight))
+            tables.append(sequence_table(s.residue, s.modulus, weight=-s.weight))
+        return tables
+
+    assert window_zero_check(shift_tables(d)).ok
+    for p in primes:
+        v = window_zero_check(shift_tables(d // p))
+        assert not v.ok
+        assert cover_count(system, v.witness + d // p) != cover_count(system, v.witness)
 
 
 # --- averages, zero systems, subset-sum superset ------------------------------

@@ -47,6 +47,16 @@ def test_phi_sum_equals_set_cardinality_random():
         assert phi_sum_cardinality(moduli) == len(multiples_set(moduli))
 
 
+def test_phi_sum_repeated_and_dividing_moduli():
+    # only the moduli dividing no other are factorized; the union is unchanged
+    for moduli in ([4, 2, 4, 1, 12, 6, 6], [7] * 12, [30, 15, 10, 6, 5, 3, 2], [9, 27, 2]):
+        assert phi_sum_cardinality(moduli) == len(multiples_set(moduli))
+    with pytest.raises(ValueError):
+        phi_sum_cardinality([4, -2])
+    with pytest.raises(ValueError):
+        phi_sum_cardinality([])
+
+
 def test_sumset_examples():
     B = fraction_set([F(1, 7), F(2, 5)])
     assert sumset_mod1((F(0),), B) == B

@@ -4,6 +4,7 @@ import pytest
 
 from coverkit.numtheory import (
     cyclotomic_poly,
+    divisor_phis,
     divisors_of,
     euler_phi,
     f_additive,
@@ -54,6 +55,22 @@ def test_divisors_examples(n, expected):
 def test_divisors_sorted_and_complete():
     for n in range(1, 200):
         assert divisors_of(n) == brute_divisors(n)
+
+
+def test_divisor_phis_matches_brute():
+    for n in range(1, 400):
+        assert divisor_phis(n) == {d: brute_phi(d) for d in brute_divisors(n)}
+
+
+def test_divisor_phis_large_modulus():
+    # P is prime, so every divisor and its phi come from 6P = 2 * 3 * P
+    P = 100000000003
+    assert divisor_phis(6 * P) == {
+        1: 1, 2: 1, 3: 2, 6: 2, P: P - 1, 2 * P: P - 1, 3 * P: 2 * (P - 1), 6 * P: 2 * (P - 1)
+    }  # fmt: skip
+    assert divisors_of(6 * P) == [1, 2, 3, 6, P, 2 * P, 3 * P, 6 * P]
+    with pytest.raises(ValueError):
+        divisor_phis(0)
 
 
 @pytest.mark.parametrize(
