@@ -20,9 +20,11 @@ consecutive integers:
 
 Weights are exact rationals (not arbitrary complex numbers): every "is this
 coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
-exactly.  Full-period scans go through the int64 kernels in
-:mod:`coverkit._kernels` whenever the scaled values provably fit, and fall
-back to big-integer arithmetic otherwise.
+exactly.  Every scan, windowed or full-period, is one evaluator: D times
+the covering function minus the tables over the window, with weights and
+table values put over one common denominator D by
+:mod:`coverkit._kernels` (int64 when the scaled sums provably fit, exact
+Python ints otherwise), and then searched for its first nonzero point.
 """
 
 from __future__ import annotations
@@ -60,10 +62,7 @@ __all__ = [
     "ExpSumSequence",
     "cover_count",
     "cover_values",
-    "cover_scaled",
     "cover_table",
-    "first_mismatch",
-    "tables_scaled",
     "window_zero_check",
     "verify_covering_function",
     "is_exact_m_cover",
@@ -186,42 +185,15 @@ def cover_count(system: System, x: int) -> Fraction:
     return sum((s.weight for s in system.seqs if s.contains(x)), Fraction(0))
 
 
-def cover_scaled(system: System, start: int, length: int):
-    """(int64 array of D*w(x) for x in the window, denominator D), or None
-    when the scaled weights might not fit int64."""
-    scaled = _kernels._scaled([(s.weight,) for s in system.seqs], start, length)
-    if scaled is None:
-        return None
-    nums, D = scaled
-    arr = _kernels.cover_counts(
-        [s.residue for s in system.seqs], system.moduli, nums, start, length
-    )
-    return arr, D
-
-
-def _cover_exact(system: System, start: int, length: int) -> list:
-    # big-integer evaluation of w over the window, exact for any weights
-    out = [Fraction(0)] * length
-    for s in system.seqs:
-        first = (s.residue - start) % s.modulus
-        for j in range(first, length, s.modulus):
-            out[j] += s.weight
-    return out
-
-
 def cover_values(system: System, start: int, length: int) -> tuple:
     """Exact values of w(x) for x in [start, start+length).
 
-    Integers for unweighted systems, Fractions otherwise.  Uses the fast
-    int64 kernels when the scaled weights provably fit.
+    Integers when the weights' common denominator is 1, Fractions otherwise.
     """
-    scaled = cover_scaled(system, start, length)
-    if scaled is None:
-        return tuple(_cover_exact(system, start, length))
-    arr, D = scaled
+    arr, D = _scan(system.seqs, (), start, length)
     if D == 1:
-        return tuple(int(v) for v in arr)
-    return tuple(Fraction(int(v), D) for v in arr)
+        return tuple(arr.tolist())
+    return tuple(Fraction(v, D) for v in arr.tolist())
 
 
 def cover_table(system: System, cap: int = DEFAULT_ORACLE_CAP) -> PeriodicValueTable:
@@ -243,36 +215,41 @@ def _common_char(psis: Sequence[PeriodicValueTable]) -> int:
     return chars.pop()
 
 
-def tables_scaled(psis: Sequence[PeriodicValueTable], start: int, length: int):
-    """(int64 array of scaled sums of the tables over the window, denominator),
-    or None when the scaled sums might not fit int64.  Sums over F_p come
-    back reduced mod p with denominator 1."""
-    char = _common_char(psis)
-    scaled = _kernels._scaled([t.values for t in psis], start, length)
-    if scaled is None:
-        return None
-    flat, D = scaled
+def _scan(
+    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
+):
+    """(D * (w - sum_s psi_s) over [start, start+length), D), where w is
+    the covering function of ``seqs`` and D the common denominator of the
+    weights and table values.  Sums over F_p are reduced mod p first, so a
+    point is zero exactly where the difference vanishes in the field."""
+    char = _common_char(psis) if psis else 0
+    if char and seqs:
+        raise ValueError("tables compared with weighted classes must be rational-valued")
+    # integral weights travel as ints, so all-integer input skips the
+    # per-value Python scaling in _scaled
+    weights = [(w.numerator if w.denominator == 1 else w,) for w in (s.weight for s in seqs)]
+    nums, D = _kernels._scaled(weights + [t.values for t in psis])
+    k = len(seqs)
+    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], nums[:k], start, length)
+    if not psis:
+        return _kernels.cover_counts(*classes), D
     periods = [t.period for t in psis]
-    offsets = [0, *accumulate(periods[:-1])]
-    return _kernels.table_sums(flat, offsets, periods, start, length, char), D
+    offsets = list(accumulate([k] + periods[:-1]))
+    out = _kernels.table_sums(nums, offsets, periods, start, length, char)
+    np.negative(out, out=out)
+    if seqs:
+        out += _kernels.cover_counts(*classes)
+    return out, D
 
 
-def _first_nonzero(psis: Sequence[PeriodicValueTable], start: int, length: int) -> Verdict:
-    """Scan [start, start+length) for the first x where sum_s psi_s(x) is
-    nonzero in the tables' field; the witness of a failed Verdict."""
-    scaled = tables_scaled(psis, start, length)
-    if scaled is not None:
-        nonzero = scaled[0] != 0
-        if nonzero.any():
-            return Verdict(False, start + int(nonzero.argmax()))
-        return Verdict(True)
-    char = psis[0].char
-    for x in range(start, start + length):
-        total = sum(t.value_at(x) for t in psis)
-        if char:
-            total %= char
-        if total:
-            return Verdict(False, x)
+def _first_nonzero(
+    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
+) -> Verdict:
+    """Scan [start, start+length) for the first x where w(x) - sum_s psi_s(x)
+    is nonzero in the tables' field; the witness of a failed Verdict."""
+    nonzero = _scan(seqs, psis, start, length)[0] != 0
+    if nonzero.any():
+        return Verdict(False, start + int(nonzero.argmax()))
     return Verdict(True)
 
 
@@ -294,36 +271,11 @@ def window_zero_check(psis: Sequence[PeriodicValueTable], start: int = 0) -> Ver
                     f"characteristic divides period: p={char} divides n={t.period}"
                 )
     L = phi_sum_cardinality([t.period for t in psis])
-    return _first_nonzero(psis, start, L)
+    return _first_nonzero((), psis, start, L)
 
 
 # ---------------------------------------------------------------------------
 # covering-function verification from a window
-
-
-def first_mismatch(
-    system: System, target: PeriodicValueTable, start: int, length: int
-) -> int | None:
-    """Least x in [start, start+length) with w(x) != target(x), or None."""
-    if target.char != 0:
-        raise ValueError("target must be rational-valued")
-    scaled = cover_scaled(system, start, length)
-    if scaled is None:
-        values = _cover_exact(system, start, length)
-    else:
-        arr, D = scaled
-        tscaled = _kernels._scaled([target.values], den=D)
-        if tscaled is None or tscaled[1] != D:
-            # target values past the guard, or finer than the weights' D
-            values = [Fraction(int(v), D) for v in arr]
-        else:
-            idx = np.arange(start, start + length, dtype=np.int64) % target.period
-            diff = arr != tscaled[0][idx]
-            return start + int(diff.argmax()) if diff.any() else None
-    for i, v in enumerate(values):
-        if v != target.value_at(start + i):
-            return start + i
-    return None
 
 
 def verify_covering_function(
@@ -331,15 +283,14 @@ def verify_covering_function(
 ) -> Verdict:
     """Check w(x) = target(x) on a window that certifies equality on all of Z.
 
-    The window length is |union over {target period} + moduli of the sets
-    {r/n}|; the system must be unweighted (weight 1 everywhere) and the
-    target rational-valued.
+    w - target is a sum of periodic maps over Q with periods the moduli and
+    the target period, for any rational weights, so this is the vanishing
+    criterion of :func:`window_zero_check` on a window of length
+    |union over {target period} + moduli of the sets {r/n}|.  The target
+    must be rational-valued.
     """
-    if not system.is_unweighted():
-        raise ValueError("covering-function verification expects an unweighted system")
     L = phi_sum_cardinality(system.moduli + [target.period])
-    x = first_mismatch(system, target, start, L)
-    return Verdict(True) if x is None else Verdict(False, x)
+    return _first_nonzero(system.seqs, [target], start, L)
 
 
 def is_exact_m_cover(system: System, m: int) -> bool:
@@ -363,10 +314,10 @@ def non_exact_witness(system: System, m: int) -> int:
     if m <= bound:
         raise ValueError(f"hypothesis not met: need m > k - f(N) = {bound}, got m={m}")
     size = phi_sum_cardinality(system.moduli)
-    x = first_mismatch(system, PeriodicValueTable.constant(m), 0, size)
-    if x is None:
+    verdict = _first_nonzero(system.seqs, [PeriodicValueTable.constant(m)], 0, size)
+    if verdict.ok:
         raise AssertionError("no witness in the window; this contradicts the guarantee")
-    return x
+    return verdict.witness
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +439,13 @@ def min_on_window(
 # least period and the coefficients that determine it
 
 
-def _coefficient(system: System, alpha: Fraction) -> CyclotomicElement:
-    # c_alpha = sum over {s : q | n_s} of (weight/n_s) * zeta_q^(p*a_s) with
-    # alpha = p/q in lowest terms, built in one pass at level q
-    q, p = alpha.denominator, alpha.numerator
+def _coefficient(system: System, q: int) -> CyclotomicElement:
+    # c_{1/q} = sum over {s : q | n_s} of (weight/n_s) * zeta_q^(a_s), built
+    # in one pass at level q
     coeffs = [Fraction(0)] * q
     for seq in system.seqs:
         if seq.modulus % q == 0:
-            coeffs[p * seq.residue % q] += seq.weight / seq.modulus
+            coeffs[seq.residue % q] += seq.weight / seq.modulus
     return CyclotomicElement(q, tuple(coeffs))
 
 
@@ -512,7 +462,7 @@ def least_period(system: System) -> int:
     """
     result = 1
     for q in sorted(divisor_union_phis(system.moduli), reverse=True):
-        if result % q and not _coefficient(system, Fraction(1, q)).is_zero():
+        if result % q and not _coefficient(system, q).is_zero():
             result = math.lcm(result, q)
     return result
 
@@ -530,15 +480,26 @@ def zero_system_coefficients(
     system: System, cap: int = DEFAULT_ORACLE_CAP
 ) -> list[tuple[Fraction, CyclotomicElement]]:
     """All (alpha, c_alpha) pairs of a system whose covering function is
-    identically zero; every coefficient is asserted to vanish."""
+    identically zero.
+
+    As in :func:`least_period`, c_{p/q} is the image of c_{1/q} under
+    zeta_q -> zeta_q^p, so c_{1/q} is built and asserted to vanish once per
+    denominator q, and c_{p/q} moves its coefficient at j to p*j mod q.
+    """
     table = cover_table(system, cap)
     if any(v != 0 for v in table.values):
         raise ValueError("covering function is not identically zero")
+    units: dict[int, tuple] = {}
     out = []
     for alpha in multiples_set(system.moduli):
-        c = _coefficient(system, alpha)
-        assert c.is_zero(), f"nonzero coefficient at alpha={alpha} for a zero system"
-        out.append((alpha, c))
+        q = alpha.denominator
+        if q not in units:
+            unit = _coefficient(system, q)
+            assert unit.is_zero(), f"nonzero coefficient at alpha=1/{q} for a zero system"
+            units[q] = unit.coeffs
+        inverse = pow(alpha.numerator, -1, q)
+        coeffs = tuple(units[q][inverse * e % q] for e in range(q))
+        out.append((alpha, CyclotomicElement(q, coeffs)))
     return out
 
 

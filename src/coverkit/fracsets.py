@@ -48,7 +48,7 @@ def multiples_set(moduli: list[int]) -> FractionSet:
     if not moduli:
         raise ValueError("multiples_set expects a nonempty list")
     out = set()
-    for n in moduli:
+    for n in set(moduli):
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
         for r in range(n):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -105,23 +104,14 @@ def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
     )
 
 
-def _box_array(seqs: Sequence[MultiSequence], dims: tuple[int, ...]) -> np.ndarray | None:
-    """w over the box as a scaled-int64 array, or None when scaling could
-    overflow (callers then fall back to exact per-point evaluation)."""
-    scaled = _kernels._scaled([(s.weight,) for s in seqs])
-    if scaled is None:
-        return None
-    nums, _ = scaled
-    l = len(dims)
-    out = np.zeros(dims, dtype=np.int64)
+def _box_array(seqs: Sequence[MultiSequence], dims: tuple[int, ...]) -> np.ndarray:
+    """D * w over the box, D the weights' common denominator: int64 when
+    the scaled weights provably sum inside it, exact Python ints otherwise."""
+    nums, _ = _kernels._scaled([(s.weight,) for s in seqs])
+    out = np.zeros(dims, dtype=nums.dtype)
     for s, num in zip(seqs, nums):
-        mask = np.ones((1,) * l, dtype=bool)
-        for t in range(l):
-            shape = [1] * l
-            shape[t] = dims[t]
-            axis = (np.arange(dims[t]) % s.modulus[t] == s.residue[t]).reshape(shape)
-            mask = mask & axis
-        out += num * mask
+        # each box side is a multiple of the class modulus on that side
+        out[tuple(slice(a, None, n) for a, n in zip(s.residue, s.modulus))] += num
     return out
 
 
@@ -142,20 +132,13 @@ def is_periodic_mod_vec(
     if points > cap:
         raise ValueError(f"box too large: {points} points exceed cap {cap}")
     box = _box_array(seqs, dims)
-    if box is not None:
-        for t in range(l):
-            shifted = np.roll(box, -n0[t], axis=t)
-            bad = np.argwhere(box != shifted)
-            if bad.size:
-                x = tuple(int(c) for c in bad[0])
-                y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-                return PeriodicityVerdict(False, (x, y))
-        return PeriodicityVerdict(True)
     for t in range(l):
-        for x in product(*(range(m) for m in dims)):
+        shifted = np.roll(box, -n0[t], axis=t)
+        bad = np.argwhere(box != shifted)
+        if bad.size:
+            x = tuple(int(c) for c in bad[0])
             y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-            if multidim_value(seqs, x) != multidim_value(seqs, y):
-                return PeriodicityVerdict(False, (x, y))
+            return PeriodicityVerdict(False, (x, y))
     return PeriodicityVerdict(True)
 
 

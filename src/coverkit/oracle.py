@@ -2,10 +2,10 @@
 benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
-exhaustive scan here.  The scans reuse the window engines of
-:mod:`coverkit.covering` (int64 kernels, with the exact big-integer
-fallback when scaling would overflow) over one full period, but they never
-consult the window theorems themselves.
+exhaustive scan here.  The scans run the first-nonzero scan that every
+window check of :mod:`coverkit.covering` uses (the kernels on int64, or on
+exact Python ints when the scaled values require it) over one full period,
+but they never consult the window theorems themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .covering import (
     System,
     Verdict,
     _first_nonzero,
-    first_mismatch,
     verify_covering_function,
 )
 from .fracsets import phi_sum_cardinality
@@ -45,8 +44,7 @@ def brute_cover_verdict(
     N = math.lcm(system.lcm(), target.period)
     if N > cap:
         raise ValueError(f"period too large: lcm {N} exceeds cap {cap}")
-    x = first_mismatch(system, target, 0, N)
-    return Verdict(True) if x is None else Verdict(False, x)
+    return _first_nonzero(system.seqs, [target], 0, N)
 
 
 def brute_tables_zero_verdict(
@@ -56,22 +54,14 @@ def brute_tables_zero_verdict(
     N = math.lcm(*(t.period for t in psis))
     if N > cap:
         raise ValueError(f"period too large: lcm {N} exceeds cap {cap}")
-    return _first_nonzero(psis, 0, N)
+    return _first_nonzero((), psis, 0, N)
 
 
 def brute_least_period(table: PeriodicValueTable) -> int:
     """Smallest divisor d of the period with table(x) = table(x+d) for all x."""
-    n, vals = table.period, table.values
-    scaled = _kernels._scaled([vals])
-    if scaled is not None:
-        arr = scaled[0]
-        for d in divisors_of(n):
-            if np.array_equal(arr, np.roll(arr, -d)):
-                return d
-    for d in divisors_of(n):
-        if all(vals[x] == vals[(x + d) % n] for x in range(n)):
-            return d
-    raise AssertionError("the full period is always a period")
+    arr = _kernels._scaled([table.values])[0]
+    # d = period always matches
+    return next(d for d in divisors_of(table.period) if np.array_equal(arr, np.roll(arr, -d)))
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,19 @@ def test_verify_target_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_weighted_system(tmp_path, capsys):
+    # w = 1/2 on evens, 1/3 on 1 mod 3, so 5/6 on 4 mod 6
+    w = write(tmp_path, "w.txt", "0 2 1/2\n1 3 1/3\n")
+    tf = write(tmp_path, "target.txt", "1/2\n1/3\n1/2\n0\n5/6\n0\n")
+    code, out = run(capsys, "verify", "--target-file", tf, w)
+    assert code == 0 and "verdict=matches" in out
+    tf2 = write(tmp_path, "target2.txt", "1/2\n1/3\n1/2\n0\n5/6\n1/6\n")
+    code, out = run(capsys, "verify", "--target-file", tf2, w)
+    assert code == 1 and "witness=5" in out
+    code, out = run(capsys, "exact-cover", "--m", "1", w)
+    assert code == 1 and "witness=0" in out
+
+
 def test_exact_cover_command(tmp_path, capsys):
     b = write(tmp_path, "B.txt", B_TEXT)
     bp = write(tmp_path, "Bp.txt", BP_TEXT)

@@ -178,10 +178,33 @@ def test_verify_self_table_any_start():
         assert verify_covering_function(system, table, rng.randint(-40, 40)).ok
 
 
-def test_verify_rejects_weighted():
-    weighted = System.of((0, 2, F(1, 2)))
-    with pytest.raises(ValueError):
-        verify_covering_function(weighted, PeriodicValueTable.constant(1))
+def test_verify_weighted_matches_oracle():
+    # targets: the system's own table over its least period; a copy changed
+    # at one point by 1/3 or 1/6, finer than the weights' denominator; and a
+    # constant
+    rng = random.Random(1940)
+    for _ in range(300):
+        system = random_weighted_system(rng, k_max=6, n_max=12)
+        full = cover_table(system)
+        n0 = brute_least_period(full)
+        own = PeriodicValueTable(n0, full.values[:n0])
+        mutated = list(own.values)
+        mutated[rng.randrange(n0)] += rng.choice((1, -1)) * F(1, rng.choice((3, 6)))
+        constant = PeriodicValueTable.constant(rng.choice((0, 1, F(1, 2), F(-3, 2))))
+        start = rng.randint(-40, 40)
+        for target in (own, PeriodicValueTable(n0, tuple(mutated)), constant):
+            v = verify_covering_function(system, target, start)
+            assert v.ok == brute_cover_verdict(system, target).ok
+            if not v.ok:
+                x = v.witness
+                assert x >= start and cover_count(system, x) != target.value_at(x)
+        assert verify_covering_function(system, own, start).ok
+        assert not verify_covering_function(system, PeriodicValueTable(n0, tuple(mutated))).ok
+
+
+def test_verify_rejects_prime_field_target():
+    with pytest.raises(ValueError, match="rational"):
+        verify_covering_function(system_B(), PeriodicValueTable.constant(1, char=3))
 
 
 def test_exact_m_cover():
@@ -445,6 +468,30 @@ def test_zero_system_coefficients():
 
     doubled = System(system_B().seqs * 2 + (WeightedSequence(0, 1, F(-2)),))
     assert all(c.is_zero() for _, c in zero_system_coefficients(doubled))
+
+
+def test_zero_system_coefficients_one_test_per_denominator(monkeypatch):
+    rng = random.Random(2520)
+    levels = []
+    is_zero = CyclotomicElement.is_zero
+
+    def counted(self):
+        levels.append(self.level)
+        return is_zero(self)
+
+    for _ in range(25):
+        system = random_zero_system(rng)
+        alphas = multiples_set(system.moduli)
+        monkeypatch.setattr(CyclotomicElement, "is_zero", counted)
+        levels.clear()
+        pairs = zero_system_coefficients(system)
+        monkeypatch.undo()
+        assert sorted(levels) == sorted({a.denominator for a in alphas})
+        # every alpha, each with c_alpha as defined (coefficients compared
+        # as tuples, since == on elements is equality in Q(zeta))
+        assert [(a, c.level, c.coeffs) for a, c in pairs] == [
+            (a, a.denominator, coefficient_by_definition(system, a).coeffs) for a in alphas
+        ]
 
 
 def test_zero_system_rejects_nonzero():

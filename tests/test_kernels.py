@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
 
 from coverkit import _kernels
 from coverkit.covering import (
     PeriodicValueTable,
     System,
     cover_count,
-    cover_scaled,
     cover_table,
     cover_values,
     non_exact_witness,
-    tables_scaled,
     verify_covering_function,
     window_zero_check,
 )
@@ -45,18 +46,56 @@ def test_cover_counts_matches_pointwise_definition():
 
 def test_scaled_refuses_at_the_guard():
     g = _kernels._INT64_GUARD
+
+    def dtype(groups):
+        return _kernels._scaled(groups)[0].dtype
+
     nums, D = _kernels._scaled([(Fraction(1, 2), 3), (Fraction(-1, 3),)])
     assert (nums.tolist(), D) == ([3, 18, -2], 6)
-    assert _kernels._scaled([(g - 2, -5), (1,)]) is not None
-    assert _kernels._scaled([(g - 2, -5), (2,)]) is None  # the group peaks sum to g
-    assert _kernels._scaled([(-(2**63),)]) is None
-    assert _kernels._scaled([(2**63,)]) is None
-    assert _kernels._scaled([(Fraction(g - 2, 3),)]) is not None
-    assert _kernels._scaled([(Fraction(g - 2, 3), Fraction(1, 2))]) is None  # D = 6
-    assert _kernels._scaled([(1,)], start=g - 5, length=4) is not None
-    assert _kernels._scaled([(1,)], start=g - 5, length=5) is None
-    assert _kernels._scaled([(1,)], start=-g) is None
-    assert _kernels._scaled([(Fraction(1, 2),)], den=3)[1] == 6
+    assert dtype([(g - 2, -5), (1,)]) == np.int64
+    assert dtype([(g - 2, -5), (2,)]) == object  # the group peaks sum to g
+    assert dtype([(-(2**63),)]) == object
+    assert dtype([(2**63,)]) == object
+    assert dtype([(Fraction(g - 2, 3),)]) == np.int64
+    assert dtype([(Fraction(g - 2, 3), Fraction(1, 2))]) == object  # D = 6
+    # past the guard the numerators stay exact
+    nums, D = _kernels._scaled([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)])
+    assert (nums.tolist(), D) == ([2 * (g - 2), 3, -6 * 2**63], 6)
+    # a denominator past int64 stays int64 when only zeros need scaling by it
+    nums, D = _kernels._scaled([(Fraction(1, 2**70),), (0, 0)])
+    assert (nums.dtype, nums.tolist(), D) == (np.int64, [1, 0, 0], 2**70)
+
+
+def test_kernels_on_object_arrays_match_pointwise_definition():
+    rng = random.Random(2**64)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        big = rng.choice((0, 2**63, 2**90))
+        dtype = np.int64 if big == 0 else object
+
+        def value():
+            return rng.choice((1, -1)) * (big + rng.randrange(10))
+
+        start = rng.choice((1, -1)) * rng.choice((0, 2**64, 2**100)) + rng.randint(-40, 40)
+        length = rng.randint(1, 60)
+        mod = [rng.randint(1, 12) for _ in range(k)]
+        res = [rng.randrange(n) for n in mod]
+        wts = np.array([value() for _ in range(k)], dtype=dtype)
+        out = _kernels.cover_counts(res, mod, wts, start, length)
+        assert out.dtype == dtype
+        for j in range(length):
+            x = start + j
+            assert out[j] == sum(w for a, n, w in zip(res, mod, wts.tolist()) if (x - a) % n == 0)
+        periods = [rng.randint(1, 12) for _ in range(k)]
+        offsets = [0, *accumulate(periods[:-1])]
+        vals = np.array([value() for _ in range(sum(periods))], dtype=dtype)
+        char = rng.choice((0, 5, 2**61 - 1))
+        out = _kernels.table_sums(vals, offsets, periods, start, length, char)
+        assert out.dtype == dtype
+        for j in range(length):
+            x = start + j
+            total = sum(vals.tolist()[o + x % n] for o, n in zip(offsets, periods))
+            assert out[j] == (total % char if char else total)
 
 
 def test_cover_values_exact_fallback_agrees(monkeypatch):
@@ -107,6 +146,16 @@ def _answers(seed: int) -> list:
             out.append(verify_covering_function(system, target, start))
             out.append(brute_cover_verdict(system, target))
         out.append(non_exact_witness(system, system.k - f_additive(system.lcm()) + rng.randint(1, 2)))
+    for _ in range(30):
+        system = random_weighted_system(rng, k_max=6, n_max=12)
+        table = cover_table(system)
+        mutated = list(table.values)
+        # finer than the weights' denominator 2
+        mutated[rng.randrange(table.period)] += Fraction(rng.choice((1, -1)), rng.choice((3, 6)))
+        start = rng.randint(-40, 40)
+        for target in (table, PeriodicValueTable(table.period, tuple(mutated))):
+            out.append(verify_covering_function(system, target, start))
+            out.append(brute_cover_verdict(system, target))
     for psis in _table_sets(rng):
         out.append(window_zero_check(psis, rng.randint(-40, 40)))
         out.append(brute_tables_zero_verdict(psis))
@@ -121,9 +170,7 @@ def _answers(seed: int) -> list:
 def test_int64_guard_changes_speed_never_answers(monkeypatch):
     fast = _answers(8128)
     monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)
-    system = System.of((0, 2), (1, 2))
-    assert cover_scaled(system, 0, 4) is None
-    assert tables_scaled([PeriodicValueTable(2, (1, 0), 3)], 0, 4) is None
+    assert _kernels._scaled([(Fraction(1),), (1, 0)])[0].dtype == object
     assert _answers(8128) == fast
 
 
