@@ -62,7 +62,7 @@ def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarr
 def table_sums(values, offsets, periods, start: int, length: int, char: int = 0) -> np.ndarray:
     """Array of sum over tables s of values[offsets[s] + (x mod periods[s])]
     for x in [start, start+length), in the dtype of ``values``, reduced mod
-    char when char > 0."""
+    char when char > 0 (values are then field elements, in [0, char))."""
     vals = np.asarray(values)
     # tables of one period are summed first, so each period is gathered once
     folded = {}
@@ -75,6 +75,8 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     for n, row in folded.items():
         # start is reduced mod n first, so no index leaves [0, n)
         out += row[(x + start % n) % n]
-    if char > 0:
+    # nonnegative int64 sums are below 2**63, so a char past int64 leaves
+    # them reduced already
+    if char > 0 and (out.dtype == object or char < 2**63):
         out %= char
     return out

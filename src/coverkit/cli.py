@@ -14,14 +14,12 @@ additionally emits its own ``bench|...`` line.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import (
-    DEFAULT_ORACLE_CAP,
     ExpSumSequence,
     PeriodicValueTable,
     System,
@@ -221,7 +219,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _read_target(args, cap: int) -> PeriodicValueTable:
+def _read_target(args) -> PeriodicValueTable:
     if args.target_file is not None:
         values = []
         for lineno, raw in enumerate(_read(args.target_file).splitlines(), start=1):
@@ -311,7 +309,7 @@ def _witness_text(witness: Witness) -> str:
     return str(witness)
 
 
-def _run(args, cap: int) -> tuple[int, str, Witness]:
+def _run(args) -> tuple[int, str, Witness]:
     """Execute one subcommand; returns (exit code, verdict string, witness)."""
     cmd = args.cmd
 
@@ -329,7 +327,7 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
 
     if cmd == "verify":
         system = sf.as_system()
-        target = _read_target(args, cap)
+        target = _read_target(args)
         L = phi_sum_cardinality(system.moduli + [target.period])
         verdict = verify_covering_function(system, target, args.start)
         print(f"window: {L} points from {args.start}")
@@ -360,7 +358,7 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
     if cmd == "min-window":
         system = sf.as_system()
         multipliers = _csv_vector(args.multipliers)
-        W_l, wmin, gmin = min_on_window(system, multipliers, args.l, args.start, cap)
+        W_l, wmin, gmin = min_on_window(system, multipliers, args.l, args.start)
         print(f"window length: {W_l}")
         print(f"window minimum: {wmin}")
         print(f"global minimum: {gmin}")
@@ -373,7 +371,7 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
         return 0, "witness-found", x
 
     if cmd == "multidim-period":
-        verdict = is_periodic_mod_vec(sf.entries, _csv_vector(args.n0), cap)
+        verdict = is_periodic_mod_vec(sf.entries, _csv_vector(args.n0))
         if verdict.ok:
             print("periodic")
             return 0, "periodic", None
@@ -382,9 +380,7 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
         return 1, "not-periodic", verdict.witness
 
     if cmd == "thm14":
-        report = divisibility_chain_report(
-            sf.entries, _csv_vector(args.n0), _csv_vector(args.d), cap
-        )
+        report = divisibility_chain_report(sf.entries, _csv_vector(args.n0), _csv_vector(args.d))
         if not report.applicable:
             print(f"not applicable: {report.reason}")
             return 2, "not-applicable", None
@@ -397,25 +393,25 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
 
     if cmd == "cor14":
         n0 = _csv_vector(args.n0)
-        decision = decide_periodic_by_divisibility(sf.entries, n0, cap)
+        decision = decide_periodic_by_divisibility(sf.entries, n0)
         if decision:
             print("all moduli divide n0: periodic")
             return 0, "periodic", None
-        witness = is_periodic_mod_vec(sf.entries, n0, cap).witness
+        witness = is_periodic_mod_vec(sf.entries, n0).witness
         x, y = witness
         print(f"some modulus does not divide n0: not periodic, w{x} != w{y}")
         return 1, "not-periodic", witness
 
     if cmd == "zero-coeffs":
         system = sf.as_system()
-        pairs = zero_system_coefficients(system, cap)
+        pairs = zero_system_coefficients(system)
         for alpha, _ in pairs:
             print(f"alpha={alpha}: coefficient is zero")
         return 0, "all-zero", None
 
     if cmd == "average":
         system = sf.as_system()
-        ok = weighted_average_check(system, cap)
+        ok = weighted_average_check(system)
         if ok:
             print("mean value equals the weight/modulus sum")
             return 0, "identity-holds", None
@@ -423,7 +419,7 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
 
     if cmd == "su6-check":
         system = sf.as_system()
-        ok = equal_cover_superset_check(system, cap)
+        ok = equal_cover_superset_check(system)
         if ok:
             print("subset sums contain every fraction r/n")
             return 0, "superset-holds", None
@@ -431,7 +427,7 @@ def _run(args, cap: int) -> tuple[int, str, Witness]:
 
     if cmd == "bench":
         system = sf.as_system()
-        report = bench_window_vs_full(system, PeriodicValueTable.constant(args.target_const), cap)
+        report = bench_window_vs_full(system, PeriodicValueTable.constant(args.target_const))
         print(f"window points: {report.window_points}")
         print(f"full period:   {report.full_points}")
         print(f"window time:   {report.t_window_ns} ns")
@@ -455,20 +451,8 @@ def run_command(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
 
-    cap = DEFAULT_ORACLE_CAP
-    cap_env = os.environ.get("COVERKIT_ORACLE_CAP")
-    if cap_env:
-        try:
-            cap = int(cap_env)
-            if cap < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: COVERKIT_ORACLE_CAP must be a positive integer, got {cap_env!r}")
-            print(f"result|cmd={args.cmd}|verdict=error|witness=none")
-            return 2
-
     try:
-        code, verdict, witness = _run(args, cap)
+        code, verdict, witness = _run(args)
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}")
         print(f"result|cmd={args.cmd}|verdict=error|witness=none")

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ import numpy as np
 from . import _kernels
 from .cyclotomic import CyclotomicElement, root_power
 from .fracsets import (
-    SUBSET_ENUMERATION_CAP,
     FractionSet,
     divisor_union_phis,
     fraction_set,
@@ -196,11 +195,17 @@ def cover_values(system: System, start: int, length: int) -> tuple:
     return tuple(Fraction(v, D) for v in arr.tolist())
 
 
-def cover_table(system: System, cap: int = DEFAULT_ORACLE_CAP) -> PeriodicValueTable:
+def _oracle_points(points: int, what: str = "period") -> int:
+    """``points``, once a full scan of that many points is known to fit
+    under DEFAULT_ORACLE_CAP; larger scans are refused up front."""
+    if points > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"{what} too large: {points} points exceed cap {DEFAULT_ORACLE_CAP}")
+    return points
+
+
+def cover_table(system: System) -> PeriodicValueTable:
     """Covering function over one full period N = lcm of the moduli."""
-    N = system.lcm()
-    if N > cap:
-        raise ValueError(f"period too large: lcm {N} exceeds cap {cap}")
+    N = _oracle_points(system.lcm())
     return PeriodicValueTable(N, cover_values(system, 0, N))
 
 
@@ -356,36 +361,42 @@ class ExpSumSequence:
         """Zero-set indicator over one period (x enters only via x mod n)."""
         level = math.lcm(self.modulus, *(c.level for _, c in self.terms))
         step = level // self.modulus
+        # each coefficient is lifted once; multiplying it by the root
+        # zeta_level^(step*t*x) moves its entry at j to j + step*t*x
+        lifted = [
+            (step * t, [(j, v) for j, v in enumerate(c.lift(level).coeffs) if v])
+            for t, c in self.terms
+        ]
         out = []
         for x in range(self.modulus):
-            total = CyclotomicElement.zero(level)
-            for t, c in self.terms:
-                total = total + c.lift(level) * root_power(level, step * t * x)
-            out.append(total.is_zero())
+            coeffs = [Fraction(0)] * level
+            for st, entries in lifted:
+                for j, v in entries:
+                    coeffs[(j + st * x) % level] += v
+            out.append(CyclotomicElement(level, tuple(coeffs)).is_zero())
         return tuple(out)
 
 
-def expsum_cover_check(
-    exp_seqs: Sequence[ExpSumSequence],
-    m: int,
-    start: int = 0,
-    subset_cap: int = SUBSET_ENUMERATION_CAP,
-) -> Verdict:
+def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 0) -> Verdict:
     """Certify that the zero sets cover every integer at least m times.
 
     The window length is the largest sumset cardinality of the term-fraction
     sets over index subsets of size k-m+1; covering that many consecutive
-    integers at least m times covers all of Z at least m times.
+    integers at least m times covers all of Z at least m times.  The window
+    is one table-sum kernel call over the 0/1 zero-set indicators.
     """
     k = len(exp_seqs)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
-    W = window_bound([es.term_fractions() for es in exp_seqs], m, subset_cap)
-    tables = [es.membership_table() for es in exp_seqs]
-    for x in range(start, start + W):
-        hits = sum(tab[x % es.modulus] for es, tab in zip(exp_seqs, tables))
-        if hits < m:
-            return Verdict(False, x)
+    W = window_bound([es.term_fractions() for es in exp_seqs], m)
+    indicators = np.fromiter(
+        chain.from_iterable(es.membership_table() for es in exp_seqs), np.int64
+    )
+    periods = [es.modulus for es in exp_seqs]
+    offsets = list(accumulate([0] + periods[:-1]))
+    short = _kernels.table_sums(indicators, offsets, periods, start, W) < m
+    if short.any():
+        return Verdict(False, start + int(short.argmax()))
     return Verdict(True)
 
 
@@ -398,8 +409,6 @@ def min_on_window(
     multipliers: Sequence[int],
     l: int,
     start: int = 0,
-    cap: int = DEFAULT_ORACLE_CAP,
-    subset_cap: int = SUBSET_ENUMERATION_CAP,
 ) -> tuple[int, int, int]:
     """(window length W_l, min of w on [start, start+W_l), global min of w).
 
@@ -418,7 +427,7 @@ def min_on_window(
             raise ValueError(f"multiplier {ms} not coprime to modulus {seq.modulus}")
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
-    table = cover_table(system, cap)
+    table = cover_table(system)
     global_min = min(table.values)
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
@@ -429,7 +438,7 @@ def min_on_window(
             fraction_set([0, Fraction(ms, seq.modulus)])
             for ms, seq in zip(multipliers, system.seqs)
         ]
-        W_l = window_bound(R_sets, l + 1, subset_cap)
+        W_l = window_bound(R_sets, l + 1)
     window_min = min(cover_values(system, start, W_l))
     assert window_min == global_min, "window missed the global minimum"
     return W_l, window_min, global_min
@@ -467,18 +476,16 @@ def least_period(system: System) -> int:
     return result
 
 
-def weighted_average_check(system: System, cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def weighted_average_check(system: System) -> bool:
     """Verify the exact identity (1/N) * sum of w over a period = sum of
     weight/modulus."""
-    table = cover_table(system, cap)
+    table = cover_table(system)
     lhs = sum(map(Fraction, table.values), Fraction(0)) / table.period
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs
 
 
-def zero_system_coefficients(
-    system: System, cap: int = DEFAULT_ORACLE_CAP
-) -> list[tuple[Fraction, CyclotomicElement]]:
+def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicElement]]:
     """All (alpha, c_alpha) pairs of a system whose covering function is
     identically zero.
 
@@ -486,7 +493,7 @@ def zero_system_coefficients(
     zeta_q -> zeta_q^p, so c_{1/q} is built and asserted to vanish once per
     denominator q, and c_{p/q} moves its coefficient at j to p*j mod q.
     """
-    table = cover_table(system, cap)
+    table = cover_table(system)
     if any(v != 0 for v in table.values):
         raise ValueError("covering function is not identically zero")
     units: dict[int, tuple] = {}
@@ -503,12 +510,12 @@ def zero_system_coefficients(
     return out
 
 
-def equal_cover_superset_check(system: System, cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def equal_cover_superset_check(system: System) -> bool:
     """For a system covering all integers equally often, check that the
     subset sums of the reciprocals 1/n cover every fraction r/n (mod 1)."""
     if not system.is_unweighted():
         raise ValueError("superset check expects an unweighted system")
-    table = cover_table(system, cap)
+    table = cover_table(system)
     if any(v != table.values[0] for v in table.values):
         raise ValueError("system does not cover all integers equally often")
     sums = set(subset_sum_set([Fraction(1, n) for n in system.moduli]))

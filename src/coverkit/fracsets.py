@@ -101,19 +101,19 @@ def subset_sum_set(terms: list[Fraction]) -> FractionSet:
     return acc
 
 
-def window_bound(R_sets: list[FractionSet], m: int, cap: int = SUBSET_ENUMERATION_CAP) -> int:
+def window_bound(R_sets: list[FractionSet], m: int) -> int:
     """Max over index subsets I of size k-m+1 of the sumset cardinality
     |{{sum over s in I of r_s} : r_s in R_sets[s]}|.
 
     This is the number of consecutive integers that certify an m-fold cover
-    by the associated zero sets.  Enumeration is exponential in k, so k is
-    capped (default 20) and larger inputs are rejected outright.
+    by the associated zero sets.  Enumeration is exponential in k, so k
+    above SUBSET_ENUMERATION_CAP is rejected outright.
     """
     k = len(R_sets)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
-    if k > cap:
-        raise ValueError(f"too many subsets: k={k} exceeds enumeration cap {cap}")
+    if k > SUBSET_ENUMERATION_CAP:
+        raise ValueError(f"too many subsets: k={k} exceeds cap {SUBSET_ENUMERATION_CAP}")
     best = 0
     for I in combinations(range(k), k - m + 1):
         acc: FractionSet = (Fraction(0),)

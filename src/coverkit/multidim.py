@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .covering import DEFAULT_ORACLE_CAP
+from .covering import _oracle_points
 from .fracsets import FractionSet, fraction_set
 from .numtheory import least_prime_factor
 
@@ -115,22 +115,18 @@ def _box_array(seqs: Sequence[MultiSequence], dims: tuple[int, ...]) -> np.ndarr
     return out
 
 
-def is_periodic_mod_vec(
-    seqs: Sequence[MultiSequence], n0: IntVector, cap: int = DEFAULT_ORACLE_CAP
-) -> PeriodicityVerdict:
+def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
     """Exhaustively decide whether w is periodic modulo n0.
 
     Scans one full period box (componentwise lcm of n0 and all moduli) and
     compares w(x) with w(x + n0_t * e_t) for every coordinate t.  The box
-    may not exceed ``cap`` points.
+    may not exceed the oracle cap.
     """
     l = _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
         raise ValueError(f"period components must be positive, got {n0}")
     dims = _box_dims(seqs, n0)
-    points = math.prod(dims)
-    if points > cap:
-        raise ValueError(f"box too large: {points} points exceed cap {cap}")
+    _oracle_points(math.prod(dims), "box")
     box = _box_array(seqs, dims)
     for t in range(l):
         shifted = np.roll(box, -n0[t], axis=t)
@@ -164,7 +160,6 @@ def divisibility_chain_report(
     seqs: Sequence[MultiSequence],
     n0: IntVector,
     d: IntVector,
-    cap: int = DEFAULT_ORACLE_CAP,
 ) -> DivisibilityChainReport:
     """For w periodic mod n0 and a divisor vector d not dividing n0, bound
     the number of moduli divisible by d from below.
@@ -179,7 +174,7 @@ def divisibility_chain_report(
     l = _check_dims(seqs, n0, d)
     if any(c < 1 for c in d):
         raise ValueError(f"divisor components must be positive, got {d}")
-    if not is_periodic_mod_vec(seqs, n0, cap).ok:
+    if not is_periodic_mod_vec(seqs, n0).ok:
         raise ValueError(f"covering function is not periodic mod {n0}")
 
     def not_applicable(reason: str) -> DivisibilityChainReport:
@@ -216,9 +211,7 @@ def divisibility_chain_report(
     return DivisibilityChainReport(True, "", indices, theta, csum, chain, verified)
 
 
-def decide_periodic_by_divisibility(
-    seqs: Sequence[MultiSequence], n0: IntVector, cap: int = DEFAULT_ORACLE_CAP
-) -> bool:
+def decide_periodic_by_divisibility(seqs: Sequence[MultiSequence], n0: IntVector) -> bool:
     """Decide periodicity mod n0 purely from modulus divisibility.
 
     Valid when every weight is nonzero and the moduli that are maximal with
@@ -237,6 +230,6 @@ def decide_periodic_by_divisibility(
         if moduli.count(n) > 1:
             raise ValueError(f"hypothesis not met: maximal modulus {n} duplicated")
     decision = all(vec_divides(n, n0) for n in moduli)
-    oracle = is_periodic_mod_vec(seqs, n0, cap)
+    oracle = is_periodic_mod_vec(seqs, n0)
     assert decision == oracle.ok, "divisibility decision disagrees with the box scan"
     return decision

@@ -26,6 +26,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
+    return _trial_division(n)
+
+
+def _trial_division(n: int) -> list[tuple[int, int]]:
     out = []
     d = 2
     while d * d <= n:
@@ -99,52 +103,36 @@ def least_prime_factor(m: int) -> int:
     return m
 
 
-# Cyclotomic polynomials, as integer coefficient tuples (index = power).
-# Computed by exact division: Phi_N = (x^N - 1) / prod_{d | N, d < N} Phi_d.
-# The divisor is monic, so the quotient stays over the integers.
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> tuple[int, ...]:
-    # long division by a monic divisor; remainder must come out zero
-    assert den[-1] == 1
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [0] * (dn - dd + 1)
-    rem = list(num)
-    for i in range(dn, dd - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - dd] = c
-            for j, cd in enumerate(den):
-                if cd:
-                    rem[i - dd + j] -= c * cd
-    assert all(x == 0 for x in rem), "non-exact cyclotomic division"
-    return tuple(quot)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(N: int) -> tuple[int, ...]:
     """Coefficients of the N-th cyclotomic polynomial, constant term first.
 
+    For N > 1, Phi_N = prod over squarefree e | N of (1 - x^(N/e))^mu(e),
+    expanded as a power series cut at degree phi(N).  Dividing by 1 - x^d is
+    multiplying by 1 + x^d + x^(2d) + ..., so each factor is one pass over
+    the coefficients, and a factor with N/e > phi(N) changes none of them.
     Memoized per process; lru_cache keeps concurrent readers safe.
     """
     if N < 1:
         raise ValueError(f"cyclotomic_poly expects N >= 1, got {N}")
     if N == 1:
         return (-1, 1)
-    num = [0] * (N + 1)
-    num[0], num[N] = -1, 1
-    den: tuple[int, ...] = (1,)
-    for d in divisors_of(N):
-        if d < N:
-            den = _poly_mul(den, cyclotomic_poly(d))
-    return _poly_div_exact(num, den)
+    # a cold call makes no public numtheory call, so the calls a trace
+    # records do not depend on what the cache already holds
+    deg = N
+    squarefree = [(1, 1)]  # (e, mu(e))
+    for p, _ in _trial_division(N):
+        deg = deg // p * (p - 1)
+        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    out = [1] + [0] * deg
+    for e, mu in squarefree:
+        d = N // e
+        if d > deg:
+            continue
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                out[i] -= out[i - d]
+        else:
+            for i in range(d, deg + 1):
+                out[i] += out[i - d]
+    return tuple(out)

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import _kernels
 from .covering import (
-    DEFAULT_ORACLE_CAP,
     PeriodicValueTable,
     System,
     Verdict,
     _first_nonzero,
+    _oracle_points,
     verify_covering_function,
 )
 from .fracsets import phi_sum_cardinality
@@ -37,23 +37,15 @@ __all__ = [
 ]
 
 
-def brute_cover_verdict(
-    system: System, target: PeriodicValueTable, cap: int = DEFAULT_ORACLE_CAP
-) -> Verdict:
+def brute_cover_verdict(system: System, target: PeriodicValueTable) -> Verdict:
     """Compare w with the target on every point of one full common period."""
-    N = math.lcm(system.lcm(), target.period)
-    if N > cap:
-        raise ValueError(f"period too large: lcm {N} exceeds cap {cap}")
+    N = _oracle_points(math.lcm(system.lcm(), target.period))
     return _first_nonzero(system.seqs, [target], 0, N)
 
 
-def brute_tables_zero_verdict(
-    psis: list[PeriodicValueTable], cap: int = DEFAULT_ORACLE_CAP
-) -> Verdict:
+def brute_tables_zero_verdict(psis: list[PeriodicValueTable]) -> Verdict:
     """Check sum_s psi_s(x) = 0 on every point of one full common period."""
-    N = math.lcm(*(t.period for t in psis))
-    if N > cap:
-        raise ValueError(f"period too large: lcm {N} exceeds cap {cap}")
+    N = _oracle_points(math.lcm(*(t.period for t in psis)))
     return _first_nonzero((), psis, 0, N)
 
 
@@ -86,9 +78,7 @@ class BenchReport:
         )
 
 
-def bench_window_vs_full(
-    system: System, target: PeriodicValueTable, cap: int = DEFAULT_ORACLE_CAP
-) -> BenchReport:
+def bench_window_vs_full(system: System, target: PeriodicValueTable) -> BenchReport:
     """Run the windowed verification and the exhaustive one, check they
     agree, and report the point counts and wall times of both.
 
@@ -100,14 +90,14 @@ def bench_window_vs_full(
     full_points = math.lcm(system.lcm(), target.period)
 
     verify_covering_function(system, target)
-    brute_cover_verdict(system, target, cap)
+    brute_cover_verdict(system, target)
 
     t0 = time.perf_counter_ns()
     wv = verify_covering_function(system, target)
     t_window = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    fv = brute_cover_verdict(system, target, cap)
+    fv = brute_cover_verdict(system, target)
     t_full = time.perf_counter_ns() - t0
 
     agree = wv.ok == fv.ok

@@ -327,15 +327,11 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "least-period", bad)[0] == 2
 
 
-def test_oracle_cap_env(tmp_path, capsys, monkeypatch):
-    bp = write(tmp_path, "Bp.txt", BP_TEXT)
-    monkeypatch.setenv("COVERKIT_ORACLE_CAP", "5")
-    code, out = run(capsys, "average", bp)
+def test_oracle_cap_refuses_large_period(tmp_path, capsys):
+    big = write(tmp_path, "big.txt", "0 1009\n0 1013\n")  # lcm 1022117
+    code, out = run(capsys, "average", big)
     assert code == 2 and "period too large" in out
-    monkeypatch.setenv("COVERKIT_ORACLE_CAP", "100")
-    assert run(capsys, "average", bp)[0] == 0
-    monkeypatch.setenv("COVERKIT_ORACLE_CAP", "zero")
-    assert run(capsys, "average", bp)[0] == 2
+    assert "result|cmd=average|verdict=error|witness=none" in out
 
 
 def test_console_script(tmp_path):

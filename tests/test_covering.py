@@ -93,8 +93,10 @@ def test_cover_table_examples():
 
 
 def test_cover_table_cap():
+    system = System.of((0, 1009), (0, 1013))  # lcm 1022117
+    assert system.lcm() > DEFAULT_ORACLE_CAP
     with pytest.raises(ValueError, match="period too large"):
-        cover_table(system_B_prime(), cap=10)
+        cover_table(system)
 
 
 # --- window criterion for vanishing sums (totient-sum window) -------------
@@ -295,9 +297,15 @@ def test_expsum_cover_matches_oracle():
         for s in seqs:
             mult = rng.choice([m for m in range(1, s.modulus + 1) if math.gcd(m, s.modulus) == 1])
             exp.append(ExpSumSequence.from_arith_sequence(s, mult))
+            assert exp[-1].membership_table() == tuple(map(s.contains, range(s.modulus)))
         m = rng.randint(1, k)
-        verdict = expsum_cover_check(exp, m, rng.randint(-20, 20))
-        assert verdict.ok == (expsum_oracle_min_cover(exp) >= m)
+        r = rng.randint(-20, 20)
+        for start in (r, 2**70 + r):
+            verdict = expsum_cover_check(exp, m, start)
+            assert verdict.ok == (expsum_oracle_min_cover(exp) >= m)
+            if not verdict.ok:
+                assert verdict.witness >= start
+                assert sum(s.contains(verdict.witness) for s in seqs) < m
 
 
 def test_expsum_from_arith_requires_coprime_multiplier():
@@ -361,6 +369,11 @@ def test_least_period_examples():
     cancel = System.of((0, 2), (1, 2), (0, 1, -1))
     assert least_period(cancel) == 1
     assert all(v == 0 for v in cover_table(cancel).values)
+
+
+def test_least_period_highly_composite_modulus():
+    # the zero test at level 27720 needs Phi_27720, of degree 5760
+    assert least_period(System.of((0, 27720), (1, 27720))) == 27720
 
 
 def test_least_period_matches_brute():

@@ -117,4 +117,3 @@ def test_window_bound_subset_cap():
     sets = [fraction_set([0])] * 21
     with pytest.raises(ValueError, match="too many subsets"):
         window_bound(sets, 1)
-    assert window_bound(sets, 1, cap=25) == 1

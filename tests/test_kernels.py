@@ -96,6 +96,14 @@ def test_kernels_on_object_arrays_match_pointwise_definition():
             x = start + j
             total = sum(vals.tolist()[o + x % n] for o, n in zip(offsets, periods))
             assert out[j] == (total % char if char else total)
+    # int64 field elements with a characteristic past int64
+    p, periods = 2**89 - 1, [3, 4, 4]
+    vals = [rng.randrange(2**60) for _ in range(11)]
+    out = _kernels.table_sums(np.array(vals), [0, 3, 7], periods, 2**64 + 5, 30, p)
+    assert out.dtype == np.int64
+    for j in range(30):
+        x = 2**64 + 5 + j
+        assert out[j] == (vals[x % 3] + vals[3 + x % 4] + vals[7 + x % 4]) % p
 
 
 def test_cover_values_exact_fallback_agrees(monkeypatch):

@@ -114,6 +114,18 @@ def test_cyclotomic_product_identity():
         assert prod == expected
 
 
+@pytest.mark.parametrize("N", [27720, 55440])
+def test_cyclotomic_large_highly_composite(N):
+    # Phi_N(x) = Phi_rad(N)(x^(N/rad N)), rad N the product of the primes of N
+    rad = math.prod(p for p, _ in factorize(N))
+    phi = cyclotomic_poly(N)
+    assert len(phi) - 1 == euler_phi(N)
+    spread = [0] * len(phi)
+    for j, c in enumerate(cyclotomic_poly(rad)):
+        spread[j * (N // rad)] = c
+    assert list(phi) == spread
+
+
 def test_f_additive_examples():
     assert f_additive(1) == 0
     for p in (2, 3, 5, 7, 11, 13):

@@ -25,8 +25,9 @@ def test_brute_cover_examples():
 
 
 def test_brute_cover_cap():
+    system = System.of((0, 1009), (0, 1013))  # lcm 1022117, past the oracle cap
     with pytest.raises(ValueError, match="period too large"):
-        brute_cover_verdict(system_B_prime(), PeriodicValueTable.constant(1), cap=5)
+        brute_cover_verdict(system, PeriodicValueTable.constant(1))
 
 
 def test_brute_least_period_examples():
