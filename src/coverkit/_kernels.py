@@ -62,19 +62,29 @@ def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarr
 def table_sums(values, offsets, periods, start: int, length: int, char: int = 0) -> np.ndarray:
     """Array of sum over tables s of values[offsets[s] + (x mod periods[s])]
     for x in [start, start+length), in the dtype of ``values``, reduced mod
-    char when char > 0 (values are then field elements, in [0, char))."""
+    char when char > 0 (values are then field elements, in [0, char)).
+
+    Tables of one period are summed into one row first.  Each row is
+    rotated once so that its entry 0 belongs to x = start; the window is
+    then whole blocks of one period, to which the row is added by
+    broadcasting, plus a short tail.  No index array is built, and a window
+    shorter than a period costs one slice add per row.
+    """
     vals = np.asarray(values)
-    # tables of one period are summed first, so each period is gathered once
     folded = {}
     for off, n in zip(offsets, periods):
         off, n = int(off), int(n)
         row = vals[off : off + n]
         folded[n] = folded[n] + row if n in folded else row
-    x = np.arange(length, dtype=np.int64)
     out = np.zeros(length, dtype=vals.dtype)
     for n, row in folded.items():
-        # start is reduced mod n first, so no index leaves [0, n)
-        out += row[(x + start % n) % n]
+        s = start % n
+        row = np.concatenate((row[s:], row[:s]))
+        full = length // n
+        # a view, since out is contiguous: adding to it adds to out
+        blocks = out[: full * n].reshape(full, n)
+        blocks += row
+        out[full * n :] += row[: length - full * n]
     # nonnegative int64 sums are below 2**63, so a char past int64 leaves
     # them reduced already
     if char > 0 and (out.dtype == object or char < 2**63):

@@ -196,8 +196,9 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
 
 def _oracle_points(points: int, what: str = "period") -> int:
-    """``points``, once a full scan of that many points is known to fit
-    under DEFAULT_ORACLE_CAP; larger scans are refused up front."""
+    """``points``, once a scan of that many points (a full period, a box or
+    a window) is known to fit under DEFAULT_ORACLE_CAP; larger scans are
+    refused up front."""
     if points > DEFAULT_ORACLE_CAP:
         raise ValueError(f"{what} too large: {points} points exceed cap {DEFAULT_ORACLE_CAP}")
     return points
@@ -207,6 +208,13 @@ def cover_table(system: System) -> PeriodicValueTable:
     """Covering function over one full period N = lcm of the moduli."""
     N = _oracle_points(system.lcm())
     return PeriodicValueTable(N, cover_values(system, 0, N))
+
+
+def _period_scan(system: System):
+    """(D * w over one full period [0, N), D), refused past the oracle cap;
+    the full-period checks reduce this array rather than a tuple of
+    per-point values."""
+    return _scan(system.seqs, (), 0, _oracle_points(system.lcm()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +234,9 @@ def _scan(
     """(D * (w - sum_s psi_s) over [start, start+length), D), where w is
     the covering function of ``seqs`` and D the common denominator of the
     weights and table values.  Sums over F_p are reduced mod p first, so a
-    point is zero exactly where the difference vanishes in the field."""
+    point is zero exactly where the difference vanishes in the field.  A
+    window past the oracle cap is refused before anything is allocated."""
+    _oracle_points(length, "window")
     char = _common_char(psis) if psis else 0
     if char and seqs:
         raise ValueError("tables compared with weighted classes must be rational-valued")
@@ -427,8 +437,7 @@ def min_on_window(
             raise ValueError(f"multiplier {ms} not coprime to modulus {seq.modulus}")
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
-    table = cover_table(system)
-    global_min = min(table.values)
+    global_min = int(_period_scan(system)[0].min())
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
     if l == system.k:
@@ -439,7 +448,7 @@ def min_on_window(
             for ms, seq in zip(multipliers, system.seqs)
         ]
         W_l = window_bound(R_sets, l + 1)
-    window_min = min(cover_values(system, start, W_l))
+    window_min = int(_scan(system.seqs, (), start, W_l)[0].min())
     assert window_min == global_min, "window missed the global minimum"
     return W_l, window_min, global_min
 
@@ -478,9 +487,13 @@ def least_period(system: System) -> int:
 
 def weighted_average_check(system: System) -> bool:
     """Verify the exact identity (1/N) * sum of w over a period = sum of
-    weight/modulus."""
-    table = cover_table(system)
-    lhs = sum(map(Fraction, table.values), Fraction(0)) / table.period
+    weight/modulus.
+
+    The scan of D * w over the period is summed as Python ints, so the
+    total is exact on int64 arrays too (their points fit in int64, their
+    sum over N points need not), and the mean is one Fraction."""
+    arr, D = _period_scan(system)
+    lhs = Fraction(sum(arr.tolist()), D * len(arr))
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs
 
@@ -493,8 +506,7 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
     zeta_q -> zeta_q^p, so c_{1/q} is built and asserted to vanish once per
     denominator q, and c_{p/q} moves its coefficient at j to p*j mod q.
     """
-    table = cover_table(system)
-    if any(v != 0 for v in table.values):
+    if _period_scan(system)[0].any():
         raise ValueError("covering function is not identically zero")
     units: dict[int, tuple] = {}
     out = []
@@ -515,8 +527,8 @@ def equal_cover_superset_check(system: System) -> bool:
     subset sums of the reciprocals 1/n cover every fraction r/n (mod 1)."""
     if not system.is_unweighted():
         raise ValueError("superset check expects an unweighted system")
-    table = cover_table(system)
-    if any(v != table.values[0] for v in table.values):
+    arr = _period_scan(system)[0]
+    if (arr != arr[0]).any():
         raise ValueError("system does not cover all integers equally often")
     sums = set(subset_sum_set([Fraction(1, n) for n in system.moduli]))
     return sums.issuperset(multiples_set(system.moduli))

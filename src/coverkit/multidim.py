@@ -119,8 +119,12 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Periodi
     """Exhaustively decide whether w is periodic modulo n0.
 
     Scans one full period box (componentwise lcm of n0 and all moduli) and
-    compares w(x) with w(x + n0_t * e_t) for every coordinate t.  The box
-    may not exceed the oracle cap.
+    compares w(x) with w(x + n0_t * e_t) for every coordinate t.  Along
+    axis t that is the slice [0, dims_t - n0_t) against the slice
+    [n0_t, dims_t): dims_t is a multiple of n0_t, so the pairs that wrap
+    round the box follow from these by going round the cycle, and the
+    first mismatch in C order (the witness x) never wraps.  The box may not
+    exceed the oracle cap.
     """
     l = _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
@@ -129,10 +133,10 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Periodi
     _oracle_points(math.prod(dims), "box")
     box = _box_array(seqs, dims)
     for t in range(l):
-        shifted = np.roll(box, -n0[t], axis=t)
-        bad = np.argwhere(box != shifted)
-        if bad.size:
-            x = tuple(int(c) for c in bad[0])
+        head = (slice(None),) * t
+        bad = box[head + (slice(0, dims[t] - n0[t]),)] != box[head + (slice(n0[t], None),)]
+        if bad.any():
+            x = tuple(int(c) for c in np.unravel_index(bad.argmax(), bad.shape))
             y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
             return PeriodicityVerdict(False, (x, y))
     return PeriodicityVerdict(True)

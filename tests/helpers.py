@@ -5,9 +5,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
-from coverkit import MultiSequence, PeriodicValueTable, System, WeightedSequence
+import numpy as np
+
+from coverkit import (
+    MultiSequence,
+    PeriodicValueTable,
+    System,
+    WeightedSequence,
+    cover_count,
+    multidim_value,
+)
 from coverkit.multidim import vec_divides
 from coverkit.numtheory import divisors_of
 
@@ -197,3 +206,47 @@ def enumerate_disjoint_covers(k: int, n_max: int):
 
         place(0)
     return covers
+
+
+# pointwise and roll-based references for the full-period scans
+
+
+def table_sums_reference(values, offsets, periods, start: int, length: int, char: int = 0) -> list:
+    """The definition of ``_kernels.table_sums`` point by point, in Python
+    ints: sum over tables of values[offset + (x mod period)], mod char."""
+    vals = [int(v) for v in values]
+    out = []
+    for x in range(start, start + length):
+        total = sum(vals[o + x % n] for o, n in zip(offsets, periods))
+        out.append(total % char if char else total)
+    return out
+
+
+def mean_reference(system: System) -> Fraction:
+    """Mean of w over one full period, one exact ``cover_count`` per point."""
+    N = system.lcm()
+    return sum((cover_count(system, x) for x in range(N)), Fraction(0)) / N
+
+
+def rolled_least_period(table: PeriodicValueTable) -> int:
+    """Least d | period with the exact values equal to their copy rolled
+    by d."""
+    arr = np.array(table.values, dtype=object)
+    return next(d for d in divisors_of(table.period) if np.array_equal(arr, np.roll(arr, -d)))
+
+
+def rolled_periodicity(seqs, n0) -> tuple[bool, tuple | None]:
+    """(ok, witness) of periodicity mod n0: the exact values over the box
+    (componentwise lcm of n0 and the moduli), compared with the box rolled
+    by n0_t along each axis t; the witness is the first mismatch in C order
+    and its partner n0_t further along axis t."""
+    dims = tuple(lcm(c, *(s.modulus[t] for s in seqs)) for t, c in enumerate(n0))
+    box = np.empty(dims, dtype=object)
+    for x in product(*map(range, dims)):
+        box[x] = multidim_value(seqs, x)
+    for t, c in enumerate(n0):
+        bad = np.argwhere(box != np.roll(box, -c, axis=t))
+        if bad.size:
+            x = tuple(int(v) for v in bad[0])
+            return False, (x, tuple(v + (c if u == t else 0) for u, v in enumerate(x)))
+    return True, None

@@ -1,12 +1,16 @@
 import io
+import os
 import random
 import re
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coverkit
 from coverkit import MultiSequence, multidim_value
 from coverkit.cli import ParseError, parse_coefficient_file, parse_system, run_command
 
@@ -334,11 +338,25 @@ def test_oracle_cap_refuses_large_period(tmp_path, capsys):
     assert "result|cmd=average|verdict=error|witness=none" in out
 
 
+def test_window_cap_refuses_before_allocating(tmp_path, capsys):
+    # the window for one modulus 10^12 + 39 has that many points
+    big = write(tmp_path, "big.txt", "0 1000000000039\n")
+    code, out = run(capsys, "exact-cover", "--m", "1", big)
+    assert code == 2 and "window too large" in out
+    assert "result|cmd=exact-cover|verdict=error|witness=none" in out
+
+
 def test_console_script(tmp_path):
+    """The installed ``coverkit`` script, or ``python -m coverkit`` on the
+    imported package when no script is on PATH."""
     exe = shutil.which("coverkit")
+    cmd, env = [exe], None
     if exe is None:
-        pytest.skip("console script not on PATH")
+        src = str(Path(coverkit.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        cmd = [sys.executable, "-m", "coverkit"]
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     b = write(tmp_path, "B.txt", B_TEXT)
-    proc = subprocess.run([exe, "exact-cover", "--m", "1", b], capture_output=True, text=True)
+    proc = subprocess.run(cmd + ["exact-cover", "--m", "1", b], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "result|cmd=exact-cover|verdict=exact-cover|witness=none" in proc.stdout

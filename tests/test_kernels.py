@@ -8,23 +8,27 @@ from coverkit import _kernels
 from coverkit.covering import (
     PeriodicValueTable,
     System,
+    _period_scan,
     cover_count,
     cover_table,
     cover_values,
     non_exact_witness,
     verify_covering_function,
+    weighted_average_check,
     window_zero_check,
 )
 from coverkit.multidim import is_periodic_mod_vec
 from coverkit.numtheory import f_additive
 from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
 from helpers import (
+    mean_reference,
     random_distinct_moduli_instance,
     random_prime_field_tables,
     random_unweighted_system,
     random_weighted_system,
     random_zero_system,
     sequence_table,
+    table_sums_reference,
 )
 
 
@@ -191,3 +195,51 @@ def test_cover_values_is_pointwise_cover_count():
         vals = cover_values(system, start, 50)
         for j, v in enumerate(vals):
             assert v == cover_count(system, start + j)
+
+
+def test_table_sums_blocks_match_pointwise_definition():
+    """Whole blocks of the largest period, a tail, and windows no longer
+    than one period, on int64 and object values over Q and F_p."""
+    rng = random.Random(720720)
+    periods = [1, 3, 4, 4, 7, 12]  # lcm 84
+    offsets = [0, *accumulate(periods[:-1])]
+    big_p = 2**89 - 1
+    cases = [
+        (np.int64, 0, lambda: rng.randint(-50, 50)),
+        (np.int64, 7, lambda: rng.randrange(7)),
+        (object, 0, lambda: rng.choice((1, -1)) * (2**70 + rng.randrange(50))),
+        (object, big_p, lambda: rng.randrange(big_p)),
+    ]
+    for dtype, char, value in cases:
+        vals = np.array([value() for _ in range(sum(periods))], dtype=dtype)
+        for start in (0, -13, 2**64 + 5, -(2**70) + 3):
+            for length in (0, 5, 12, 3 * 12 + 1, 84 + 1):
+                out = _kernels.table_sums(vals, offsets, periods, start, length, char)
+                assert out.dtype == dtype and len(out) == length
+                assert out.tolist() == table_sums_reference(
+                    vals.tolist(), offsets, periods, start, length, char
+                )
+
+
+def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
+    system = System.of((0, 2, 2**60), (1, 1009, 2**60))
+    arr, D = _period_scan(system)
+    assert arr.dtype == np.int64 and D == 1
+    # every point fits in int64, the total over the period does not
+    assert sum(arr.tolist()) == 1011 * 2**60 != int(arr.sum())
+    rng = random.Random(2**60)
+
+    def weight():
+        return Fraction(rng.choice((1, -1)) * 2**59 + rng.randint(-9, 9), rng.choice((1, 3)))
+
+    systems = [system]
+    for _ in range(12):
+        k = rng.randint(1, 4)
+        systems.append(System.of(*((rng.randrange(12), rng.randint(1, 12), weight()) for _ in range(k))))
+    fast = [weighted_average_check(s) for s in systems]
+    assert all(fast)
+    for s in systems[1:]:
+        assert mean_reference(s) == sum(Fraction(q.weight, q.modulus) for q in s.seqs)
+    monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
+    assert _period_scan(system)[0].dtype == object
+    assert [weighted_average_check(s) for s in systems] == fast

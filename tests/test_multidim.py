@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,6 +21,7 @@ from helpers import (
     random_chain_instance,
     random_distinct_moduli_instance,
     random_weighted_system,
+    rolled_periodicity,
 )
 
 F = Fraction
@@ -162,3 +164,22 @@ def test_box_array_weight_fallback():
     assert is_periodic_mod_vec(seqs, (1, 1)).ok
     seqs = [MultiSequence((0, 0), (2, 2), huge)]
     assert not is_periodic_mod_vec(seqs, (1, 1)).ok
+
+
+def test_is_periodic_matches_rolled_reference():
+    """Slice comparison gives the verdict and witness of the roll-based
+    scan, also when axis 0 is periodic and the first mismatch lies along a
+    later axis."""
+    rng = random.Random(343)
+    later_axis = 0
+    for _ in range(60):
+        l = rng.randint(1, 3)
+        seqs, n0 = random_distinct_moduli_instance(rng, l)
+        if l > 1 and rng.random() < 0.7:
+            n0 = (lcm(*(s.modulus[0] for s in seqs)),) + n0[1:]
+        v = is_periodic_mod_vec(seqs, n0)
+        assert (v.ok, v.witness) == rolled_periodicity(seqs, n0)
+        if not v.ok:
+            x, y = v.witness
+            later_axis += next(t for t in range(l) if x[t] != y[t]) > 0
+    assert later_axis >= 10

@@ -12,7 +12,8 @@ from coverkit import (
     brute_least_period,
     cover_table,
 )
-from helpers import random_weighted_system, system_B, system_B_prime
+from coverkit.numtheory import divisors_of
+from helpers import random_weighted_system, rolled_least_period, system_B, system_B_prime
 
 
 def test_brute_cover_examples():
@@ -55,6 +56,24 @@ def test_brute_least_period_divides_table_period():
             table.values[x] == table.values[(x + d) % table.period]
             for x in range(table.period)
         )
+
+
+def test_brute_least_period_matches_rolled_reference():
+    """Slice comparison against the roll-based reference, on tables with a
+    planted period that half the time one changed value breaks."""
+    rng = random.Random(2520)
+    for _ in range(80):
+        N = rng.choice((1, 2, 6, 12, 30, 60, 210, 420))
+        d = rng.choice(divisors_of(N))
+        base = [rng.choice((0, 1, -2, Fraction(1, 2), 2**70)) for _ in range(d)]
+        values = [base[x % d] for x in range(N)]
+        if rng.random() < 0.5:
+            values[rng.randrange(N)] += rng.choice((1, Fraction(1, 3)))
+        table = PeriodicValueTable(N, tuple(values))
+        assert brute_least_period(table) == rolled_least_period(table)
+    for _ in range(20):
+        table = cover_table(random_weighted_system(rng))
+        assert brute_least_period(table) == rolled_least_period(table)
 
 
 BENCH_RE = re.compile(
