@@ -7,14 +7,21 @@ which hands back an int64 array when no kernel sum can leave int64 and an
 object array of exact Python ints otherwise.  The kernels take their dtype
 from the values they are given, so both arrays run the same code and the
 guard changes speed, never answers.
+
+This is the only module that uses numpy, and it imports numpy inside each
+kernel entry point rather than at module load: a process that never scans
+(``least-period``, ``window-size``) never loads it, and once loaded the
+import statement is a dictionary lookup.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 BACKEND = "numpy"
 
@@ -31,6 +38,8 @@ def _scaled(groups):
     scaled magnitude stays below the guard, and an object array of exact
     Python ints otherwise.
     """
+    import numpy as np
+
     flat = list(chain.from_iterable(groups))
     nums = np.asarray(flat)
     D = 1
@@ -52,10 +61,25 @@ def _scaled(groups):
 def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarray:
     """Array of sum(weights[s] : x = residues[s] mod moduli[s]) for x in
     [start, start+length), in the dtype of ``weights``."""
+    import numpy as np
+
     weights = np.asarray(weights)
     out = np.zeros(length, dtype=weights.dtype)
     for a, n, w in zip(residues, moduli, weights):
         out[(int(a) - start) % int(n) :: int(n)] += w
+    return out
+
+
+def _box_counts(residues, moduli, weights, dims) -> np.ndarray:
+    """Array of shape ``dims`` holding sum(weights[s] : x = residues[s] mod
+    moduli[s] componentwise), in the dtype of ``weights``; each side of the
+    box must be a multiple of every modulus on that side."""
+    import numpy as np
+
+    weights = np.asarray(weights)
+    out = np.zeros(dims, dtype=weights.dtype)
+    for a, n, w in zip(residues, moduli, weights):
+        out[tuple(slice(at, None, nt) for at, nt in zip(a, n))] += w
     return out
 
 
@@ -70,6 +94,8 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     broadcasting, plus a short tail.  No index array is built, and a window
     shorter than a period costs one slice add per row.
     """
+    import numpy as np
+
     vals = np.asarray(values)
     folded = {}
     for off, n in zip(offsets, periods):

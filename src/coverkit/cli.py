@@ -1,8 +1,9 @@
 """Command-line interface: parse system files, dispatch subcommands, report.
 
 Exit codes: 0 for verified/true verdicts, 1 for falsified verdicts (with the
-witness printed), 2 for usage or hypothesis errors.  Every report ends with
-one machine-readable line
+witness printed), 2 for usage or hypothesis errors, 3 for an unexpected
+failure (any other exception, such as MemoryError).  Every report ends
+with one machine-readable line
 
     result|cmd=<name>|verdict=<str>|witness=<int-or-none>
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import (
+    DEFAULT_ORACLE_CAP,
     ExpSumSequence,
     PeriodicValueTable,
     System,
@@ -189,6 +191,9 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
             level = _parse_int(parts[1], "level", lineno)
             if level < 1:
                 raise ParseError(f"line {lineno}: level must be positive")
+            # every coefficient is a dense vector of `level` rationals
+            if level > DEFAULT_ORACLE_CAP:
+                raise ParseError(f"line {lineno}: level {level} exceeds cap {DEFAULT_ORACLE_CAP}")
         elif parts[0] == "modulus":
             if level is None:
                 raise ParseError(f"line {lineno}: 'level N' must precede the first modulus")
@@ -457,9 +462,22 @@ def run_command(argv=None) -> int:
         print(f"error: {e}")
         print(f"result|cmd={args.cmd}|verdict=error|witness=none")
         return 2
+    except Exception as e:
+        # an internal failure, kept apart from exit 1 ("falsified"); its
+        # traceback goes to stderr, so stdout keeps the line protocol
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: {type(e).__name__}: {e}")
+        print(f"result|cmd={args.cmd}|verdict=error|witness=none")
+        return 3
     print(f"result|cmd={args.cmd}|verdict={verdict}|witness={_witness_text(witness)}")
     return code
 
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

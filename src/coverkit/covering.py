@@ -32,10 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from . import _kernels
 from .cyclotomic import CyclotomicElement, root_power
@@ -48,7 +46,7 @@ from .fracsets import (
     subset_sum_set,
     window_bound,
 )
-from .numtheory import f_additive, lcm_all, least_prime_factor
+from .numtheory import _is_prime, f_additive, lcm_all
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -126,10 +124,6 @@ class System:
 
     def is_unweighted(self) -> bool:
         return all(s.weight == 1 for s in self.seqs)
-
-
-def _is_prime(p: int) -> bool:
-    return p > 1 and least_prime_factor(p) == p
 
 
 @dataclass(frozen=True)
@@ -250,10 +244,13 @@ def _scan(
         return _kernels.cover_counts(*classes), D
     periods = [t.period for t in psis]
     offsets = list(accumulate([k] + periods[:-1]))
-    out = _kernels.table_sums(nums, offsets, periods, start, length, char)
-    np.negative(out, out=out)
-    if seqs:
-        out += _kernels.cover_counts(*classes)
+    sums = _kernels.table_sums(nums, offsets, periods, start, length, char)
+    if not seqs:
+        sums *= -1
+        return sums, D
+    # subtracting from the counts saves the pass that negating would take
+    out = _kernels.cover_counts(*classes)
+    out -= sums
     return out, D
 
 
@@ -399,9 +396,7 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
     W = window_bound([es.term_fractions() for es in exp_seqs], m)
-    indicators = np.fromiter(
-        chain.from_iterable(es.membership_table() for es in exp_seqs), np.int64
-    )
+    indicators = [int(v) for es in exp_seqs for v in es.membership_table()]
     periods = [es.modulus for es in exp_seqs]
     offsets = list(accumulate([0] + periods[:-1]))
     short = _kernels.table_sums(indicators, offsets, periods, start, W) < m

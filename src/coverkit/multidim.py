@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import _kernels
 from .covering import _oracle_points
 from .fracsets import FractionSet, fraction_set
@@ -104,15 +102,13 @@ def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
     )
 
 
-def _box_array(seqs: Sequence[MultiSequence], dims: tuple[int, ...]) -> np.ndarray:
-    """D * w over the box, D the weights' common denominator: int64 when
-    the scaled weights provably sum inside it, exact Python ints otherwise."""
-    nums, _ = _kernels._scaled([(s.weight,) for s in seqs])
-    out = np.zeros(dims, dtype=nums.dtype)
-    for s, num in zip(seqs, nums):
-        # each box side is a multiple of the class modulus on that side
-        out[tuple(slice(a, None, n) for a, n in zip(s.residue, s.modulus))] += num
-    return out
+def _unravel(index: int, shape: tuple[int, ...]) -> IntVector:
+    """The point at flat C-order position ``index`` of a box of this shape."""
+    out = []
+    for side in reversed(shape):
+        index, c = divmod(index, side)
+        out.append(c)
+    return tuple(reversed(out))
 
 
 def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
@@ -131,12 +127,14 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Periodi
         raise ValueError(f"period components must be positive, got {n0}")
     dims = _box_dims(seqs, n0)
     _oracle_points(math.prod(dims), "box")
-    box = _box_array(seqs, dims)
+    # D * w over the box, D the weights' common denominator
+    nums, _ = _kernels._scaled([(s.weight,) for s in seqs])
+    box = _kernels._box_counts([s.residue for s in seqs], [s.modulus for s in seqs], nums, dims)
     for t in range(l):
         head = (slice(None),) * t
         bad = box[head + (slice(0, dims[t] - n0[t]),)] != box[head + (slice(n0[t], None),)]
         if bad.any():
-            x = tuple(int(c) for c in np.unravel_index(bad.argmax(), bad.shape))
+            x = _unravel(int(bad.argmax()), bad.shape)
             y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
             return PeriodicityVerdict(False, (x, y))
     return PeriodicityVerdict(True)

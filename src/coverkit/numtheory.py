@@ -1,13 +1,19 @@
 """Elementary exact number theory: totients, divisors, lcm, cyclotomic polynomials.
 
 Everything here works with Python's arbitrary-precision integers; nothing
-ever wraps.  Factorization is plain trial division, which is more than
-enough for desk-scale moduli.
+ever wraps.  Factorization is one routine: trial division by the primes
+below 1000, then deterministic Miller-Rabin on the prime bases 2..41
+(proven correct below FACTOR_BOUND by Sorenson and Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), then
+Pollard-Brent rho (Brent, BIT 20, 1980) on composite cofactors.  A
+cofactor at or past FACTOR_BOUND is refused with a ValueError, since no
+fixed set of bases is proven there and rho may not finish.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 __all__ = [
@@ -19,6 +25,7 @@ __all__ = [
     "cyclotomic_poly",
     "f_additive",
     "least_prime_factor",
+    "FACTOR_BOUND",
 ]
 
 
@@ -26,23 +33,111 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    return _trial_division(n)
+    return _factorize(n)
 
 
-def _trial_division(n: int) -> list[tuple[int, int]]:
+# Miller-Rabin with these bases is exact below FACTOR_BOUND, the least
+# strong pseudoprime to all of them
+FACTOR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, v in enumerate(sieve) if v)
+
+
+_SMALL_PRIMES = _primes_below(1000)
+# an n > 1 with no prime factor below 1000 and n < 1009**2 is prime
+_SMALL_PRIME_LIMIT = 1009**2
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and _factorize(n) == [(n, 1)]
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the bases 2..41, for odd n with no factor below 1000."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n (Pollard-Brent rho with
+    x -> x^2 + c, products of differences batched between gcds)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"rho found no divisor of {n}")
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The factoring core: trial division by the primes below 1000, then
+    Miller-Rabin and rho on the cofactor, refused at or past FACTOR_BOUND."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
-            while n % d == 0:
+            while n % p == 0:
                 e += 1
-                n //= d
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+                n //= p
+            out.append((p, e))
+    if n == 1:
+        return out
+    if n < _SMALL_PRIME_LIMIT:
+        return out + [(n, 1)]
+    if n >= FACTOR_BOUND:
+        raise ValueError(f"cofactor {n} is at or past the factoring bound {FACTOR_BOUND}")
+    # no factor of n, nor of any divisor rho splits off, is below 1000
+    big = []
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m < _SMALL_PRIME_LIMIT or _strong_probable_prime(m):
+            big.append(m)
+        else:
+            d = _rho(m)
+            stack += [d, m // d]
+    return out + sorted(Counter(big).items())
 
 
 def euler_phi(n: int) -> int:
@@ -93,14 +188,7 @@ def least_prime_factor(m: int) -> int:
     """Smallest prime dividing m; requires m > 1."""
     if m <= 1:
         raise ValueError(f"least_prime_factor expects m > 1, got {m}")
-    if m % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 2
-    return m
+    return _factorize(m)[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +209,7 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
     # records do not depend on what the cache already holds
     deg = N
     squarefree = [(1, 1)]  # (e, mu(e))
-    for p, _ in _trial_division(N):
+    for p, _ in _factorize(N):
         deg = deg // p * (p - 1)
         squarefree += [(e * p, -mu) for e, mu in squarefree]
     out = [1] + [0] * deg

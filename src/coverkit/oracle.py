@@ -14,8 +14,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .covering import (
     PeriodicValueTable,
@@ -59,7 +57,7 @@ def brute_least_period(table: PeriodicValueTable) -> int:
     arr = _kernels._scaled([table.values])[0]
     N = len(arr)
     # d = period always matches (two empty slices)
-    return next(d for d in divisors_of(N) if np.array_equal(arr[d:], arr[: N - d]))
+    return next(d for d in divisors_of(N) if (arr[d:] == arr[: N - d]).all())
 
 
 @dataclass(frozen=True)

@@ -250,3 +250,34 @@ def rolled_periodicity(seqs, n0) -> tuple[bool, tuple | None]:
             x = tuple(int(v) for v in bad[0])
             return False, (x, tuple(v + (c if u == t else 0) for u, v in enumerate(x)))
     return True, None
+
+
+# references for the factorizer
+
+
+def prime_sieve(n: int) -> bytearray:
+    """sieve[i] is 1 iff i < n is prime (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * n
+    sieve[: min(n, 2)] = bytes(min(n, 2))
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return sieve
+
+
+def trial_division_factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1, ascending, by dividing out every
+    d = 2, 3, 5, 7, 9, ... up to the square root of what is left."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                e += 1
+                n //= d
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out

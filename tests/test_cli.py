@@ -137,6 +137,7 @@ def test_parse_coefficient_file():
         ("level 4\nmodulus y\n0 1\n", "line 2: bad modulus 'y'"),
         ("level 4\nmodulus 2\nq 1\n", "line 3: bad term index 'q'"),
         ("level 4\nmodulus 2\n0 1/0\n", "line 3: zero denominator"),
+        ("level 1000001\nmodulus 2\n0 1\n", "line 1: level 1000001 exceeds cap 1000000"),
     ],
 )
 def test_parse_coefficient_errors(text, msg):
@@ -346,16 +347,93 @@ def test_window_cap_refuses_before_allocating(tmp_path, capsys):
     assert "result|cmd=exact-cover|verdict=error|witness=none" in out
 
 
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    """Exit 1 means falsified and nothing else: any other exception is
+    reported with its type, keeps the result line, and exits 3."""
+    b = write(tmp_path, "B.txt", B_TEXT)
+    for exc in (MemoryError("no room"), AssertionError("broken invariant"), RecursionError()):
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr("coverkit.cli._run", fail)
+        assert run_command(["least-period", b]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            f"error: {type(exc).__name__}: {exc}",
+            "result|cmd=least-period|verdict=error|witness=none",
+        ]
+        assert err.startswith("Traceback") and type(exc).__name__ in err
+
+
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this coverkit."""
+    src = str(Path(coverkit.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+def test_module_entry_points_agree(tmp_path):
+    """``python -m coverkit.cli`` runs the CLI just as ``python -m coverkit``."""
+    b = write(tmp_path, "B.txt", B_TEXT)
+    bp = write(tmp_path, "Bp.txt", BP_TEXT)
+    for path, code in ((b, 0), (bp, 1)):
+        results = set()
+        for module in ("coverkit.cli", "coverkit"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "exact-cover", "--m", "1", path],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(),
+            )
+            assert proc.returncode == code
+            results.add(proc.stdout.splitlines()[-1])
+        assert len(results) == 1 and results.pop().startswith("result|cmd=exact-cover|")
+
+
+def numpy_loaded_after(code: str) -> bool:
+    """Run ``code`` in a fresh interpreter; whether numpy was imported."""
+    probe = code + "\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env(), check=True
+    )
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+def test_numpy_loads_only_for_a_scan(tmp_path):
+    """Importing the package and the CLI, and the subcommands that scan no
+    array, leave numpy unloaded; a window scan loads it."""
+    b = write(tmp_path, "B.txt", B_TEXT)
+    big = write(tmp_path, "big.txt", "0 6000000000054\n1 10000000000000061\n")
+    run_cli = "from coverkit.cli import run_command\nassert run_command({!r}) == 0"
+    assert not numpy_loaded_after("import coverkit, coverkit.cli")
+    assert not numpy_loaded_after(run_cli.format(["least-period", b]))
+    assert not numpy_loaded_after(run_cli.format(["window-size", big]))
+    assert numpy_loaded_after(run_cli.format(["exact-cover", "--m", "1", b]))
+
+
+def test_only_kernels_import_numpy():
+    package = Path(coverkit.__file__).parent
+    importers = sorted(p.name for p in package.rglob("*.py") if "import numpy" in p.read_text())
+    assert importers == ["_kernels.py"]
+
+
+def test_window_size_of_a_large_prime(tmp_path, capsys):
+    n = 10**16 + 61  # prime: the window is every fraction r/n and 0
+    code, out = run(capsys, "window-size", write(tmp_path, "p.txt", f"0 {n}\n"))
+    assert code == 0 and out.splitlines()[0] == str(n)
+    past = write(tmp_path, "past.txt", f"0 {2**89 - 1}\n")
+    code, out = run(capsys, "window-size", past)
+    assert code == 2 and "factoring bound 3317044064679887385961981" in out
+
+
 def test_console_script(tmp_path):
     """The installed ``coverkit`` script, or ``python -m coverkit`` on the
     imported package when no script is on PATH."""
     exe = shutil.which("coverkit")
     cmd, env = [exe], None
     if exe is None:
-        src = str(Path(coverkit.__file__).parents[1])
-        path = os.environ.get("PYTHONPATH")
-        cmd = [sys.executable, "-m", "coverkit"]
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        cmd, env = [sys.executable, "-m", "coverkit"], subprocess_env()
     b = write(tmp_path, "B.txt", B_TEXT)
     proc = subprocess.run(cmd + ["exact-cover", "--m", "1", b], capture_output=True, text=True, env=env)
     assert proc.returncode == 0

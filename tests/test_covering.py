@@ -134,8 +134,7 @@ def test_window_zero_matches_oracle_over_prime_fields():
 def wide_prime_tables():
     """2**15 + 1 references to one table of value p - 1 plus one table of
     value 2**15 + 1 over F_p, p = 2**48 - 59: the sum is 0 mod p, but its
-    unreduced value passes 2**63.  Built once, since checking that a 48-bit
-    characteristic is prime takes about a second."""
+    unreduced value passes 2**63.  Built once for the module."""
     p = 2**48 - 59
     count = 2**15 + 1
     return [PeriodicValueTable(1, (p - 1,), p)] * count + [PeriodicValueTable(1, (count,), p)]
