@@ -43,6 +43,9 @@ def _scaled(groups):
     flat = list(chain.from_iterable(groups))
     nums = np.asarray(flat)
     D = 1
+    if nums.dtype == object and all(type(v) is int for v in flat):
+        # ints past int64: numpy already holds them exactly, over D = 1
+        return nums, D
     if nums.dtype != np.int64:
         # Fractions, or ints past int64: scale exactly before converting
         D = math.lcm(*{v.denominator for v in flat})

@@ -36,7 +36,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from . import _kernels
-from .cyclotomic import CyclotomicElement, root_power
+from .cyclotomic import CyclotomicElement, _vanishes, root_power
 from .fracsets import (
     FractionSet,
     divisor_union_phis,
@@ -368,19 +368,22 @@ class ExpSumSequence:
         """Zero-set indicator over one period (x enters only via x mod n)."""
         level = math.lcm(self.modulus, *(c.level for _, c in self.terms))
         step = level // self.modulus
-        # each coefficient is lifted once; multiplying it by the root
-        # zeta_level^(step*t*x) moves its entry at j to j + step*t*x
+        den = math.lcm(*(v.denominator for _, c in self.terms for v in c.coeffs))
+        # each coefficient is lifted to level and put over den once;
+        # multiplying it by the root zeta_level^(step*t*x) moves its entry
+        # at j to j + step*t*x
         lifted = [
-            (step * t, [(j, v) for j, v in enumerate(c.lift(level).coeffs) if v])
+            (step * t, [(j, v.numerator * (den // v.denominator))
+                        for j, v in enumerate(c.lift(level).coeffs) if v])
             for t, c in self.terms
         ]
         out = []
         for x in range(self.modulus):
-            coeffs = [Fraction(0)] * level
+            ints = [0] * level
             for st, entries in lifted:
                 for j, v in entries:
-                    coeffs[(j + st * x) % level] += v
-            out.append(CyclotomicElement(level, tuple(coeffs)).is_zero())
+                    ints[(j + st * x) % level] += v
+            out.append(_vanishes(level, ints))
         return tuple(out)
 
 

@@ -106,24 +106,10 @@ class CyclotomicElement:
     def is_zero(self) -> bool:
         """True iff the representing polynomial is divisible by Phi_level.
 
-        Denominators are cleared first so the long division runs over the
-        integers (Phi_N is monic), which keeps it exact and fast.
+        Denominators are cleared first, so the test runs on integers.
         """
-        if all(c == 0 for c in self.coeffs):
-            return True
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        rem = [int(c * den) for c in self.coeffs]
-        phi = cyclotomic_poly(self.level)
-        deg = len(phi) - 1
-        for i in range(len(rem) - 1, deg - 1, -1):
-            c = rem[i]
-            if c:
-                rem[i] = 0
-                off = i - deg
-                for j in range(deg):
-                    if phi[j]:
-                        rem[off + j] -= c * phi[j]
-        return all(x == 0 for x in rem[:deg])
+        return _vanishes(self.level, [int(c * den) for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -139,6 +125,31 @@ class CyclotomicElement:
         terms = [f"{c}*z^{j}" for j, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} at level {self.level}>"
+
+
+def _vanishes(level: int, ints: list[int]) -> bool:
+    """True iff sum_j ints[j] * zeta_level^j = 0, where ``ints`` holds
+    integer coefficients of zeta_level^0, ..., zeta_level^(level-1).
+
+    This is the one exact zero test of the package: ``ints`` is reduced in
+    place by long division by the monic integer polynomial Phi_level, and
+    the sum vanishes iff the remainder does.
+    """
+    if not any(ints):
+        return True
+    phi = cyclotomic_poly(level)
+    deg = len(phi) - 1
+    # Phi_N(x) = Phi_rad(N)(x^(N/rad(N))), so most of its coefficients are
+    # zero unless N is squarefree; only the nonzero ones subtract
+    lower = [(j, p) for j, p in enumerate(phi[:deg]) if p]
+    for i in range(len(ints) - 1, deg - 1, -1):
+        c = ints[i]
+        if c:
+            ints[i] = 0
+            off = i - deg
+            for j, p in lower:
+                ints[off + j] -= c * p
+    return not any(ints[:deg])
 
 
 def root_power(N: int, j: int) -> CyclotomicElement:
@@ -160,13 +171,14 @@ def indicator_sum_check(N: int, n: int, a: int) -> bool:
         raise ValueError("N and n must be positive")
     if N % n != 0:
         raise ValueError(f"n={n} does not divide N={N}")
+    # n times both sides, so the coefficients are integers
     step = N // n
-    coeffs = [Fraction(0)] * N
+    ints = [0] * N
     for r in range(n):
-        coeffs[(step * a * r) % N] += Fraction(1, n)
-    expected = 1 if a % n == 0 else 0
-    coeffs[0] -= expected
-    return CyclotomicElement(N, tuple(coeffs)).is_zero()
+        ints[(step * a * r) % N] += 1
+    if a % n == 0:
+        ints[0] -= n
+    return _vanishes(N, ints)
 
 
 def exp_sum_eval(

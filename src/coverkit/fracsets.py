@@ -3,10 +3,16 @@
 A fraction set is a sorted, duplicate-free tuple of ``fractions.Fraction``
 values, each reduced and lying in [0,1).  Sorted tuples (rather than Python
 sets) keep every derived quantity deterministic and diff-stable.
+
+Sumsets, subset-sum sets and window bounds put their inputs over one
+common denominator D (the lcm of every denominator) once and compute on
+plain ints, the residues mod D of the numerators; they build Fractions
+only for the sets they return, since every Fraction sum pays a gcd.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -85,9 +91,27 @@ def phi_sum_cardinality(moduli: list[int]) -> int:
     return sum(divisor_union_phis(moduli).values())
 
 
+def _over_one_denominator(sets: Iterable[Iterable[Fraction | int]]) -> tuple[int, list[list[int]]]:
+    """(D, residues): D the lcm of every denominator in ``sets``, and each
+    set's elements as the residues mod D of their numerators over D."""
+    sets = [list(s) for s in sets]
+    D = math.lcm(*(x.denominator for s in sets for x in s))
+    return D, [[x.numerator * (D // x.denominator) % D for x in s] for s in sets]
+
+
+def _sumset(A: Iterable[int], B: Iterable[int], D: int) -> set[int]:
+    """{a + b mod D : a in A, b in B} for residues mod D."""
+    return {(a + b) % D for a in A for b in B}
+
+
+def _fractions(residues: Iterable[int], D: int) -> FractionSet:
+    return tuple(Fraction(r, D) for r in sorted(residues))
+
+
 def sumset_mod1(A: FractionSet, B: FractionSet) -> FractionSet:
     """{a + b mod 1 : a in A, b in B}, sorted and deduplicated."""
-    return tuple(sorted({(a + b) % 1 for a in A for b in B}))
+    D, (a, b) = _over_one_denominator((A, B))
+    return _fractions(_sumset(a, b, D), D)
 
 
 def subset_sum_set(terms: list[Fraction]) -> FractionSet:
@@ -95,10 +119,11 @@ def subset_sum_set(terms: list[Fraction]) -> FractionSet:
 
     The empty subset contributes 0, so the result is never empty.
     """
-    acc: FractionSet = (Fraction(0),)
-    for t in terms:
-        acc = sumset_mod1(acc, fraction_set([0, t]))
-    return acc
+    D, (residues,) = _over_one_denominator([terms])
+    acc: Iterable[int] = (0,)
+    for t in residues:
+        acc = _sumset(acc, (0, t), D)
+    return _fractions(acc, D)
 
 
 def window_bound(R_sets: list[FractionSet], m: int) -> int:
@@ -114,10 +139,11 @@ def window_bound(R_sets: list[FractionSet], m: int) -> int:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
     if k > SUBSET_ENUMERATION_CAP:
         raise ValueError(f"too many subsets: k={k} exceeds cap {SUBSET_ENUMERATION_CAP}")
+    D, residues = _over_one_denominator(R_sets)
     best = 0
-    for I in combinations(range(k), k - m + 1):
-        acc: FractionSet = (Fraction(0),)
-        for s in I:
-            acc = sumset_mod1(acc, R_sets[s])
+    for I in combinations(residues, k - m + 1):
+        acc: Iterable[int] = (0,)
+        for R in I:
+            acc = _sumset(acc, R, D)
         best = max(best, len(acc))
     return best

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import numpy as np
@@ -281,3 +281,31 @@ def trial_division_factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+# Fraction references for the integer sumsets of coverkit.fracsets
+
+
+def sumset_reference(A, B) -> tuple:
+    """{a + b mod 1 : a in A, b in B} by Fraction arithmetic, sorted."""
+    return tuple(sorted({(a + b) % 1 for a in A for b in B}))
+
+
+def subset_sum_set_reference(terms) -> tuple:
+    """Fractional parts of all subset sums, one Fraction sumset per term."""
+    acc = (Fraction(0),)
+    for t in terms:
+        acc = sumset_reference(acc, (Fraction(0), Fraction(t) % 1))
+    return acc
+
+
+def window_bound_reference(R_sets, m: int) -> int:
+    """Largest Fraction sumset over the index subsets of size k - m + 1."""
+    k = len(R_sets)
+    best = 0
+    for I in combinations(range(k), k - m + 1):
+        acc = (Fraction(0),)
+        for s in I:
+            acc = sumset_reference(acc, R_sets[s])
+        best = max(best, len(acc))
+    return best

@@ -1,22 +1,51 @@
-"""Property tests: the factorizer against trial division and a sieve, and
-the file parsers against round trips and fuzzed text.
+"""Property tests: the factorizer against trial division and a sieve, the
+file parsers against round trips and fuzzed text, the integer sumsets and
+exp-sum membership tables against Fraction arithmetic, and window verdicts
+against the full-period oracle at both sides of the int64 guard.
 
 Every test runs derandomized (the examples are a function of the test
 code) and without a deadline, so a run is reproducible and a slow machine
 fails nothing.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import MultiSequence, PeriodicValueTable, least_prime_factor
+from coverkit import (
+    CyclotomicElement,
+    ExpSumSequence,
+    MultiSequence,
+    PeriodicValueTable,
+    System,
+    cover_count,
+    cover_table,
+    exp_sum_eval,
+    fraction_set,
+    least_prime_factor,
+    root_power,
+    subset_sum_set,
+    sumset_mod1,
+    verify_covering_function,
+    window_bound,
+    window_zero_check,
+)
+from coverkit import _kernels
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, factorize
+from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
 
-from helpers import prime_sieve, trial_division_factorize
+from helpers import (
+    prime_sieve,
+    sequence_table,
+    subset_sum_set_reference,
+    sumset_reference,
+    trial_division_factorize,
+    window_bound_reference,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 BOUND_TEXT = str(FACTOR_BOUND)
@@ -88,6 +117,125 @@ def test_cofactor_past_the_bound_is_refused():
     assert not _is_prime(2**100)
     with pytest.raises(ValueError, match=BOUND_TEXT):
         least_prime_factor(2 * (2**89 - 1))
+
+
+# --- fraction sets on one denominator -------------------------------------------
+
+# mixed denominators, values outside [0, 1) before reduction, and sets of
+# zero, one or a few elements
+fractions = st.fractions(-2, 2, max_denominator=30)
+fraction_sets = st.lists(fractions, max_size=4).map(fraction_set)
+
+
+@PROPERTY
+@given(st.lists(fraction_sets, min_size=1, max_size=6), st.data())
+def test_window_bound_matches_fraction_reference(R_sets, data):
+    m = data.draw(st.integers(1, len(R_sets)))
+    assert window_bound(R_sets, m) == window_bound_reference(R_sets, m)
+
+
+@PROPERTY
+@given(st.lists(fractions, max_size=8), fraction_sets, fraction_sets)
+def test_subset_sums_and_sumsets_match_fraction_reference(terms, A, B):
+    assert subset_sum_set(terms) == subset_sum_set_reference(terms)
+    assert sumset_mod1(A, B) == sumset_reference(A, B)
+
+
+# --- exp-sum membership tables ------------------------------------------------
+
+# mostly zero, so coefficients are sparse; non-unit rationals throughout
+rationals = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-5, 6)])
+
+
+def alphas_of(es: ExpSumSequence) -> list[Fraction]:
+    """exp_sum_eval's z^x is exp(-2 pi i alpha x), so e(t x / n) has alpha = -t/n."""
+    return [Fraction(-t, es.modulus) % 1 for t, _ in es.terms]
+
+
+@st.composite
+def exp_sum_sequences(draw) -> ExpSumSequence:
+    """Up to three terms whose coefficients are random rational vectors;
+    half the time the last coefficient cancels the others at some x0, so
+    the zero set is not empty."""
+    n, level = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    ts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    vector = st.lists(rationals.map(Fraction), min_size=level, max_size=level).map(tuple)
+    coeffs = [CyclotomicElement(level, draw(vector)) for _ in ts]
+    es = ExpSumSequence(n, tuple(zip(ts, coeffs)))
+    if len(ts) > 1 and draw(st.booleans()):
+        x0, N = draw(st.integers(0, n - 1)), math.lcm(n, level)
+        rest = exp_sum_eval(coeffs[:-1], alphas_of(es)[:-1], x0, N)
+        coeffs[-1] = -rest * root_power(N, -ts[-1] * x0 * (N // n))
+        es = ExpSumSequence(n, tuple(zip(ts, coeffs)))
+    return es
+
+
+# (1/2*z^3 - 1/3) + 5/6 e(x/4) at level 6 is -5/6 + 5/6 e(x/4), zero only at x = 0 mod 4
+HALF_Z3_MINUS_THIRD = ExpSumSequence(
+    4,
+    (
+        (0, CyclotomicElement(6, (Fraction(-1, 3), 0, 0, Fraction(1, 2), 0, 0))),
+        (1, CyclotomicElement.constant(1, Fraction(5, 6))),
+    ),
+)
+
+
+@PROPERTY
+@example(HALF_Z3_MINUS_THIRD)
+@given(exp_sum_sequences())
+def test_membership_table_matches_exp_sum_eval(es):
+    N = math.lcm(es.modulus, *(c.level for _, c in es.terms))
+    coeffs, alphas = [c for _, c in es.terms], alphas_of(es)
+    expected = tuple(exp_sum_eval(coeffs, alphas, x, N).is_zero() for x in range(es.modulus))
+    assert es.membership_table() == expected
+
+
+def test_membership_table_with_non_unit_rationals():
+    assert HALF_Z3_MINUS_THIRD.membership_table() == (True, False, False, False)
+
+
+# --- window verdicts against the oracle -----------------------------------------
+
+# small weights, and weights whose scaled sums pass the int64 guard
+weights_or_huge = st.one_of(
+    st.fractions(-6, 6, max_denominator=6),
+    st.sampled_from([Fraction(2**61), Fraction(-(2**62)), Fraction(2**62, 3)]),
+)
+weighted_systems = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(1, 12), weights_or_huge), min_size=1, max_size=6
+).map(lambda entries: System.of(*entries))
+
+
+@pytest.mark.parametrize("guard", [_kernels._INT64_GUARD, 1], ids=["int64-guard", "guard-1"])
+@PROPERTY
+@given(weighted_systems, st.sampled_from(["own", "changed", "constant"]), st.integers(-50, 50), st.data())
+def test_window_verdicts_match_oracle(guard, system, kind, start, data):
+    """verify_covering_function and window_zero_check against full-period
+    scans, for the covering function on its least period (true), that table
+    changed at one point (false), or a constant; guard 1 puts every scan on
+    exact Python ints."""
+    full = cover_table(system)
+    n0 = brute_least_period(full)
+    target = PeriodicValueTable(n0, full.values[:n0])
+    if kind == "changed":
+        values = list(target.values)
+        values[data.draw(st.integers(0, n0 - 1))] += data.draw(fractions.filter(bool))
+        target = PeriodicValueTable(n0, tuple(values))
+    elif kind == "constant":
+        target = PeriodicValueTable.constant(data.draw(fractions))
+    negated = PeriodicValueTable(target.period, tuple(-v for v in target.values))
+    tables = [sequence_table(s.residue, s.modulus, weight=s.weight) for s in system.seqs] + [negated]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_INT64_GUARD", guard)
+        verdict = verify_covering_function(system, target, start)
+        oracle = brute_cover_verdict(system, target).ok
+        assert verdict.ok == oracle
+        assert window_zero_check(tables, start).ok == brute_tables_zero_verdict(tables).ok == oracle
+    if kind != "constant":
+        assert verdict.ok == (kind == "own")
+    if not verdict.ok:
+        x = verdict.witness
+        assert x >= start and cover_count(system, x) != target.value_at(x)
 
 
 # --- parsers ------------------------------------------------------------------
