@@ -1,12 +1,14 @@
-"""Hot scan kernels, and the one boundary between int64 and exact arithmetic.
+"""Hot scan kernels, and the one place that picks their integer width.
 
 The kernels (window covering counts and periodic-table sums) are the only
 loops in the package that touch millions of points.  Every caller first
 puts its exact values over a common denominator with :func:`_scaled`,
-which hands back an int64 array when no kernel sum can leave int64 and an
-object array of exact Python ints otherwise.  The kernels take their dtype
-from the values they are given, so both arrays run the same code and the
-guard changes speed, never answers.
+which hands back the narrowest of int8, int16, int32 and int64 that no
+kernel sum can leave, and an object array of exact Python ints past the
+int64 guard.  A scan's cost is memory traffic, so an exact cover whose
+counts stay below 64 scans bytes, not words.  The kernels take their dtype
+from the values they are given, so every width runs the same code and the
+ladder and guard change speed, never answers.
 
 This is the only module that uses numpy, and it imports numpy inside each
 kernel entry point rather than at module load: a process that never scans
@@ -26,17 +28,31 @@ if TYPE_CHECKING:
 BACKEND = "numpy"
 
 # a sum of one scaled value from each group must stay below this magnitude
-# for the values to travel as int64
+# for the values to travel in a fixed width at all
 _INT64_GUARD = 2**62
+
+# (bound, dtype): values travel in the first dtype whose bound their group
+# peak sum stays below; each bound keeps the same two-bit margin as the
+# guard, which is the ladder's top
+_WIDTHS = ((2**6, "int8"), (2**14, "int16"), (2**30, "int32"), (_INT64_GUARD, "int64"))
+
+# a table row shorter than _MIN_ROW (but for period 1, which numpy adds as
+# a scalar) is tiled up to it when the window holds at least _TILE_BLOCKS
+# blocks of the row: a broadcast add pays per block, np.tile a few
+# microseconds once
+_MIN_ROW = 256
+_TILE_BLOCKS = 1024
 
 
 def _scaled(groups):
     """(numerators, D): the values of ``groups`` (ints or Fractions) over
     their common denominator D, as one flat array in group order.
 
-    The array is int64 when the sum over groups of each group's largest
-    scaled magnitude stays below the guard, and an object array of exact
-    Python ints otherwise.
+    The sum over groups of each group's largest scaled magnitude picks
+    the array's dtype: the narrowest width of the ladder whose bound it
+    stays below, or an object array of exact Python ints at or past the
+    guard.  A sum of one value from each group, or the difference of two
+    such sums, then fits the width.
     """
     import numpy as np
 
@@ -56,9 +72,11 @@ def _scaled(groups):
     # the largest magnitude in each group (unsigned, so abs(-2**63) is right)
     firsts = np.cumsum([0] + [len(g) for g in groups[:-1]])
     peaks = np.maximum.reduceat(np.abs(nums).view(np.uint64), firsts)
-    if sum(peaks.tolist()) >= _INT64_GUARD:
+    total = sum(peaks.tolist())
+    if total >= _INT64_GUARD:
         return nums.astype(object), D
-    return nums, D
+    width = next(dtype for bound, dtype in _WIDTHS if total < bound)
+    return nums.astype(width, copy=False), D
 
 
 def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarray:
@@ -91,11 +109,15 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     for x in [start, start+length), in the dtype of ``values``, reduced mod
     char when char > 0 (values are then field elements, in [0, char)).
 
-    Tables of one period are summed into one row first.  Each row is
-    rotated once so that its entry 0 belongs to x = start; the window is
-    then whole blocks of one period, to which the row is added by
-    broadcasting, plus a short tail.  No index array is built, and a window
-    shorter than a period costs one slice add per row.
+    Tables of one period are summed into one row first.  A row of period
+    2 to ``_MIN_ROW`` - 1 is then tiled to the least multiple of its period
+    that is at least ``_MIN_ROW`` when the window is long enough to repay
+    it, since a broadcast add pays per block and a period-2 row would
+    otherwise cost a block per two points; rows tiled to one length are
+    summed.  Each row is rotated once so that its entry 0 belongs to
+    x = start; the window is then whole blocks of one period, to which the
+    row is added by broadcasting, plus a short tail.  No index array is
+    built, and a window shorter than a period costs one slice add per row.
     """
     import numpy as np
 
@@ -105,8 +127,14 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
         off, n = int(off), int(n)
         row = vals[off : off + n]
         folded[n] = folded[n] + row if n in folded else row
-    out = np.zeros(length, dtype=vals.dtype)
+    widened = {}
     for n, row in folded.items():
+        if 1 < n < _MIN_ROW and length // n >= _TILE_BLOCKS:
+            reps = -(-_MIN_ROW // n)
+            n, row = n * reps, np.tile(row, reps)
+        widened[n] = widened[n] + row if n in widened else row
+    out = np.zeros(length, dtype=vals.dtype)
+    for n, row in widened.items():
         s = start % n
         row = np.concatenate((row[s:], row[:s]))
         full = length // n
@@ -114,8 +142,9 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
         blocks = out[: full * n].reshape(full, n)
         blocks += row
         out[full * n :] += row[: length - full * n]
-    # nonnegative int64 sums are below 2**63, so a char past int64 leaves
-    # them reduced already
-    if char > 0 and (out.dtype == object or char < 2**63):
+    # nonnegative sums of a fixed width of b bits are below 2**(b-1), so a
+    # char at or past that (which the width may not even hold) leaves them
+    # reduced already
+    if char > 0 and (out.dtype == object or char < 1 << 8 * out.itemsize - 1):
         out %= char
     return out

@@ -23,8 +23,9 @@ coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
 exactly.  Every scan, windowed or full-period, is one evaluator: D times
 the covering function minus the tables over the window, with weights and
 table values put over one common denominator D by
-:mod:`coverkit._kernels` (int64 when the scaled sums provably fit, exact
-Python ints otherwise), and then searched for its first nonzero point.
+:mod:`coverkit._kernels` (in the narrowest fixed integer width that the
+scaled sums provably fit, exact Python ints past the widest), and then
+searched for its first nonzero point.
 """
 
 from __future__ import annotations
@@ -488,8 +489,8 @@ def weighted_average_check(system: System) -> bool:
     weight/modulus.
 
     The scan of D * w over the period is summed as Python ints, so the
-    total is exact on int64 arrays too (their points fit in int64, their
-    sum over N points need not), and the mean is one Fraction."""
+    total is exact on fixed-width arrays too (their points fit the width,
+    their sum over N points need not), and the mean is one Fraction."""
     arr, D = _period_scan(system)
     lhs = Fraction(sum(arr.tolist()), D * len(arr))
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))

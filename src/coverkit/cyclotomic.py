@@ -190,16 +190,25 @@ def exp_sum_eval(
     """Exact value at integer x of  sum_j c_j * z_j^x  with z_j = exp(-2*pi*i*alpha_j).
 
     All alphas must be distinct and have denominators dividing N; the result
-    is reported at level N.
+    is reported at level N.  Multiplying c_j, lifted to level N, by the
+    root z_j^x moves its entry at i to i - alpha_j*N*x, so the sum is built
+    as one integer vector over the coefficients' common denominator.
     """
     if len(coeffs) != len(alphas):
         raise ValueError("coeffs and alphas must have equal length")
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas must be distinct")
-    total = CyclotomicElement.zero(N)
+    den = math.lcm(*(v.denominator for c in coeffs for v in c.coeffs))
+    ints = [0] * N
     for c, alpha in zip(coeffs, alphas):
         aN = alpha * N
         if aN.denominator != 1:
             raise ValueError(f"denominator of {alpha} does not divide N={N}")
-        total = total + c.lift(N) * root_power(N, -int(aN) * x)
-    return total
+        if N % c.level:
+            raise ValueError(f"cannot lift level {c.level} into level {N}")
+        step, shift = N // c.level, -int(aN) * x
+        for i, v in enumerate(c.coeffs):
+            if v:
+                ints[(i * step + shift) % N] += v.numerator * (den // v.denominator)
+    zero = Fraction(0)
+    return CyclotomicElement(N, tuple(Fraction(v, den) if v else zero for v in ints))

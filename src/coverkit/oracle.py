@@ -3,9 +3,10 @@ benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
 exhaustive scan here.  The scans run the first-nonzero scan that every
-window check of :mod:`coverkit.covering` uses (the kernels on int64, or on
-exact Python ints when the scaled values require it) over one full period,
-but they never consult the window theorems themselves.
+window check of :mod:`coverkit.covering` uses (the kernels in the
+narrowest fixed integer width that the scaled sums fit, or on exact Python
+ints past the widest) over one full period, but they never consult the
+window theorems themselves.
 """
 
 from __future__ import annotations

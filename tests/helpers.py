@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
 import numpy as np
+import pytest
 
+from coverkit import _kernels
 from coverkit import (
     MultiSequence,
     PeriodicValueTable,
@@ -206,6 +209,25 @@ def enumerate_disjoint_covers(k: int, n_max: int):
 
         place(0)
     return covers
+
+
+# the ways the kernels can run: every answer must be the same under each
+
+WIDTH_SETTINGS = {
+    "narrowest": {},  # the width ladder as shipped
+    "int64-guard": {"_WIDTHS": ((_kernels._INT64_GUARD, "int64"),)},  # int64 up to the guard
+    "guard-1": {"_INT64_GUARD": 1},  # every scan on exact Python ints
+}
+
+
+@contextmanager
+def kernel_widths(setting: str):
+    """Run the enclosed code with the kernels patched to one of
+    ``WIDTH_SETTINGS``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in WIDTH_SETTINGS[setting].items():
+            mp.setattr(_kernels, name, value)
+        yield
 
 
 # pointwise and roll-based references for the full-period scans

@@ -418,6 +418,14 @@ def test_only_kernels_import_numpy():
     assert importers == ["_kernels.py"]
 
 
+def test_only_kernels_name_integer_widths():
+    """_kernels._scaled alone picks the width a scan runs in."""
+    package = Path(coverkit.__file__).parent
+    width = re.compile(r"\bint(8|16|32|64)\b")
+    naming = sorted(p.name for p in package.rglob("*.py") if width.search(p.read_text()))
+    assert naming == ["_kernels.py"]
+
+
 def test_window_size_of_a_large_prime(tmp_path, capsys):
     n = 10**16 + 61  # prime: the window is every fraction r/n and 0
     code, out = run(capsys, "window-size", write(tmp_path, "p.txt", f"0 {n}\n"))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
+import pytest
 
 from coverkit import _kernels
 from coverkit.covering import (
@@ -12,15 +13,19 @@ from coverkit.covering import (
     cover_count,
     cover_table,
     cover_values,
+    min_on_window,
     non_exact_witness,
     verify_covering_function,
     weighted_average_check,
     window_zero_check,
 )
-from coverkit.multidim import is_periodic_mod_vec
+from coverkit.fracsets import phi_sum_cardinality
+from coverkit.multidim import MultiSequence, is_periodic_mod_vec
 from coverkit.numtheory import f_additive
 from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
 from helpers import (
+    WIDTH_SETTINGS,
+    kernel_widths,
     mean_reference,
     random_distinct_moduli_instance,
     random_prime_field_tables,
@@ -65,9 +70,64 @@ def test_scaled_refuses_at_the_guard():
     # past the guard the numerators stay exact
     nums, D = _kernels._scaled([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)])
     assert (nums.tolist(), D) == ([2 * (g - 2), 3, -6 * 2**63], 6)
-    # a denominator past int64 stays int64 when only zeros need scaling by it
+    # a denominator past int64 stays off the object path when only zeros
+    # need scaling by it
     nums, D = _kernels._scaled([(Fraction(1, 2**70),), (0, 0)])
-    assert (nums.dtype, nums.tolist(), D) == (np.int64, [1, 0, 0], 2**70)
+    assert (nums.dtype, nums.tolist(), D) == (np.int8, [1, 0, 0], 2**70)
+
+
+def test_scaled_picks_the_narrowest_width():
+    """Each width holds group peak sums up to a quarter of its range, for
+    one group and for peaks summed across groups; the values stay exact."""
+    edges = [
+        (63, np.int8), (64, np.int16), (2**14 - 1, np.int16), (2**14, np.int32),
+        (2**30 - 1, np.int32), (2**30, np.int64), (2**62 - 1, np.int64), (2**62, object),
+    ]  # fmt: skip
+    for peak, width in edges:
+        half = peak // 2
+        for groups in (
+            [(peak,)],
+            [(-peak, 1, 0)],
+            [(half, -3), (peak - half,)],
+            [(peak - 1, 0), (-1,), (0, 0)],
+            [(Fraction(peak, 3), Fraction(-1, 3))],
+        ):
+            nums, D = _kernels._scaled(groups)
+            assert nums.dtype == width, (peak, groups)
+            flat = [v for g in groups for v in g]
+            assert [Fraction(v, D) for v in nums.tolist()] == flat
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_prime_field_tables_in_narrow_widths(p):
+    """0/1 tables over F_p travel in int8 although p does not fit there;
+    with their negations added (values p - 1) they need a width that
+    holds p, and reduce mod p to zero.  Window verdicts and witnesses, and
+    oracle verdicts, agree with a pointwise sum mod p."""
+    rng = random.Random(p)
+    for _ in range(20):
+        periods = [rng.randint(1, 8) for _ in range(rng.randint(1, 5))]
+        # each table holds a 1 at some point
+        tables = [
+            PeriodicValueTable(n, tuple(int(x == n - 1 or rng.random() < 0.5) for x in range(n)), p)
+            for n in periods
+        ]
+        negated = [PeriodicValueTable(t.period, tuple(-v for v in t.values), p) for t in tables]
+        assert _kernels._scaled([t.values for t in tables])[0].dtype == np.int8
+        assert _kernels._scaled([t.values for t in tables + negated])[0].dtype == (
+            np.int16 if p < 2**14 else np.int64
+        )
+        start = rng.choice((0, 2**64 + rng.randrange(99)))
+        for psis in (tables, tables + negated, tables + negated[1:]):
+            values = [v for t in psis for v in t.values]
+            offsets = [0, *accumulate(t.period for t in psis[:-1])]
+            L = phi_sum_cardinality([t.period for t in psis])
+            sums = table_sums_reference(values, offsets, [t.period for t in psis], start, L, p)
+            witness = next((start + j for j, v in enumerate(sums) if v), None)
+            verdict = window_zero_check(psis, start)
+            assert (verdict.ok, verdict.witness) == (witness is None, witness)
+            assert brute_tables_zero_verdict(psis).ok == verdict.ok
+        assert window_zero_check(tables + negated).ok
 
 
 def test_kernels_on_object_arrays_match_pointwise_definition():
@@ -179,11 +239,81 @@ def _answers(seed: int) -> list:
     return out
 
 
-def test_int64_guard_changes_speed_never_answers(monkeypatch):
+@pytest.mark.parametrize("setting", WIDTH_SETTINGS)
+def test_int64_guard_changes_speed_never_answers(setting):
+    """The answers at the narrowest widths equal those with every scan in
+    int64 up to the guard, and those with every scan on exact Python ints."""
     fast = _answers(8128)
-    monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)
-    assert _kernels._scaled([(Fraction(1),), (1, 0)])[0].dtype == object
-    assert _answers(8128) == fast
+    with kernel_widths(setting):
+        width = {"narrowest": np.int8, "int64-guard": np.int64, "guard-1": object}[setting]
+        assert _kernels._scaled([(Fraction(1),), (1, 0)])[0].dtype == width
+        assert _answers(8128) == fast
+
+
+# weight scales that put a system's scaled peak sum in each width
+SCALES = (1, Fraction(1, 2), 50, 3000, 10**6, 2**40, 2**60)
+
+
+def _scaled_system(rng, scale) -> System:
+    k = rng.randint(1, 5)
+    return System.of(
+        *((rng.randrange(12), rng.randint(1, 12), rng.choice((1, -1, 2)) * scale) for _ in range(k))
+    )
+
+
+def _full_period_answers(seed: int) -> list:
+    """Verdicts and witnesses of the full-period scans on seeded inputs
+    whose scaled values span every width."""
+    rng = random.Random(seed)
+    out = []
+    for scale in SCALES * 4:
+        system = _scaled_system(rng, scale)
+        table = cover_table(system)
+        mutated = list(table.values)
+        mutated[rng.randrange(table.period)] += scale
+        for target in (table, PeriodicValueTable(table.period, tuple(mutated))):
+            out.append(brute_cover_verdict(system, target))
+        out.append(brute_least_period(table))
+        out.append(weighted_average_check(system))
+        tables = [sequence_table(s.residue, s.modulus, weight=s.weight) for s in system.seqs]
+        negated = PeriodicValueTable(table.period, tuple(-v for v in table.values))
+        out.append(brute_tables_zero_verdict(tables + [negated]))
+        out.append(brute_tables_zero_verdict(tables[1:] + [negated]))
+        seqs, n0 = random_distinct_moduli_instance(rng, rng.randint(1, 3))
+        seqs = [MultiSequence(s.residue, s.modulus, s.weight * scale) for s in seqs]
+        out.append(is_periodic_mod_vec(seqs, n0))
+    for p in (5, 1009, 2**31 - 1, 2**61 - 1):
+        for _ in range(5):
+            psis = random_prime_field_tables(rng, p, force_zero_sum=rng.random() < 0.5)
+            out.append(brute_tables_zero_verdict(psis))
+    for _ in range(10):
+        system = random_unweighted_system(rng)
+        out.append(min_on_window(system, [1] * system.k, 0, rng.randint(-40, 40)))
+    return out
+
+
+def test_full_period_answers_independent_of_width(monkeypatch):
+    chosen = {setting: set() for setting in WIDTH_SETTINGS}
+    scaled = _kernels._scaled
+    answers = {}
+    for setting in WIDTH_SETTINGS:
+
+        def recording(groups):
+            nums, D = scaled(groups)
+            chosen[setting].add(nums.dtype)
+            return nums, D
+
+        with kernel_widths(setting):
+            monkeypatch.setattr(_kernels, "_scaled", recording)
+            answers[setting] = _full_period_answers(496)
+    assert chosen == {
+        "narrowest": {np.dtype(t) for t in ("int8", "int16", "int32", "int64", object)},
+        "int64-guard": {np.dtype("int64"), np.dtype(object)},
+        "guard-1": {np.dtype(object)},
+    }
+    assert answers["narrowest"] == answers["int64-guard"] == answers["guard-1"]
+    # the sweep is not vacuous: some checks fail, with witnesses
+    assert any(not v for v in answers["narrowest"] if hasattr(v, "ok"))
 
 
 def test_cover_values_is_pointwise_cover_count():
@@ -219,6 +349,33 @@ def test_table_sums_blocks_match_pointwise_definition():
                 assert out.tolist() == table_sums_reference(
                     vals.tolist(), offsets, periods, start, length, char
                 )
+
+
+def test_table_sums_tiles_short_periods():
+    """Rows of periods 2 to 255 are tiled to at least 256 entries in a
+    window of at least 1024 blocks of the row: periods 2, 4 and 8 land on
+    256 and must be summed there, 3 lands on 258, and 128 joins them in a
+    window of 140000 points.  Windows shorter than, equal to and far past
+    one tiled row, from starts past 2**64."""
+    rng = random.Random(256)
+    periods = [2, 4, 8, 128, 3]
+    windows = [(2**64 + 5, n) for n in (1, 255, 256, 100000, 140000)] + [
+        (-(2**66) + 1, n) for n in (1, 255, 256)
+    ]
+    offsets = [0, *accumulate(periods[:-1])]
+    cases = [
+        (np.int8, 0, lambda: rng.randint(-9, 9)),
+        (np.int64, 7, lambda: rng.randrange(7)),
+        (object, 0, lambda: rng.choice((1, -1)) * (2**70 + rng.randrange(50))),
+    ]
+    for dtype, char, value in cases:
+        vals = np.array([value() for _ in range(sum(periods))], dtype=dtype)
+        for start, length in windows:
+            out = _kernels.table_sums(vals, offsets, periods, start, length, char)
+            assert out.dtype == dtype and len(out) == length
+            assert out.tolist() == table_sums_reference(
+                vals.tolist(), offsets, periods, start, length, char
+            )
 
 
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):

@@ -1,7 +1,7 @@
 """Property tests: the factorizer against trial division and a sieve, the
 file parsers against round trips and fuzzed text, the integer sumsets and
 exp-sum membership tables against Fraction arithmetic, and window verdicts
-against the full-period oracle at both sides of the int64 guard.
+against the full-period oracle at every kernel width and on exact ints.
 
 Every test runs derandomized (the examples are a function of the test
 code) and without a deadline, so a run is reproducible and a slow machine
@@ -33,12 +33,13 @@ from coverkit import (
     window_bound,
     window_zero_check,
 )
-from coverkit import _kernels
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, factorize
 from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
 
 from helpers import (
+    WIDTH_SETTINGS,
+    kernel_widths,
     prime_sieve,
     sequence_table,
     subset_sum_set_reference,
@@ -206,14 +207,15 @@ weighted_systems = st.lists(
 ).map(lambda entries: System.of(*entries))
 
 
-@pytest.mark.parametrize("guard", [_kernels._INT64_GUARD, 1], ids=["int64-guard", "guard-1"])
+@pytest.mark.parametrize("setting", WIDTH_SETTINGS)
 @PROPERTY
 @given(weighted_systems, st.sampled_from(["own", "changed", "constant"]), st.integers(-50, 50), st.data())
-def test_window_verdicts_match_oracle(guard, system, kind, start, data):
-    """verify_covering_function and window_zero_check against full-period
-    scans, for the covering function on its least period (true), that table
-    changed at one point (false), or a constant; guard 1 puts every scan on
-    exact Python ints."""
+def test_window_verdicts_match_oracle(setting, system, kind, start, data):
+    """verify_covering_function and window_zero_check, at the narrowest
+    widths, in int64 only, or on exact Python ints (guard 1), against
+    full-period scans on exact Python ints, for the covering function on
+    its least period (true), that table changed at one point (false), or a
+    constant."""
     full = cover_table(system)
     n0 = brute_least_period(full)
     target = PeriodicValueTable(n0, full.values[:n0])
@@ -225,12 +227,13 @@ def test_window_verdicts_match_oracle(guard, system, kind, start, data):
         target = PeriodicValueTable.constant(data.draw(fractions))
     negated = PeriodicValueTable(target.period, tuple(-v for v in target.values))
     tables = [sequence_table(s.residue, s.modulus, weight=s.weight) for s in system.seqs] + [negated]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_INT64_GUARD", guard)
-        verdict = verify_covering_function(system, target, start)
+    with kernel_widths("guard-1"):
         oracle = brute_cover_verdict(system, target).ok
+        assert brute_tables_zero_verdict(tables).ok == oracle
+    with kernel_widths(setting):
+        verdict = verify_covering_function(system, target, start)
         assert verdict.ok == oracle
-        assert window_zero_check(tables, start).ok == brute_tables_zero_verdict(tables).ok == oracle
+        assert window_zero_check(tables, start).ok == oracle
     if kind != "constant":
         assert verdict.ok == (kind == "own")
     if not verdict.ok:
