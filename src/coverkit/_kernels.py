@@ -36,13 +36,6 @@ _INT64_GUARD = 2**62
 # guard, which is the ladder's top
 _WIDTHS = ((2**6, "int8"), (2**14, "int16"), (2**30, "int32"), (_INT64_GUARD, "int64"))
 
-# a table row shorter than _MIN_ROW (but for period 1, which numpy adds as
-# a scalar) is tiled up to it when the window holds at least _TILE_BLOCKS
-# blocks of the row: a broadcast add pays per block, np.tile a few
-# microseconds once
-_MIN_ROW = 256
-_TILE_BLOCKS = 1024
-
 
 def _scaled(groups):
     """(numerators, D): the values of ``groups`` (ints or Fractions) over
@@ -109,15 +102,11 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     for x in [start, start+length), in the dtype of ``values``, reduced mod
     char when char > 0 (values are then field elements, in [0, char)).
 
-    Tables of one period are summed into one row first.  A row of period
-    2 to ``_MIN_ROW`` - 1 is then tiled to the least multiple of its period
-    that is at least ``_MIN_ROW`` when the window is long enough to repay
-    it, since a broadcast add pays per block and a period-2 row would
-    otherwise cost a block per two points; rows tiled to one length are
-    summed.  Each row is rotated once so that its entry 0 belongs to
-    x = start; the window is then whole blocks of one period, to which the
-    row is added by broadcasting, plus a short tail.  No index array is
-    built, and a window shorter than a period costs one slice add per row.
+    Tables of one period are summed into one row first.  Each row is
+    rotated once so that its entry 0 belongs to x = start; the window is
+    then whole blocks of one period, to which the row is added by
+    broadcasting, plus a short tail.  No index array is built, and a window
+    shorter than a period costs one slice add per row.
     """
     import numpy as np
 
@@ -127,14 +116,8 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
         off, n = int(off), int(n)
         row = vals[off : off + n]
         folded[n] = folded[n] + row if n in folded else row
-    widened = {}
-    for n, row in folded.items():
-        if 1 < n < _MIN_ROW and length // n >= _TILE_BLOCKS:
-            reps = -(-_MIN_ROW // n)
-            n, row = n * reps, np.tile(row, reps)
-        widened[n] = widened[n] + row if n in widened else row
     out = np.zeros(length, dtype=vals.dtype)
-    for n, row in widened.items():
+    for n, row in folded.items():
         s = start % n
         row = np.concatenate((row[s:], row[:s]))
         full = length // n

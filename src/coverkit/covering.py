@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from . import _kernels
-from .cyclotomic import CyclotomicElement, _vanishes, root_power
+from .cyclotomic import CyclotomicElement, _lifted_entries, _shifted_sum, _vanishes, root_power
 from .fracsets import (
     FractionSet,
     divisor_union_phis,
@@ -369,21 +369,11 @@ class ExpSumSequence:
         """Zero-set indicator over one period (x enters only via x mod n)."""
         level = math.lcm(self.modulus, *(c.level for _, c in self.terms))
         step = level // self.modulus
-        den = math.lcm(*(v.denominator for _, c in self.terms for v in c.coeffs))
-        # each coefficient is lifted to level and put over den once;
-        # multiplying it by the root zeta_level^(step*t*x) moves its entry
-        # at j to j + step*t*x
-        lifted = [
-            (step * t, [(j, v.numerator * (den // v.denominator))
-                        for j, v in enumerate(c.lift(level).coeffs) if v])
-            for t, c in self.terms
-        ]
+        _, lifted = _lifted_entries([c for _, c in self.terms], level)
         out = []
         for x in range(self.modulus):
-            ints = [0] * level
-            for st, entries in lifted:
-                for j, v in entries:
-                    ints[(j + st * x) % level] += v
+            shifts = (step * t * x for t, _ in self.terms)
+            ints = _shifted_sum(level, zip(shifts, lifted))
             out.append(_vanishes(level, ints))
         return tuple(out)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .numtheory import cyclotomic_poly
 
@@ -152,6 +153,30 @@ def _vanishes(level: int, ints: list[int]) -> bool:
     return not any(ints[:deg])
 
 
+def _lifted_entries(
+    elements: Sequence[CyclotomicElement], level: int
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(den, entries): den the lcm of the elements' coefficient
+    denominators, and each element lifted to ``level`` as its nonzero
+    entries (j, den * coefficient of zeta_level^j)."""
+    den = math.lcm(*(v.denominator for c in elements for v in c.coeffs))
+    return den, [
+        [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(c.lift(level).coeffs) if v]
+        for c in elements
+    ]
+
+
+def _shifted_sum(level: int, shifted: Iterable[tuple[int, list[tuple[int, int]]]]) -> list[int]:
+    """Integer coefficients of sum of zeta_level^shift * element over the
+    (shift, entries) pairs, entries as :func:`_lifted_entries` gives them:
+    multiplying by zeta_level^shift moves the entry at j to j + shift."""
+    ints = [0] * level
+    for shift, entries in shifted:
+        for j, v in entries:
+            ints[(j + shift) % level] += v
+    return ints
+
+
 def root_power(N: int, j: int) -> CyclotomicElement:
     """zeta_N^j (exponent taken mod N)."""
     if N < 1:
@@ -198,17 +223,13 @@ def exp_sum_eval(
         raise ValueError("coeffs and alphas must have equal length")
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas must be distinct")
-    den = math.lcm(*(v.denominator for c in coeffs for v in c.coeffs))
-    ints = [0] * N
-    for c, alpha in zip(coeffs, alphas):
+    shifts = []
+    for alpha in alphas:
         aN = alpha * N
         if aN.denominator != 1:
             raise ValueError(f"denominator of {alpha} does not divide N={N}")
-        if N % c.level:
-            raise ValueError(f"cannot lift level {c.level} into level {N}")
-        step, shift = N // c.level, -int(aN) * x
-        for i, v in enumerate(c.coeffs):
-            if v:
-                ints[(i * step + shift) % N] += v.numerator * (den // v.denominator)
+        shifts.append(-int(aN) * x)
+    den, lifted = _lifted_entries(coeffs, N)
+    ints = _shifted_sum(N, zip(shifts, lifted))
     zero = Fraction(0)
     return CyclotomicElement(N, tuple(Fraction(v, den) if v else zero for v in ints))

@@ -241,13 +241,14 @@ def _answers(seed: int) -> list:
 
 @pytest.mark.parametrize("setting", WIDTH_SETTINGS)
 def test_int64_guard_changes_speed_never_answers(setting):
-    """The answers at the narrowest widths equal those with every scan in
-    int64 up to the guard, and those with every scan on exact Python ints."""
-    fast = _answers(8128)
+    """The answers at the narrowest widths, with every scan in int64 up to
+    the guard, and with the guard at 1 all equal those on exact Python ints."""
+    with kernel_widths("guard-1"):
+        exact = _answers(8128)
     with kernel_widths(setting):
         width = {"narrowest": np.int8, "int64-guard": np.int64, "guard-1": object}[setting]
         assert _kernels._scaled([(Fraction(1),), (1, 0)])[0].dtype == width
-        assert _answers(8128) == fast
+        assert _answers(8128) == exact
 
 
 # weight scales that put a system's scaled peak sum in each width
@@ -349,33 +350,6 @@ def test_table_sums_blocks_match_pointwise_definition():
                 assert out.tolist() == table_sums_reference(
                     vals.tolist(), offsets, periods, start, length, char
                 )
-
-
-def test_table_sums_tiles_short_periods():
-    """Rows of periods 2 to 255 are tiled to at least 256 entries in a
-    window of at least 1024 blocks of the row: periods 2, 4 and 8 land on
-    256 and must be summed there, 3 lands on 258, and 128 joins them in a
-    window of 140000 points.  Windows shorter than, equal to and far past
-    one tiled row, from starts past 2**64."""
-    rng = random.Random(256)
-    periods = [2, 4, 8, 128, 3]
-    windows = [(2**64 + 5, n) for n in (1, 255, 256, 100000, 140000)] + [
-        (-(2**66) + 1, n) for n in (1, 255, 256)
-    ]
-    offsets = [0, *accumulate(periods[:-1])]
-    cases = [
-        (np.int8, 0, lambda: rng.randint(-9, 9)),
-        (np.int64, 7, lambda: rng.randrange(7)),
-        (object, 0, lambda: rng.choice((1, -1)) * (2**70 + rng.randrange(50))),
-    ]
-    for dtype, char, value in cases:
-        vals = np.array([value() for _ in range(sum(periods))], dtype=dtype)
-        for start, length in windows:
-            out = _kernels.table_sums(vals, offsets, periods, start, length, char)
-            assert out.dtype == dtype and len(out) == length
-            assert out.tolist() == table_sums_reference(
-                vals.tolist(), offsets, periods, start, length, char
-            )
 
 
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
