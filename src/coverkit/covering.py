@@ -24,7 +24,8 @@ exactly.  Every scan, windowed or full-period, is one evaluator: D times
 the covering function minus the tables over the window, with weights and
 table values put over one common denominator D by
 :mod:`coverkit._kernels` (in the narrowest fixed integer width that the
-scaled sums provably fit, exact Python ints past the widest), and then
+scaled sums provably fit, exact Python ints past the widest, and lists of
+Python ints for a window too short for numpy to pay off), and then
 searched for its first nonzero point.
 """
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 from . import _kernels
@@ -223,47 +223,48 @@ def _common_char(psis: Sequence[PeriodicValueTable]) -> int:
     return chars.pop()
 
 
-def _scan(
+def _scan_input(
     seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
 ):
-    """(D * (w - sum_s psi_s) over [start, start+length), D), where w is
-    the covering function of ``seqs`` and D the common denominator of the
-    weights and table values.  Sums over F_p are reduced mod p first, so a
-    point is zero exactly where the difference vanishes in the field.  A
-    window past the oracle cap is refused before anything is allocated."""
+    """The kernel arguments (classes, tables, start, length, char) of
+    w - sum_s psi_s over [start, start+length), where w is the covering
+    function of ``seqs``.  A window past the oracle cap is refused before
+    anything is allocated."""
     _oracle_points(length, "window")
     char = _common_char(psis) if psis else 0
     if char and seqs:
         raise ValueError("tables compared with weighted classes must be rational-valued")
     # integral weights travel as ints, so all-integer input skips the
-    # per-value Python scaling in _scaled
-    weights = [(w.numerator if w.denominator == 1 else w,) for w in (s.weight for s in seqs)]
-    nums, D = _kernels._scaled(weights + [t.values for t in psis])
-    k = len(seqs)
-    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], nums[:k], start, length)
-    if not psis:
-        return _kernels.cover_counts(*classes), D
-    periods = [t.period for t in psis]
-    offsets = list(accumulate([k] + periods[:-1]))
-    sums = _kernels.table_sums(nums, offsets, periods, start, length, char)
-    if not seqs:
-        sums *= -1
-        return sums, D
-    # subtracting from the counts saves the pass that negating would take
-    out = _kernels.cover_counts(*classes)
-    out -= sums
-    return out, D
+    # per-value Python scaling in the kernels
+    weights = [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
+    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], weights)
+    return classes, [t.values for t in psis], start, length, char
+
+
+def _scan(
+    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
+):
+    """(D * (w - sum_s psi_s) over [start, start+length), D), where D is
+    the common denominator of the weights and table values.  Sums over F_p
+    are reduced mod p first, so a point is zero exactly where the
+    difference vanishes in the field."""
+    return _kernels.scan(*_scan_input(seqs, psis, start, length))
 
 
 def _first_nonzero(
-    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
+    seqs: Sequence[WeightedSequence],
+    psis: Sequence[PeriodicValueTable],
+    start: int,
+    length: int,
+    full_period: bool = False,
 ) -> Verdict:
     """Scan [start, start+length) for the first x where w(x) - sum_s psi_s(x)
-    is nonzero in the tables' field; the witness of a failed Verdict."""
-    nonzero = _scan(seqs, psis, start, length)[0] != 0
-    if nonzero.any():
-        return Verdict(False, start + int(nonzero.argmax()))
-    return Verdict(True)
+    is nonzero in the tables' field; the witness of a failed Verdict.  A
+    short window runs on Python ints; a full-period scan always runs the
+    numpy kernels, so the oracle is a second implementation."""
+    find = _kernels.first_nonzero if full_period else _kernels.window_first_nonzero
+    x = find(*_scan_input(seqs, psis, start, length))
+    return Verdict(True) if x is None else Verdict(False, x)
 
 
 def window_zero_check(psis: Sequence[PeriodicValueTable], start: int = 0) -> Verdict:
@@ -384,19 +385,15 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     The window length is the largest sumset cardinality of the term-fraction
     sets over index subsets of size k-m+1; covering that many consecutive
     integers at least m times covers all of Z at least m times.  The window
-    is one table-sum kernel call over the 0/1 zero-set indicators.
+    is one kernel call over the 0/1 zero-set indicators.
     """
     k = len(exp_seqs)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
     W = window_bound([es.term_fractions() for es in exp_seqs], m)
-    indicators = [int(v) for es in exp_seqs for v in es.membership_table()]
-    periods = [es.modulus for es in exp_seqs]
-    offsets = list(accumulate([0] + periods[:-1]))
-    short = _kernels.table_sums(indicators, offsets, periods, start, W) < m
-    if short.any():
-        return Verdict(False, start + int(short.argmax()))
-    return Verdict(True)
+    indicators = [[int(v) for v in es.membership_table()] for es in exp_seqs]
+    x = _kernels.first_below(indicators, m, start, W)
+    return Verdict(True) if x is None else Verdict(False, x)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +475,11 @@ def weighted_average_check(system: System) -> bool:
     """Verify the exact identity (1/N) * sum of w over a period = sum of
     weight/modulus.
 
-    The scan of D * w over the period is summed as Python ints, so the
-    total is exact on fixed-width arrays too (their points fit the width,
-    their sum over N points need not), and the mean is one Fraction."""
+    The scan of D * w over the period is summed exactly (its points fit
+    the scan's width, their sum over N points need not), and the mean is
+    one Fraction."""
     arr, D = _period_scan(system)
-    lhs = Fraction(sum(arr.tolist()), D * len(arr))
+    lhs = Fraction(_kernels.exact_sum(arr), D * len(arr))
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs
 

@@ -2,11 +2,12 @@
 benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
-exhaustive scan here.  The scans run the first-nonzero scan that every
-window check of :mod:`coverkit.covering` uses (the kernels in the
-narrowest fixed integer width that the scaled sums fit, or on exact Python
-ints past the widest) over one full period, but they never consult the
-window theorems themselves.
+exhaustive scan here.  The scans run the first-nonzero scan of
+:mod:`coverkit.covering` over one full period, always on the numpy kernels
+(in the narrowest fixed integer width that the scaled sums fit, or on
+exact Python ints past the widest), so a short window check, which runs
+on lists of Python ints, is checked by a second implementation; they never
+consult the window theorems themselves.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ __all__ = [
 def brute_cover_verdict(system: System, target: PeriodicValueTable) -> Verdict:
     """Compare w with the target on every point of one full common period."""
     N = _oracle_points(math.lcm(system.lcm(), target.period))
-    return _first_nonzero(system.seqs, [target], 0, N)
+    return _first_nonzero(system.seqs, [target], 0, N, full_period=True)
 
 
 def brute_tables_zero_verdict(psis: list[PeriodicValueTable]) -> Verdict:
     """Check sum_s psi_s(x) = 0 on every point of one full common period."""
     N = _oracle_points(math.lcm(*(t.period for t in psis)))
-    return _first_nonzero((), psis, 0, N)
+    return _first_nonzero((), psis, 0, N, full_period=True)
 
 
 def brute_least_period(table: PeriodicValueTable) -> int:

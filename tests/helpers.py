@@ -6,7 +6,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 import pytest
@@ -213,19 +213,28 @@ def enumerate_disjoint_covers(k: int, n_max: int):
 
 # the ways the kernels can run: every answer must be the same under each
 
+NO_LISTS = {"_LIST_WORK": -1}  # every window check on numpy
+
 WIDTH_SETTINGS = {
-    "narrowest": {},  # the width ladder as shipped
-    "int64-guard": {"_WIDTHS": ((_kernels._INT64_GUARD, "int64"),)},  # int64 up to the guard
-    "guard-1": {"_INT64_GUARD": 1},  # every scan on exact Python ints
+    "narrowest": {},  # as shipped: short windows on lists, the rest in the narrowest width
+    "int64-guard": {"_WIDTHS": ((_kernels._INT64_GUARD, "int64"),), **NO_LISTS},  # int64 up to the guard
+    "guard-1": {"_INT64_GUARD": 1, **NO_LISTS},  # every scan on exact Python ints in numpy
 }
+
+LIST_SETTINGS = {
+    "all-lists": {"_LIST_WORK": inf},  # every window check on lists of Python ints
+    "no-lists": NO_LISTS,  # every window check in numpy, in the narrowest width
+}
+
+SCAN_SETTINGS = {**WIDTH_SETTINGS, **LIST_SETTINGS}
 
 
 @contextmanager
 def kernel_widths(setting: str):
     """Run the enclosed code with the kernels patched to one of
-    ``WIDTH_SETTINGS``."""
+    ``SCAN_SETTINGS``."""
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in WIDTH_SETTINGS[setting].items():
+        for name, value in SCAN_SETTINGS[setting].items():
             mp.setattr(_kernels, name, value)
         yield
 

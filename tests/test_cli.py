@@ -401,15 +401,28 @@ def numpy_loaded_after(code: str) -> bool:
 
 
 def test_numpy_loads_only_for_a_scan(tmp_path):
-    """Importing the package and the CLI, and the subcommands that scan no
-    array, leave numpy unloaded; a window scan loads it."""
+    """Importing the package and the CLI, the subcommands that scan no
+    array, and short window checks leave numpy unloaded; a window past the
+    kernels' list work, and a period box, load it."""
     b = write(tmp_path, "B.txt", B_TEXT)
     big = write(tmp_path, "big.txt", "0 6000000000054\n1 10000000000000061\n")
+    coeffs = write(tmp_path, "c.txt", COEFF_B)
+    # w = 1 everywhere, on a window of 2003 points
+    long = write(tmp_path, "long.txt", "0 1\n0 2003\n0 2003 -1\n")
+    box = write(tmp_path, "box.txt", "0,0 2,3\n1,0 2,3\n")
     run_cli = "from coverkit.cli import run_command\nassert run_command({!r}) == 0"
     assert not numpy_loaded_after("import coverkit, coverkit.cli")
-    assert not numpy_loaded_after(run_cli.format(["least-period", b]))
-    assert not numpy_loaded_after(run_cli.format(["window-size", big]))
-    assert numpy_loaded_after(run_cli.format(["exact-cover", "--m", "1", b]))
+    for argv in (
+        ["least-period", b],
+        ["window-size", big],
+        ["exact-cover", "--m", "1", b],
+        ["verify", "--target-const", "1", b],
+        ["witness", "--m", "2", b],
+        ["expsum-cover", "--m", "1", coeffs],
+    ):
+        assert not numpy_loaded_after(run_cli.format(argv)), argv
+    assert numpy_loaded_after(run_cli.format(["exact-cover", "--m", "1", long]))
+    assert numpy_loaded_after(run_cli.format(["multidim-period", "--n0", "2,3", box]))
 
 
 def test_only_kernels_import_numpy():

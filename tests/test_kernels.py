@@ -7,12 +7,16 @@ import pytest
 
 from coverkit import _kernels
 from coverkit.covering import (
+    ExpSumSequence,
     PeriodicValueTable,
     System,
+    WeightedSequence,
+    _first_nonzero,
     _period_scan,
     cover_count,
     cover_table,
     cover_values,
+    expsum_cover_check,
     min_on_window,
     non_exact_witness,
     verify_covering_function,
@@ -24,6 +28,7 @@ from coverkit.multidim import MultiSequence, is_periodic_mod_vec
 from coverkit.numtheory import f_additive
 from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
 from helpers import (
+    SCAN_SETTINGS,
     WIDTH_SETTINGS,
     kernel_widths,
     mean_reference,
@@ -236,19 +241,101 @@ def _answers(seed: int) -> list:
     for _ in range(20):
         seqs, n0 = random_distinct_moduli_instance(rng, rng.randint(1, 3))
         out.append(is_periodic_mod_vec(seqs, n0))
+    for _ in range(20):
+        system = random_unweighted_system(rng)
+        exp = [ExpSumSequence.from_arith_sequence(s) for s in system.seqs]
+        out.append(expsum_cover_check(exp, rng.randint(1, system.k), rng.randint(-40, 40)))
     return out
 
 
-@pytest.mark.parametrize("setting", WIDTH_SETTINGS)
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
 def test_int64_guard_changes_speed_never_answers(setting):
-    """The answers at the narrowest widths, with every scan in int64 up to
-    the guard, and with the guard at 1 all equal those on exact Python ints."""
+    """The answers as shipped, with every scan in int64 up to the guard,
+    with the guard at 1, and with every window check on lists or none all
+    equal those on exact Python ints in numpy."""
     with kernel_widths("guard-1"):
         exact = _answers(8128)
     with kernel_widths(setting):
-        width = {"narrowest": np.int8, "int64-guard": np.int64, "guard-1": object}[setting]
+        width = {"int64-guard": np.int64, "guard-1": object}.get(setting, np.int8)
         assert _kernels._scaled([(Fraction(1),), (1, 0)])[0].dtype == width
         assert _answers(8128) == exact
+
+
+def _at_work(seqs, psis, length: int, work: int):
+    """(seqs, psis) padded to a window check of exactly ``work`` = points +
+    class hits + points per distinct table period + table values: each
+    filler adds one to it and nothing to the sum, a zero-weight class of a
+    modulus past the window or a zero table of period 1 (one is added
+    first)."""
+    if not seqs:
+        psis = psis + [PeriodicValueTable.constant(0, 1, psis[0].char)]
+    periods = [t.period for t in psis]
+    hits = sum(length // s.modulus + 1 for s in seqs)
+    base = length + hits + length * len(set(periods)) + sum(periods)
+    assert base <= work
+    if seqs:
+        return seqs + [WeightedSequence(0, length + 1, 0)] * (work - base), psis
+    return seqs, psis + [PeriodicValueTable.constant(0, 1, psis[0].char)] * (work - base)
+
+
+def _boundary_cases(rng):
+    """(seqs, psis, start, length) window checks over Q with integer and
+    Fraction weights, with values past 2**62, and over F_7; about half
+    of them fail."""
+    length = 150
+    for scale in (1, Fraction(1, 3), 2**62 + 1):
+        for _ in range(4):
+            system = random_weighted_system(rng, k_max=5, n_max=12)
+            seqs = [WeightedSequence(s.residue, s.modulus, s.weight * scale) for s in system.seqs]
+            values = list(cover_table(System(tuple(seqs))).values)
+            if rng.random() < 0.5:
+                values[rng.randrange(len(values))] += scale
+            yield seqs, [PeriodicValueTable(len(values), tuple(values))], rng.randint(-40, 40), length
+    for _ in range(6):
+        psis = random_prime_field_tables(rng, 7, force_zero_sum=rng.random() < 0.5)
+        yield [], psis, rng.choice((0, 2**64 + rng.randrange(99))), length
+
+
+def _pointwise_witness(seqs, psis, start: int, length: int):
+    """First x in the window where w(x) - sum of the tables is nonzero in
+    their field, one exact ``cover_count`` per point; None if there is none."""
+    char = psis[0].char
+    for x in range(start, start + length):
+        diff = (cover_count(System(tuple(seqs)), x) if seqs else 0) - sum(t.value_at(x) for t in psis)
+        if diff % char if char else diff:
+            return x
+    return None
+
+
+def test_list_boundary_keeps_answers(monkeypatch):
+    """At work _LIST_WORK a window check runs on lists, one past it on
+    numpy; both give the pointwise answer, as does the numpy oracle scan."""
+    numpy_scans = []
+    scan = _kernels.scan
+    monkeypatch.setattr(_kernels, "scan", lambda *a: numpy_scans.append(1) or scan(*a))
+    rng = random.Random(2048)
+    failing = 0
+    for seqs, psis, start, length in _boundary_cases(rng):
+        expected = _pointwise_witness(seqs, psis, start, length)
+        failing += expected is not None
+        for work, on_numpy in ((_kernels._LIST_WORK, False), (_kernels._LIST_WORK + 1, True)):
+            padded = _at_work(seqs, psis, length, work)
+            numpy_scans.clear()
+            verdict = _first_nonzero(*padded, start, length)
+            assert bool(numpy_scans) == on_numpy
+            assert (verdict.ok, verdict.witness) == (expected is None, expected)
+            assert _first_nonzero(*padded, start, length, full_period=True) == verdict
+    assert 5 < failing < 15
+
+
+def test_exact_sum_native_only_where_exact():
+    rng = random.Random(32)
+    for dtype, bound in (("int8", 2**6), ("int16", 2**14), ("int32", 2**30)):
+        values = [rng.randrange(-bound, bound) for _ in range(1000)]
+        assert _kernels.exact_sum(np.array(values, dtype=dtype)) == sum(values)
+    wide = np.array([2**62, 2**62, 2**62], dtype=np.int64)
+    assert _kernels.exact_sum(wide) == 3 * 2**62 != int(wide.sum())
+    assert _kernels.exact_sum(np.array([2**70, -1], dtype=object)) == 2**70 - 1
 
 
 # weight scales that put a system's scaled peak sum in each width

@@ -1,15 +1,20 @@
 """Property tests: the factorizer against trial division and a sieve, the
 file parsers against round trips and fuzzed text, the integer sumsets and
-exp-sum membership tables against Fraction arithmetic, and window verdicts
-against the full-period oracle at every kernel width and on exact ints.
+exp-sum membership tables against Fraction arithmetic, window verdicts
+against the full-period oracle at every kernel width, on exact ints and on
+lists, and fuzzed CLI checks against the oracle and their own witnesses.
 
 Every test runs derandomized (the examples are a function of the test
 code) and without a deadline, so a run is reproducible and a slow machine
 fails nothing.
 """
 
+import contextlib
+import io
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +28,7 @@ from coverkit import (
     System,
     cover_count,
     cover_table,
+    cover_values,
     exp_sum_eval,
     fraction_set,
     least_prime_factor,
@@ -33,12 +39,12 @@ from coverkit import (
     window_bound,
     window_zero_check,
 )
-from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system
+from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, factorize
 from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
 
 from helpers import (
-    WIDTH_SETTINGS,
+    SCAN_SETTINGS,
     kernel_widths,
     prime_sieve,
     sequence_table,
@@ -207,15 +213,15 @@ weighted_systems = st.lists(
 ).map(lambda entries: System.of(*entries))
 
 
-@pytest.mark.parametrize("setting", WIDTH_SETTINGS)
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
 @PROPERTY
 @given(weighted_systems, st.sampled_from(["own", "changed", "constant"]), st.integers(-50, 50), st.data())
 def test_window_verdicts_match_oracle(setting, system, kind, start, data):
-    """verify_covering_function and window_zero_check, at the narrowest
-    widths, in int64 only, or on exact Python ints (guard 1), against
-    full-period scans on exact Python ints, for the covering function on
-    its least period (true), that table changed at one point (false), or a
-    constant."""
+    """verify_covering_function and window_zero_check, as shipped, in
+    int64 only, on exact Python ints in numpy (guard 1), with every window
+    on lists of Python ints, or with none, against full-period scans on
+    exact Python ints, for the covering function on its least period
+    (true), that table changed at one point (false), or a constant."""
     full = cover_table(system)
     n0 = brute_least_period(full)
     target = PeriodicValueTable(n0, full.values[:n0])
@@ -239,6 +245,45 @@ def test_window_verdicts_match_oracle(setting, system, kind, start, data):
     if not verdict.ok:
         x = verdict.witness
         assert x >= start and cover_count(system, x) != target.value_at(x)
+
+
+@st.composite
+def cli_systems(draw, m: int) -> System:
+    """Small weighted systems with moduli dividing 12; about half are
+    completed to w = m everywhere by classes mod 12."""
+    entries = draw(
+        st.lists(
+            st.tuples(st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 12]), weights_or_huge),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    if draw(st.booleans()):
+        values = cover_values(System.of(*entries), 0, 12)
+        entries += [(r, 12, m - v) for r, v in enumerate(values) if v != m]
+    return System.of(*entries)
+
+
+@PROPERTY
+@given(st.sampled_from(["exact-cover", "verify"]), st.integers(-2, 3), st.integers(-50, 50), st.data())
+def test_fuzzed_cli_check_exits_1_only_with_a_witness(cmd, m, start, data):
+    """CLI exact-cover and verify on small weighted systems: exit 1 only
+    with a witness x where w(x) != m, exit 0 only where the full-period
+    oracle agrees, and never an unexpected failure (exit 3)."""
+    m = max(m, 1) if cmd == "exact-cover" else m
+    system = data.draw(cli_systems(m))
+    text = "".join(f"{s.residue} {s.modulus} {s.weight}\n" for s in system.seqs)
+    flag = "--m" if cmd == "exact-cover" else "--target-const"
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = run_command([cmd, flag, str(m), "--start", str(start), "-"])
+    witness = out.getvalue().splitlines()[-1].rsplit("witness=", 1)[1]
+    assert code in (0, 1)
+    if code == 1:
+        x = int(witness)
+        assert x >= start and cover_count(system, x) != m
+    else:
+        assert witness == "none" and brute_cover_verdict(system, PeriodicValueTable.constant(m)).ok
 
 
 # --- parsers ------------------------------------------------------------------
