@@ -1,19 +1,20 @@
 """Hot scan kernels, and the one place that picks how a scan runs.
 
 The kernels (window covering counts and periodic-table sums) are the only
-loops in the package that touch millions of points.  Every numpy scan
-first puts its exact values over a common denominator with :func:`_scaled`,
-which hands back the narrowest of int8, int16, int32 and int64 that no
-kernel sum can leave, and an object array of exact Python ints past the
-int64 guard.  A scan's cost is memory traffic, so an exact cover whose
-counts stay below 64 scans bytes, not words.  The kernels take their dtype
-from the values they are given, so every width runs the same code and the
-ladder and guard change speed, never answers.
+loops in the package that touch millions of points.  Every scan first puts
+its exact values over a common denominator with :func:`_plan`, which also
+decides, once, the path the scan runs on.  A numpy scan gets the narrowest
+of int8, int16, int32 and int64 that no kernel sum can leave.  A scan's
+cost is memory traffic, so an exact cover whose counts stay below 64 scans
+bytes, not words.  The kernels take their dtype from the values they are
+given, so every width runs the same code and the ladder and guard change
+speed, never answers.
 
-A window check of work at most ``_LIST_WORK`` (:func:`_short`) is too
-short for numpy to pay off and runs on lists of Python ints instead.
-Full-period scans always run numpy, so the oracle is a second
-implementation of the short checks.
+A window check runs on lists of Python ints instead when its work is at
+most ``_LIST_WORK``, too short for numpy to pay off, or when its values
+reach the int64 guard, where lists beat numpy object arrays.  Full-period
+scans always run numpy, on object arrays of exact Python ints past the
+guard, so the oracle is a second implementation of every window check.
 
 This is the only module that uses numpy, and it imports numpy inside each
 kernel entry point rather than at module load: a process that runs no
@@ -25,8 +26,9 @@ lookup.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
-from operator import add, sub
+from array import array
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, gt, ne, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -48,48 +50,58 @@ _WIDTHS = ((2**6, "int8"), (2**14, "int16"), (2**30, "int32"), (_INT64_GUARD, "i
 _LIST_WORK = 2048
 
 
-def _numerators(groups):
-    """(groups, D): the values of ``groups`` (ints or Fractions) as ints
-    over their common denominator D."""
-    if all(type(v) is int for g in groups for v in g):
-        return groups, 1
-    D = math.lcm(*{v.denominator for g in groups for v in g})
-    return [[v.numerator * (D // v.denominator) for v in g] for g in groups], D
+def _plan(groups, work):
+    """(nums, D): the values of ``groups`` (ints or Fractions) as ints over
+    their common denominator D, in group order, laid out for the path the
+    scan takes, which is decided here and nowhere else.
+
+    ``work`` is a window check's work estimate, or None for a full-period
+    scan.  A window check runs on a list of Python ints when its work is at
+    most _LIST_WORK, where numpy's call overhead outweighs its speed.
+    Otherwise the sum over groups of each group's largest scaled magnitude
+    picks the narrowest width of the ladder whose bound it stays below, and
+    the values come back as an array in it; a sum of one value from each
+    group, or the difference of two such sums, then fits the width.  At or
+    past the int64 guard a window check runs on a list of exact Python ints
+    too, and a full-period scan on a numpy object array of them.
+    """
+    flat = list(chain.from_iterable(groups))
+    D = 1
+    try:
+        # one C pass checks that every value is an int within int64 and
+        # packs it: a Fraction raises TypeError, a larger int OverflowError
+        packed = array("q", flat)
+    except (TypeError, OverflowError):
+        # Fractions, or ints past int64: exact Python ints over D
+        packed = None
+        if not {int}.issuperset(map(type, flat)):
+            D = math.lcm(*{v.denominator for v in flat})
+            flat = [v.numerator * (D // v.denominator) for v in flat]
+    if work is not None and work <= _LIST_WORK:
+        return flat, D
+    import numpy as np
+
+    try:
+        nums = np.frombuffer(array("q", flat) if packed is None else packed, dtype=np.int64)
+    except OverflowError:  # a value past int64, so past the guard
+        total = _INT64_GUARD
+    else:
+        # the largest magnitude in each group (unsigned, so abs(-2**63) is right)
+        firsts = list(accumulate(map(len, groups[:-1]), initial=0))
+        total = sum(np.maximum.reduceat(np.abs(nums).view(np.uint64), firsts).tolist())
+    if total < _INT64_GUARD:
+        for bound, width in _WIDTHS:
+            if total < bound:
+                return nums.astype(width, copy=False), D
+    return (flat if work is not None else np.array(flat, dtype=object)), D
 
 
 def _scaled(groups):
-    """(numerators, D): the values of ``groups`` (ints or Fractions) over
-    their common denominator D, as one flat array in group order.
-
-    The sum over groups of each group's largest scaled magnitude picks
-    the array's dtype: the narrowest width of the ladder whose bound it
-    stays below, or an object array of exact Python ints at or past the
-    guard.  A sum of one value from each group, or the difference of two
-    such sums, then fits the width.
-    """
-    import numpy as np
-
-    flat = list(chain.from_iterable(groups))
-    nums = np.asarray(flat)
-    D = 1
-    if nums.dtype == object and all(type(v) is int for v in flat):
-        # ints past int64: numpy already holds them exactly, over D = 1
-        return nums, D
-    if nums.dtype != np.int64:
-        # Fractions, or ints past int64: scale exactly before converting
-        D = math.lcm(*{v.denominator for v in flat})
-        flat = [v.numerator * (D // v.denominator) for v in flat]
-        if max(map(abs, flat)) >= _INT64_GUARD:
-            return np.array(flat, dtype=object), D
-        nums = np.asarray(flat, dtype=np.int64)
-    # the largest magnitude in each group (unsigned, so abs(-2**63) is right)
-    firsts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    peaks = np.maximum.reduceat(np.abs(nums).view(np.uint64), firsts)
-    total = sum(peaks.tolist())
-    if total >= _INT64_GUARD:
-        return nums.astype(object), D
-    width = next(dtype for bound, dtype in _WIDTHS if total < bound)
-    return nums.astype(width, copy=False), D
+    """(nums, D): the values of ``groups`` over their common denominator D
+    as one flat array for a full-period scan, which always runs numpy: in
+    the narrowest width of the ladder, or an object array of exact Python
+    ints past the guard (:func:`_plan`)."""
+    return _plan(groups, None)
 
 
 def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarray:
@@ -153,80 +165,76 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     return out
 
 
-def scan(classes, tables, start: int, length: int, char: int = 0):
-    """(D * (w - sum of the tables) over [start, start+length), D) as an
-    array: w sums the weights of the classes (residues, moduli, weights)
-    containing x, a table is one period of values, D is the common
-    denominator, and table sums are reduced mod char when char > 0."""
+def _values(classes, tables, start: int, length: int, char: int, window: bool):
+    """(D * (w - sum of the tables) over [start, start+length), D): w sums
+    the weights of the classes (residues, moduli, weights) containing x, a
+    table is one period of values, and D is the common denominator.  On
+    numpy the table sums are reduced mod char when char > 0; on lists the
+    values are not reduced.  A window check runs on the path :func:`_plan`
+    picks from its work; a full-period scan always runs numpy."""
     residues, moduli, weights = classes
-    nums, D = _scaled([(w,) for w in weights] + list(tables))
-    k = len(weights)
-    counts = (residues, moduli, nums[:k], start, length)
-    if not tables:
-        return cover_counts(*counts), D
-    periods = [len(t) for t in tables]
-    sums = table_sums(nums, list(accumulate([k] + periods[:-1])), periods, start, length, char)
-    if not k:
-        sums *= -1
-        return sums, D
-    # subtracting from the counts saves the pass that negating would take
-    out = cover_counts(*counts)
-    out -= sums
-    return out, D
-
-
-def _first(start: int, bad):
-    return start + int(bad.argmax()) if bad.any() else None
-
-
-def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
-    """First x where :func:`scan` is nonzero, or None."""
-    return _first(start, scan(classes, tables, start, length, char)[0] != 0)
-
-
-def _short(moduli, tables, length: int) -> bool:
-    """Whether a window check's work, points + class hits + points per
-    distinct table period + table values, is at most _LIST_WORK; the hits
-    cost a division per class, so they are counted last."""
     periods = list(map(len, tables))
-    work = length * (1 + len(set(periods))) + len(moduli) + sum(periods)
-    return work <= _LIST_WORK and work + sum(map(length.__floordiv__, moduli)) <= _LIST_WORK
-
-
-def _list_window(weights, residues, moduli, rows, start: int, length: int) -> list:
-    """The values of :func:`scan`, not reduced mod char, on lists of Python
-    ints; weights and rows are already over one denominator."""
+    offsets = list(accumulate(periods, initial=len(weights)))
+    groups = [*zip(weights), *tables]
+    if window:
+        # points + class hits + points per distinct table period + table values
+        hits = len(moduli) + sum(map(length.__floordiv__, moduli))
+        nums, D = _plan(groups, length * (1 + len(set(periods))) + hits + sum(periods))
+    else:
+        nums, D = _scaled(groups)
+    if type(nums) is not list:
+        out = cover_counts(residues, moduli, nums[: len(weights)], start, length)
+        if tables:
+            out -= table_sums(nums, offsets, periods, start, length, char)
+        return out, D
     out = [0] * length
-    for a, n, w in zip(residues, moduli, weights):
+    for a, n, w in zip(residues, moduli, nums):
         j = (a - start) % n
-        out[j::n] = [v + w for v in out[j::n]]
+        out[j::n] = map(w.__add__, out[j::n])
     folded = {}
-    for row in rows:
-        n = len(row)
+    for off, n in zip(offsets, periods):
+        row = nums[off : off + n]
         folded[n] = list(map(add, folded[n], row)) if n in folded else row
     for n, row in folded.items():
         s = start % n
         out = list(map(sub, out, (row[s:] + row[:s]) * (length // n + 1)))
-    return out
+    return out, D
+
+
+def scan(classes, tables, start: int, length: int, char: int = 0):
+    """(D * (w - sum of the tables) over [start, start+length), D) as an
+    array (:func:`_values` of a full-period scan)."""
+    return _values(classes, tables, start, length, char, False)
+
+
+def _first_where(test, bound, classes, tables, start: int, length: int, char: int, window: bool):
+    """First x in [start, start+length) whose value v of :func:`_values`,
+    reduced mod char when char > 0, has test(v, bound), or None: the one
+    search of window checks and full-period first-nonzero scans."""
+    out, _ = _values(classes, tables, start, length, char, window)
+    if type(out) is list:
+        if char:
+            out = map(char.__rmod__, out)
+        return next(compress(count(start), map(test, out, repeat(bound))), None)
+    bad = test(out, bound)
+    return start + int(bad.argmax()) if bad.any() else None
+
+
+def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
+    """First x where :func:`scan` is nonzero, or None; always on numpy."""
+    return _first_where(ne, 0, classes, tables, start, length, char, False)
 
 
 def window_first_nonzero(classes, tables, start: int, length: int, char: int = 0):
-    """:func:`first_nonzero`, on lists when the work is at most _LIST_WORK."""
-    residues, moduli, weights = classes
-    if not _short(moduli, tables, length):
-        return first_nonzero(classes, tables, start, length, char)
-    (weights, *rows), _ = _numerators([weights, *tables])
-    out = _list_window(weights, residues, moduli, rows, start, length)
-    return next((start + j for j, v in enumerate(out) if (v % char if char else v)), None)
+    """:func:`first_nonzero` of a window check, on the path :func:`_plan`
+    picks."""
+    return _first_where(ne, 0, classes, tables, start, length, char, True)
 
 
 def first_below(tables, least: int, start: int, length: int):
     """First x where the sum of the integer tables is below ``least``, or
-    None; on lists when the work is at most _LIST_WORK."""
-    if not _short((), tables, length):
-        return _first(start, scan(((), (), ()), tables, start, length)[0] > -least)
-    out = _list_window((), (), (), tables, start, length)
-    return next((start + j for j, v in enumerate(out) if v > -least), None)
+    None; a window check, on the path :func:`_plan` picks."""
+    return _first_where(gt, -least, ((), (), ()), tables, start, length, 0, True)
 
 
 def exact_sum(arr) -> int:

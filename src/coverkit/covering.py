@@ -23,10 +23,11 @@ coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
 exactly.  Every scan, windowed or full-period, is one evaluator: D times
 the covering function minus the tables over the window, with weights and
 table values put over one common denominator D by
-:mod:`coverkit._kernels` (in the narrowest fixed integer width that the
-scaled sums provably fit, exact Python ints past the widest, and lists of
-Python ints for a window too short for numpy to pay off), and then
-searched for its first nonzero point.
+:mod:`coverkit._kernels`, and then searched for its first nonzero point.
+One plan there picks the path: the narrowest fixed integer width that the
+scaled sums provably fit, or lists of exact Python ints for a window too
+short for numpy to pay off or past the widest width, where a full-period
+scan runs on numpy object arrays instead.
 """
 
 from __future__ import annotations
@@ -260,8 +261,10 @@ def _first_nonzero(
 ) -> Verdict:
     """Scan [start, start+length) for the first x where w(x) - sum_s psi_s(x)
     is nonzero in the tables' field; the witness of a failed Verdict.  A
-    short window runs on Python ints; a full-period scan always runs the
-    numpy kernels, so the oracle is a second implementation."""
+    window runs on the path the kernels' plan picks (lists of Python ints
+    when it is short or its values pass the widest fixed width); a
+    full-period scan always runs the numpy kernels, so the oracle is a
+    second implementation."""
     find = _kernels.first_nonzero if full_period else _kernels.window_first_nonzero
     x = find(*_scan_input(seqs, psis, start, length))
     return Verdict(True) if x is None else Verdict(False, x)
@@ -385,12 +388,13 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     The window length is the largest sumset cardinality of the term-fraction
     sets over index subsets of size k-m+1; covering that many consecutive
     integers at least m times covers all of Z at least m times.  The window
-    is one kernel call over the 0/1 zero-set indicators.
+    is one kernel call over the 0/1 zero-set indicators; a window past the
+    oracle cap is refused before the indicators are built.
     """
     k = len(exp_seqs)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
-    W = window_bound([es.term_fractions() for es in exp_seqs], m)
+    W = _oracle_points(window_bound([es.term_fractions() for es in exp_seqs], m), "window")
     indicators = [[int(v) for v in es.membership_table()] for es in exp_seqs]
     x = _kernels.first_below(indicators, m, start, W)
     return Verdict(True) if x is None else Verdict(False, x)

@@ -213,17 +213,23 @@ def enumerate_disjoint_covers(k: int, n_max: int):
 
 # the ways the kernels can run: every answer must be the same under each
 
-NO_LISTS = {"_LIST_WORK": -1}  # every window check on numpy
+NO_LISTS = {"_LIST_WORK": -1}  # every window check below the guard on numpy
 
 WIDTH_SETTINGS = {
-    "narrowest": {},  # as shipped: short windows on lists, the rest in the narrowest width
-    "int64-guard": {"_WIDTHS": ((_kernels._INT64_GUARD, "int64"),), **NO_LISTS},  # int64 up to the guard
-    "guard-1": {"_INT64_GUARD": 1, **NO_LISTS},  # every scan on exact Python ints in numpy
+    # as shipped: short windows and windows past the guard on lists, the
+    # rest in the narrowest width; full-period scans on object arrays past it
+    "narrowest": {},
+    # every numpy scan in int64 up to the guard; windows past it on lists
+    "int64-guard": {"_WIDTHS": ((_kernels._INT64_GUARD, "int64"),), **NO_LISTS},
+    # every window check with a nonzero value on lists of exact Python ints,
+    # every full-period scan with one on numpy object arrays of them
+    "guard-1": {"_INT64_GUARD": 1, **NO_LISTS},
 }
 
 LIST_SETTINGS = {
     "all-lists": {"_LIST_WORK": inf},  # every window check on lists of Python ints
-    "no-lists": NO_LISTS,  # every window check in numpy, in the narrowest width
+    # every window check below the guard in numpy, in the narrowest width
+    "no-lists": NO_LISTS,
 }
 
 SCAN_SETTINGS = {**WIDTH_SETTINGS, **LIST_SETTINGS}

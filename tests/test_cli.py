@@ -345,6 +345,13 @@ def test_window_cap_refuses_before_allocating(tmp_path, capsys):
     code, out = run(capsys, "exact-cover", "--m", "1", big)
     assert code == 2 and "window too large" in out
     assert "result|cmd=exact-cover|verdict=error|witness=none" in out
+    # two sums with a term at every t/1009 and every t/1013: the window is
+    # their sumset, 1009 * 1013 = 1022117 points
+    blocks = (f"modulus {n}\n" + "".join(f"{t} 1\n" for t in range(n)) for n in (1009, 1013))
+    coeffs = write(tmp_path, "c.txt", "level 1\n" + "".join(blocks))
+    code, out = run(capsys, "expsum-cover", "--m", "1", coeffs)
+    assert code == 2 and "window too large: 1022117 points" in out
+    assert "result|cmd=expsum-cover|verdict=error|witness=none" in out
 
 
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
@@ -432,11 +439,13 @@ def test_only_kernels_import_numpy():
 
 
 def test_only_kernels_name_integer_widths():
-    """_kernels._scaled alone picks the width a scan runs in."""
+    """_kernels._plan alone picks the path and the width a scan runs in:
+    no other module names a width, the ladder, the guard or the list
+    work."""
     package = Path(coverkit.__file__).parent
-    width = re.compile(r"\bint(8|16|32|64)\b")
-    naming = sorted(p.name for p in package.rglob("*.py") if width.search(p.read_text()))
-    assert naming == ["_kernels.py"]
+    for pattern in (r"\bint(8|16|32|64)\b", r"\b(_LIST_WORK|_INT64_GUARD|_WIDTHS)\b"):
+        naming = sorted(p.name for p in package.rglob("*.py") if re.search(pattern, p.read_text()))
+        assert naming == ["_kernels.py"], pattern
 
 
 def test_window_size_of_a_large_prime(tmp_path, capsys):

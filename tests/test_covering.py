@@ -307,6 +307,21 @@ def test_expsum_cover_matches_oracle():
                 assert sum(s.contains(verdict.witness) for s in seqs) < m
 
 
+def test_expsum_cover_refuses_a_window_past_the_cap(monkeypatch):
+    """The window of two sums with a term at every t/1009 and every t/1013
+    is their whole sumset, 1022117 points: refused before any membership
+    table is built."""
+    one = CyclotomicElement.constant(1, 1)
+    exp = [ExpSumSequence(n, tuple((t, one) for t in range(n))) for n in (1009, 1013)]
+
+    def unbuilt(self):
+        raise AssertionError("membership table built for a refused window")
+
+    monkeypatch.setattr(ExpSumSequence, "membership_table", unbuilt)
+    with pytest.raises(ValueError, match="window too large: 1022117 points"):
+        expsum_cover_check(exp, 1)
+
+
 def test_expsum_from_arith_requires_coprime_multiplier():
     with pytest.raises(ValueError):
         ExpSumSequence.from_arith_sequence(WeightedSequence(1, 6), 2)

@@ -250,9 +250,10 @@ def _answers(seed: int) -> list:
 
 @pytest.mark.parametrize("setting", SCAN_SETTINGS)
 def test_int64_guard_changes_speed_never_answers(setting):
-    """The answers as shipped, with every scan in int64 up to the guard,
-    with the guard at 1, and with every window check on lists or none all
-    equal those on exact Python ints in numpy."""
+    """The answers as shipped, with every numpy scan in int64 up to the
+    guard, with every window check on lists or on numpy below the guard,
+    all equal those with the guard at 1: every window check on lists of
+    exact Python ints and every full-period scan on numpy object arrays."""
     with kernel_widths("guard-1"):
         exact = _answers(8128)
     with kernel_widths(setting):
@@ -279,9 +280,9 @@ def _at_work(seqs, psis, length: int, work: int):
 
 
 def _boundary_cases(rng):
-    """(seqs, psis, start, length) window checks over Q with integer and
-    Fraction weights, with values past 2**62, and over F_7; about half
-    of them fail."""
+    """(seqs, psis, start, length, huge) window checks over Q with integer
+    and Fraction weights, with values past 2**62 (huge), and over F_7;
+    about half of them fail."""
     length = 150
     for scale in (1, Fraction(1, 3), 2**62 + 1):
         for _ in range(4):
@@ -290,10 +291,11 @@ def _boundary_cases(rng):
             values = list(cover_table(System(tuple(seqs))).values)
             if rng.random() < 0.5:
                 values[rng.randrange(len(values))] += scale
-            yield seqs, [PeriodicValueTable(len(values), tuple(values))], rng.randint(-40, 40), length
+            psis = [PeriodicValueTable(len(values), tuple(values))]
+            yield seqs, psis, rng.randint(-40, 40), length, scale == 2**62 + 1
     for _ in range(6):
         psis = random_prime_field_tables(rng, 7, force_zero_sum=rng.random() < 0.5)
-        yield [], psis, rng.choice((0, 2**64 + rng.randrange(99))), length
+        yield [], psis, rng.choice((0, 2**64 + rng.randrange(99))), length, False
 
 
 def _pointwise_witness(seqs, psis, start: int, length: int):
@@ -309,23 +311,49 @@ def _pointwise_witness(seqs, psis, start: int, length: int):
 
 def test_list_boundary_keeps_answers(monkeypatch):
     """At work _LIST_WORK a window check runs on lists, one past it on
-    numpy; both give the pointwise answer, as does the numpy oracle scan."""
-    numpy_scans = []
-    scan = _kernels.scan
-    monkeypatch.setattr(_kernels, "scan", lambda *a: numpy_scans.append(1) or scan(*a))
+    numpy, except that values past the int64 guard keep it on lists at
+    both; every path gives the pointwise answer, as does the numpy oracle
+    scan, which runs on object arrays past the guard.  first_below on 0/1
+    tables, as expsum_cover_check passes them, at both work levels too."""
+    numpy_calls = []
+    for name in ("cover_counts", "table_sums"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *a, _k=kernel: numpy_calls.append(1) or _k(*a))
     rng = random.Random(2048)
     failing = 0
-    for seqs, psis, start, length in _boundary_cases(rng):
+    for seqs, psis, start, length, huge in _boundary_cases(rng):
         expected = _pointwise_witness(seqs, psis, start, length)
         failing += expected is not None
-        for work, on_numpy in ((_kernels._LIST_WORK, False), (_kernels._LIST_WORK + 1, True)):
+        for work, on_numpy in ((_kernels._LIST_WORK, False), (_kernels._LIST_WORK + 1, not huge)):
             padded = _at_work(seqs, psis, length, work)
-            numpy_scans.clear()
+            numpy_calls.clear()
             verdict = _first_nonzero(*padded, start, length)
-            assert bool(numpy_scans) == on_numpy
+            assert bool(numpy_calls) == on_numpy
             assert (verdict.ok, verdict.witness) == (expected is None, expected)
+            numpy_calls.clear()
             assert _first_nonzero(*padded, start, length, full_period=True) == verdict
+            assert numpy_calls
     assert 5 < failing < 15
+    failing, length = 0, 150
+    for _ in range(12):
+        tables = [
+            PeriodicValueTable(n, tuple(int(rng.random() < 0.9) for _ in range(n)))
+            for n in (rng.randint(1, 12) for _ in range(rng.randint(2, 5)))
+        ]
+        least = rng.randint(1, len(tables))
+        start = rng.choice((rng.randint(-40, 40), 2**64 + rng.randrange(99)))
+        sums = [sum(t.value_at(x) for t in tables) for x in range(start, start + length)]
+        expected = next((start + j for j, v in enumerate(sums) if v < least), None)
+        failing += expected is not None
+        for work, on_numpy in ((_kernels._LIST_WORK, False), (_kernels._LIST_WORK + 1, True)):
+            _, padded = _at_work([], tables, length, work)
+            rows = [t.values for t in padded]
+            numpy_calls.clear()
+            assert _kernels.first_below(rows, least, start, length) == expected
+            assert bool(numpy_calls) == on_numpy
+            oracle = _kernels.scan(((), (), ()), rows, start, length)[0].tolist()
+            assert next((start + j for j, v in enumerate(oracle) if v > -least), None) == expected
+    assert 3 < failing < 10
 
 
 def test_exact_sum_native_only_where_exact():
