@@ -57,6 +57,7 @@ from .oracle import (
     bench_window_vs_full,
     brute_cover_verdict,
     brute_least_period,
+    brute_periodic_mod_vec,
     brute_tables_zero_verdict,
 )
 

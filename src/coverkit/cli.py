@@ -40,7 +40,7 @@ from .cyclotomic import CyclotomicElement, root_power
 from .fracsets import phi_sum_cardinality
 from .multidim import (
     MultiSequence,
-    decide_periodic_by_divisibility,
+    _divisibility_verdict,
     divisibility_chain_report,
     is_periodic_mod_vec,
 )
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--start", type=int, default=0)
 
-    sp = add("multidim-period", "exhaustively test periodicity modulo a vector")
+    sp = add("multidim-period", "test periodicity modulo a vector on a window")
     sp.add_argument("--n0", required=True, help="comma-separated period vector")
 
     sp = add("thm14", "divisibility counting chain for a divisor vector")
@@ -397,15 +397,13 @@ def _run(args) -> tuple[int, str, Witness]:
         return 0, "chain-verified", None
 
     if cmd == "cor14":
-        n0 = _csv_vector(args.n0)
-        decision = decide_periodic_by_divisibility(sf.entries, n0)
-        if decision:
+        verdict = _divisibility_verdict(sf.entries, _csv_vector(args.n0))
+        if verdict.ok:
             print("all moduli divide n0: periodic")
             return 0, "periodic", None
-        witness = is_periodic_mod_vec(sf.entries, n0).witness
-        x, y = witness
+        x, y = verdict.witness
         print(f"some modulus does not divide n0: not periodic, w{x} != w{y}")
-        return 1, "not-periodic", witness
+        return 1, "not-periodic", verdict.witness
 
     if cmd == "zero-coeffs":
         system = sf.as_system()

@@ -33,6 +33,7 @@ scan runs on numpy object arrays instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,6 +76,23 @@ __all__ = [
 ]
 
 
+def _rational(v) -> Fraction:
+    """v as a Fraction of Python ints.  A Fraction made from a numpy
+    integer keeps it as numerator, and fixed-width sums of those wrap."""
+    f = v if type(v) is Fraction else Fraction(v)
+    if type(f.numerator) is int and type(f.denominator) is int:
+        return f
+    return Fraction(int(f.numerator), int(f.denominator))
+
+
+def _exact(v):
+    """v as a Python int when it is an integer, else as a Fraction of
+    Python ints (:func:`_rational`)."""
+    if type(v) is not Fraction and isinstance(v, numbers.Integral):
+        return int(v)
+    return _rational(v)
+
+
 @dataclass(frozen=True)
 class WeightedSequence:
     """Residue class a(n) = {a + n*x} carrying an exact rational weight."""
@@ -87,7 +105,7 @@ class WeightedSequence:
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        object.__setattr__(self, "weight", _rational(self.weight))
 
     def contains(self, x: int) -> bool:
         return (x - self.residue) % self.modulus == 0
@@ -132,8 +150,9 @@ class System:
 class PeriodicValueTable:
     """Periodic map Z -> F given by one period of values.
 
-    ``char`` 0 means F = Q (values are ints or Fractions); a prime p means
-    F = F_p (values are reduced into [0, p) at construction).
+    ``char`` 0 means F = Q (values are ints or Fractions, kept as Python
+    ints and Fractions of them, so numpy integers become exact); a prime p
+    means F = F_p (values are reduced into [0, p) at construction).
     """
 
     period: int
@@ -150,7 +169,10 @@ class PeriodicValueTable:
                 raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
             object.__setattr__(self, "values", tuple(int(v) % self.char for v in self.values))
         else:
-            object.__setattr__(self, "values", tuple(self.values))
+            values = tuple(self.values)
+            if not {int}.issuperset(map(type, values)):
+                values = tuple(map(_exact, values))
+            object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, value, period: int = 1, char: int = 0) -> PeriodicValueTable:

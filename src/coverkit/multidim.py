@@ -1,10 +1,14 @@
 """Weighted covering functions on Z^l with componentwise divisibility.
 
 Vectors are plain int tuples; d | y means each component of d divides the
-matching component of y.  The covering function of a family of weighted
-multidimensional residue classes is scanned exhaustively over one period
-box (the componentwise lcm of all moduli and the candidate period), which
-anchors both the periodicity test and the divisibility inequality chain.
+matching component of y.  Periodicity of the covering function of a family
+of weighted multidimensional residue classes is decided from a window, as
+in one dimension: a difference w(x + h*e_t) - w(x) vanishes on Z^l iff it
+vanishes on prod_u [0, L_u), L_u the totient sum over the divisors of the
+moduli's u-th components (a tensor Vandermonde argument, one axis at a
+time).  That test anchors both the divisibility inequality chain and the
+divisibility criterion; the exhaustive scan of one period box is the oracle
+(:func:`coverkit.oracle.brute_periodic_mod_vec`).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
-from .covering import _oracle_points
-from .fracsets import FractionSet, fraction_set
+from .covering import _oracle_points, _rational
+from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
 IntVector = tuple[int, ...]
@@ -51,7 +55,7 @@ class MultiSequence:
             self, "residue", tuple(a % n for a, n in zip(self.residue, self.modulus))
         )
         object.__setattr__(self, "modulus", tuple(self.modulus))
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        object.__setattr__(self, "weight", _rational(self.weight))
 
     @property
     def dim(self) -> int:
@@ -95,49 +99,46 @@ class PeriodicityVerdict:
         return self.ok
 
 
-def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
-    l = len(n0)
-    return tuple(
-        math.lcm(n0[t], *(s.modulus[t] for s in seqs)) for t in range(l)
-    )
-
-
-def _unravel(index: int, shape: tuple[int, ...]) -> IntVector:
-    """The point at flat C-order position ``index`` of a box of this shape."""
-    out = []
-    for side in reversed(shape):
-        index, c = divmod(index, side)
-        out.append(c)
-    return tuple(reversed(out))
-
-
 def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
-    """Exhaustively decide whether w is periodic modulo n0.
+    """Decide whether w is periodic modulo n0 from a window.
 
-    Scans one full period box (componentwise lcm of n0 and all moduli) and
-    compares w(x) with w(x + n0_t * e_t) for every coordinate t.  Along
-    axis t that is the slice [0, dims_t - n0_t) against the slice
-    [n0_t, dims_t): dims_t is a multiple of n0_t, so the pairs that wrap
-    round the box follow from these by going round the cycle, and the
-    first mismatch in C order (the witness x) never wraps.  The box may not
-    exceed the oracle cap.
+    w is periodic mod N, the componentwise lcm of the moduli, so along
+    axis t a shift by n0_t acts as one by h_t = n0_t mod N_t, and an axis
+    with h_t = 0 needs no check; when every h_t is 0 the answer is
+    "periodic" with no scan.  Every other axis t is checked on the window
+    prod_u [0, L_u) (module docstring): w(x) against w(x + h_t*e_t), on a
+    box of side min(L_u + h_u, N_u) along each axis u, where a side of N_u
+    pairs x with (x + h_t) mod N_t.  When h_t divides N_t the pairs that
+    wrap follow from the others by going round the cycle, so the window
+    along t stops at N_t - h_t.  The witness is the first mismatch x in C
+    order, which is also the first on all of Z^l with x >= 0, and
+    y = x + n0_t*e_t.  The box may not exceed the oracle cap.
     """
-    l = _check_dims(seqs, n0)
+    _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
         raise ValueError(f"period components must be positive, got {n0}")
-    dims = _box_dims(seqs, n0)
+    moduli = [s.modulus for s in seqs]
+    periods = [math.lcm(*col) for col in zip(*moduli)]
+    shifts = [c % N for c, N in zip(n0, periods)]
+    if not any(shifts):
+        return PeriodicityVerdict(True)
+    # the totient sum over the divisors of N_u is N_u itself
+    window = [N if N in col else phi_sum_cardinality(col) for N, col in zip(periods, zip(*moduli))]
+    dims = tuple(min(L + h, N) for L, h, N in zip(window, shifts, periods))
     _oracle_points(math.prod(dims), "box")
-    # D * w over the box, D the weights' common denominator
-    nums, _ = _kernels._scaled([(s.weight,) for s in seqs])
-    box = _kernels._box_counts([s.residue for s in seqs], [s.modulus for s in seqs], nums, dims)
-    for t in range(l):
-        head = (slice(None),) * t
-        bad = box[head + (slice(0, dims[t] - n0[t]),)] != box[head + (slice(n0[t], None),)]
-        if bad.any():
-            x = _unravel(int(bad.argmax()), bad.shape)
-            y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-            return PeriodicityVerdict(False, (x, y))
-    return PeriodicityVerdict(True)
+    checks = []
+    for t, (h, N) in enumerate(zip(shifts, periods)):
+        if h:
+            along = min(window[t], N - h) if N % h == 0 else window[t]
+            checks.append((t, h, window[:t] + [along] + window[t + 1 :]))
+    # integral weights travel as ints, which skips the kernels' Fraction scaling
+    weights = [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
+    found = _kernels.box_first_mismatch(([s.residue for s in seqs], moduli, weights), dims, checks)
+    if found is None:
+        return PeriodicityVerdict(True)
+    t, x = found
+    y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
+    return PeriodicityVerdict(False, (x, y))
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,15 @@ def decide_periodic_by_divisibility(seqs: Sequence[MultiSequence], n0: IntVector
     Valid when every weight is nonzero and the moduli that are maximal with
     respect to componentwise divisibility are pairwise distinct: w is then
     periodic mod n0 iff every modulus divides n0.  The verdict is
-    cross-checked against the exhaustive box scan before being returned.
+    cross-checked against the window test :func:`is_periodic_mod_vec`
+    before being returned.
     """
+    return _divisibility_verdict(seqs, n0).ok
+
+
+def _divisibility_verdict(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
+    """The verdict of :func:`is_periodic_mod_vec`, with its witness, once
+    it agrees with :func:`decide_periodic_by_divisibility`'s decision."""
     _check_dims(seqs, n0)
     if any(s.weight == 0 for s in seqs):
         raise ValueError("weights must be nonzero")
@@ -232,6 +240,6 @@ def decide_periodic_by_divisibility(seqs: Sequence[MultiSequence], n0: IntVector
         if moduli.count(n) > 1:
             raise ValueError(f"hypothesis not met: maximal modulus {n} duplicated")
     decision = all(vec_divides(n, n0) for n in moduli)
-    oracle = is_periodic_mod_vec(seqs, n0)
-    assert decision == oracle.ok, "divisibility decision disagrees with the box scan"
-    return decision
+    verdict = is_periodic_mod_vec(seqs, n0)
+    assert decision == verdict.ok, "divisibility decision disagrees with the window test"
+    return verdict

@@ -3,7 +3,8 @@ benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
 exhaustive scan here.  The scans run the first-nonzero scan of
-:mod:`coverkit.covering` over one full period, always on the numpy kernels
+:mod:`coverkit.covering` over one full period (or compare slices of one
+full period box, for periodicity mod a vector), always on the numpy kernels
 (in the narrowest fixed integer width that the scaled sums fit, or on
 numpy object arrays of exact Python ints past the widest), so a window
 check, which runs on lists of Python ints when it is short or past the
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _kernels
 from .covering import (
@@ -27,12 +29,14 @@ from .covering import (
     verify_covering_function,
 )
 from .fracsets import phi_sum_cardinality
+from .multidim import IntVector, MultiSequence, PeriodicityVerdict, _check_dims
 from .numtheory import divisors_of
 
 __all__ = [
     "brute_cover_verdict",
     "brute_tables_zero_verdict",
     "brute_least_period",
+    "brute_periodic_mod_vec",
     "BenchReport",
     "bench_window_vs_full",
 ]
@@ -61,6 +65,42 @@ def brute_least_period(table: PeriodicValueTable) -> int:
     N = len(arr)
     # d = period always matches (two empty slices)
     return next(d for d in divisors_of(N) if (arr[d:] == arr[: N - d]).all())
+
+
+def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
+    l = len(n0)
+    return tuple(
+        math.lcm(n0[t], *(s.modulus[t] for s in seqs)) for t in range(l)
+    )
+
+
+def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
+    """Exhaustively decide whether w is periodic modulo n0.
+
+    Scans one full period box (componentwise lcm of n0 and all moduli) and
+    compares w(x) with w(x + n0_t * e_t) for every coordinate t.  Along
+    axis t that is the slice [0, dims_t - n0_t) against the slice
+    [n0_t, dims_t): dims_t is a multiple of n0_t, so the pairs that wrap
+    round the box follow from these by going round the cycle, and the
+    first mismatch in C order (the witness x) never wraps.  The box may not
+    exceed the oracle cap.
+    """
+    l = _check_dims(seqs, n0)
+    if any(c < 1 for c in n0):
+        raise ValueError(f"period components must be positive, got {n0}")
+    dims = _box_dims(seqs, n0)
+    _oracle_points(math.prod(dims), "box")
+    # D * w over the box, D the weights' common denominator
+    nums, _ = _kernels._scaled([(s.weight,) for s in seqs])
+    box = _kernels._box_counts([s.residue for s in seqs], [s.modulus for s in seqs], nums, dims)
+    for t in range(l):
+        head = (slice(None),) * t
+        bad = box[head + (slice(0, dims[t] - n0[t]),)] != box[head + (slice(n0[t], None),)]
+        if bad.any():
+            x = _kernels._unravel(int(bad.argmax()), bad.shape)
+            y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
+            return PeriodicityVerdict(False, (x, y))
+    return PeriodicityVerdict(True)
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,20 @@ def test_vector_witness_in_machine_line(tmp_path, capsys, cmd, n0):
     assert run(capsys, cmd, "--n0", "2,6", f)[1].strip().endswith("|witness=none")
 
 
+def test_cor14_checks_periodicity_once(tmp_path, capsys, monkeypatch):
+    """A non-periodic cor14 request takes its witness from the one check
+    that also confirms the divisibility decision."""
+    calls = []
+    check = coverkit.multidim.is_periodic_mod_vec
+    for module in (coverkit.multidim, coverkit.cli):
+        monkeypatch.setattr(module, "is_periodic_mod_vec", lambda *a: calls.append(a) or check(*a))
+    f = write(tmp_path, "m.txt", "0,0 2,2\n1,0 2,3 -1/2\n")
+    for n0, code in (("1,2", 1), ("2,6", 0)):
+        calls.clear()
+        assert run(capsys, "cor14", "--n0", n0, f)[0] == code
+        assert len(calls) == 1
+
+
 def test_zero_coeffs_command(tmp_path, capsys):
     z = write(tmp_path, "z.txt", ZERO_TEXT)
     code, out = run(capsys, "zero-coeffs", z)
@@ -409,15 +423,20 @@ def numpy_loaded_after(code: str) -> bool:
 
 def test_numpy_loads_only_for_a_scan(tmp_path):
     """Importing the package and the CLI, the subcommands that scan no
-    array, and short window checks leave numpy unloaded; a window past the
-    kernels' list work, and a period box, load it."""
+    array, and short window checks, also periodicity mod a vector on a
+    small box, leave numpy unloaded; a window or a box past the kernels'
+    list work loads it."""
     b = write(tmp_path, "B.txt", B_TEXT)
     big = write(tmp_path, "big.txt", "0 6000000000054\n1 10000000000000061\n")
     coeffs = write(tmp_path, "c.txt", COEFF_B)
     # w = 1 everywhere, on a window of 2003 points
     long = write(tmp_path, "long.txt", "0 1\n0 2003\n0 2003 -1\n")
-    box = write(tmp_path, "box.txt", "0,0 2,3\n1,0 2,3\n")
-    run_cli = "from coverkit.cli import run_command\nassert run_command({!r}) == 0"
+    # distinct maximal moduli (2,3) and (4,1), so cor14 applies; neither
+    # file is periodic mod its n0
+    box = write(tmp_path, "box.txt", "0,0 2,3\n1,1 4,1\n")
+    # a 60 x 60 box, past the list work
+    wide = write(tmp_path, "wide.txt", "0,0 60,60\n")
+    run_cli = "from coverkit.cli import run_command\nassert run_command({!r}) == {}"
     assert not numpy_loaded_after("import coverkit, coverkit.cli")
     for argv in (
         ["least-period", b],
@@ -427,9 +446,11 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
         ["witness", "--m", "2", b],
         ["expsum-cover", "--m", "1", coeffs],
     ):
-        assert not numpy_loaded_after(run_cli.format(argv)), argv
-    assert numpy_loaded_after(run_cli.format(["exact-cover", "--m", "1", long]))
-    assert numpy_loaded_after(run_cli.format(["multidim-period", "--n0", "2,3", box]))
+        assert not numpy_loaded_after(run_cli.format(argv, 0)), argv
+    for argv in (["multidim-period", "--n0", "2,3", box], ["cor14", "--n0", "2,3", box]):
+        assert not numpy_loaded_after(run_cli.format(argv, 1)), argv
+    assert numpy_loaded_after(run_cli.format(["exact-cover", "--m", "1", long], 0))
+    assert numpy_loaded_after(run_cli.format(["multidim-period", "--n0", "1,1", wide], 1))
 
 
 def test_only_kernels_import_numpy():

@@ -10,6 +10,7 @@ from coverkit.covering import (
     ExpSumSequence,
     PeriodicValueTable,
     System,
+    Verdict,
     WeightedSequence,
     _first_nonzero,
     _period_scan,
@@ -26,7 +27,12 @@ from coverkit.covering import (
 from coverkit.fracsets import phi_sum_cardinality
 from coverkit.multidim import MultiSequence, is_periodic_mod_vec
 from coverkit.numtheory import f_additive
-from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
+from coverkit.oracle import (
+    brute_cover_verdict,
+    brute_least_period,
+    brute_periodic_mod_vec,
+    brute_tables_zero_verdict,
+)
 from helpers import (
     SCAN_SETTINGS,
     WIDTH_SETTINGS,
@@ -397,7 +403,7 @@ def _full_period_answers(seed: int) -> list:
         out.append(brute_tables_zero_verdict(tables[1:] + [negated]))
         seqs, n0 = random_distinct_moduli_instance(rng, rng.randint(1, 3))
         seqs = [MultiSequence(s.residue, s.modulus, s.weight * scale) for s in seqs]
-        out.append(is_periodic_mod_vec(seqs, n0))
+        out.append(brute_periodic_mod_vec(seqs, n0))
     for p in (5, 1009, 2**31 - 1, 2**61 - 1):
         for _ in range(5):
             psis = random_prime_field_tables(rng, p, force_zero_sum=rng.random() < 0.5)
@@ -489,3 +495,24 @@ def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
     assert _period_scan(system)[0].dtype == object
     assert [weighted_average_check(s) for s in systems] == fast
+
+
+def test_numpy_integers_become_exact():
+    """Weights and table values given as numpy integers leave construction
+    as Python ints or Fractions of them, so no path sums them in a fixed
+    width: four weights or tables of 2**62 sum to 2**64, not to 0."""
+    big = np.int64(2**62)
+    seq = WeightedSequence(0, 1, big)
+    assert type(seq.weight.numerator) is int and type(seq.weight.denominator) is int
+    system = System((seq,) * 4)
+    zero = PeriodicValueTable.constant(0)
+    assert verify_covering_function(system, zero) == brute_cover_verdict(system, zero) == Verdict(False, 0)
+    tables = [PeriodicValueTable(1, (big,))] * 4
+    assert type(tables[0].values[0]) is int
+    assert window_zero_check(tables) == brute_tables_zero_verdict(tables) == Verdict(False, 0)
+    halves = PeriodicValueTable(2, (big, Fraction(np.int64(1), np.int64(2))))
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in halves.values[1:])
+    assert halves.values == (2**62, Fraction(1, 2))
+    multi = [MultiSequence((0,), (2,), big)] * 4
+    assert type(multi[0].weight.numerator) is int
+    assert not is_periodic_mod_vec(multi, (1,)).ok and not brute_periodic_mod_vec(multi, (1,)).ok

@@ -15,6 +15,8 @@ from coverkit import (
     multidim_value,
     vec_divides,
 )
+from coverkit.multidim import PeriodicityVerdict
+from coverkit.oracle import brute_periodic_mod_vec
 from helpers import (
     WEIGHT_POOL,
     full_residue_group,
@@ -90,6 +92,23 @@ def test_box_cap():
     s = MultiSequence((0, 0, 0), (101, 101, 101))
     with pytest.raises(ValueError, match="box too large"):
         is_periodic_mod_vec([s], (1, 1, 1))
+
+
+def test_period_past_the_box_cap():
+    """A period vector reduced mod the moduli's lcm needs a scan only
+    along its nonzero axes, so a period box far past the cap is decided:
+    with no scan when n0 is a multiple of every modulus, else on a small
+    window.  The box oracle refuses both."""
+    seqs = [MultiSequence((0, 1), (2, 3)), MultiSequence((1, 0), (2, 1), F(-1, 2))]
+    n0 = (2 * 10**9, 3 * 10**9)
+    assert is_periodic_mod_vec(seqs, n0).ok and decide_periodic_by_divisibility(seqs, n0)
+    odd = (2 * 10**9 + 1, 3 * 10**9)
+    v = is_periodic_mod_vec(seqs, odd)
+    assert v == PeriodicityVerdict(False, ((0, 0), (2 * 10**9 + 1, 0)))
+    assert multidim_value(seqs, v.witness[0]) != multidim_value(seqs, v.witness[1])
+    for period in (n0, odd):
+        with pytest.raises(ValueError, match="box too large"):
+            brute_periodic_mod_vec(seqs, period)
 
 
 def test_chain_hand_instance():

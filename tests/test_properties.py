@@ -2,7 +2,8 @@
 file parsers against round trips and fuzzed text, the integer sumsets and
 exp-sum membership tables against Fraction arithmetic, window verdicts
 against the full-period oracle at every kernel width, on exact ints and on
-lists, and fuzzed CLI checks against the oracle and their own witnesses.
+lists, periodicity mod a vector against the box oracle, and fuzzed CLI
+checks against the oracle and their own witnesses.
 
 Every test runs derandomized (the examples are a function of the test
 code) and without a deadline, so a run is reproducible and a slow machine
@@ -12,12 +13,13 @@ fails nothing.
 import contextlib
 import io
 import math
+import operator
 import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coverkit import (
@@ -29,9 +31,12 @@ from coverkit import (
     cover_count,
     cover_table,
     cover_values,
+    decide_periodic_by_divisibility,
     exp_sum_eval,
     fraction_set,
+    is_periodic_mod_vec,
     least_prime_factor,
+    multidim_value,
     root_power,
     subset_sum_set,
     sumset_mod1,
@@ -40,8 +45,13 @@ from coverkit import (
     window_zero_check,
 )
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
-from coverkit.numtheory import FACTOR_BOUND, _is_prime, factorize
-from coverkit.oracle import brute_cover_verdict, brute_least_period, brute_tables_zero_verdict
+from coverkit.numtheory import FACTOR_BOUND, _is_prime, divisors_of, factorize
+from coverkit.oracle import (
+    brute_cover_verdict,
+    brute_least_period,
+    brute_periodic_mod_vec,
+    brute_tables_zero_verdict,
+)
 
 from helpers import (
     SCAN_SETTINGS,
@@ -245,6 +255,75 @@ def test_window_verdicts_match_oracle(setting, system, kind, start, data):
     if not verdict.ok:
         x = verdict.witness
         assert x >= start and cover_count(system, x) != target.value_at(x)
+
+
+# --- periodicity mod a vector against the box oracle ---------------------------
+
+# components whose lcm is at most 24, so most period boxes stay small
+COMPONENTS = [1, 2, 3, 4, 6, 8, 12]
+
+
+@st.composite
+def periodicity_cases(draw):
+    """(seqs, n0) in dimension 1 to 3.  Some classes, whose modulus is the
+    lcm of the others' doubled on some axes, come with a copy of opposite
+    weight: they cancel from w but not from the moduli's lcm N.  Half the time n0
+    is a multiple of the lcm of the other classes, so w is periodic mod n0
+    although n0 need not be a multiple of N; otherwise n0_t is a small
+    integer or a divisor of that lcm, times 1 to 3, so that many shifts do
+    not divide N_t.  Boxes past 20000 points are discarded."""
+    l = draw(st.integers(1, 3))
+    residues = st.tuples(*[st.integers(-20, 20)] * l)
+    components = st.tuples(*[st.sampled_from(COMPONENTS)] * l)
+    kept = draw(st.lists(st.tuples(residues, components, weights_or_huge), min_size=1, max_size=4))
+    lcms = [math.lcm(*col) for col in zip(*(n for _, n, _ in kept))]
+    doubled = st.tuples(*[st.sampled_from([1, 2])] * l).map(lambda m: tuple(map(operator.mul, lcms, m)))
+    cancelled = draw(st.lists(st.tuples(residues, doubled, weights_or_huge), max_size=2))
+    seqs = [MultiSequence(*e) for e in kept + cancelled] + [MultiSequence(a, n, -w) for a, n, w in cancelled]
+    periodic = draw(st.booleans())
+    n0 = tuple(
+        draw(
+            st.builds(
+                operator.mul,
+                st.just(N) if periodic else st.one_of(st.integers(1, 30), st.sampled_from(divisors_of(N))),
+                st.integers(1, 3),
+            )
+        )
+        for N in lcms
+    )
+    assume(math.prod(math.lcm(c, *col) for c, col in zip(n0, zip(*(s.modulus for s in seqs)))) <= 20000)
+    return seqs, n0
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+@settings(PROPERTY, max_examples=30)
+# w = 1 on 3, 4 and 11 mod 12, shifted by 8: the pairs that stay in the box
+# agree, and the first that differs, 4 against 12 = 0 mod 12, wraps round it
+@example(([MultiSequence((a, 0), (12, 1)) for a in (3, 4, 11)], (8, 1)))
+# n0 a multiple of the moduli on every axis: no axis needs a check
+@example(([MultiSequence((0, 1), (2, 3)), MultiSequence((1, 0), (4, 1), Fraction(1, 2))], (8, 6)))
+# the classes mod (3, 1) cancel: periodic, though axis 0 is scanned
+@example(([MultiSequence((0, 0), (2, 1)), MultiSequence((1, 0), (3, 1)), MultiSequence((1, 0), (3, 1), -1)], (2, 1)))
+@given(periodicity_cases())
+def test_periodicity_matches_box_oracle(setting, case):
+    """is_periodic_mod_vec on its window, under every scan setting, gives
+    the verdict and the witness (the first mismatch in C order) of the full
+    box scan; decide_periodic_by_divisibility agrees wherever its
+    hypotheses hold."""
+    seqs, n0 = case
+    oracle = brute_periodic_mod_vec(seqs, n0)
+    with kernel_widths(setting):
+        verdict = is_periodic_mod_vec(seqs, n0)
+        try:
+            decision = decide_periodic_by_divisibility(seqs, n0)
+        except ValueError:  # a zero weight or a duplicated maximal modulus
+            decision = oracle.ok
+    assert verdict == oracle and decision == oracle.ok
+    if not verdict.ok:
+        x, y = verdict.witness
+        steps = [(t, yt - xt) for t, (xt, yt) in enumerate(zip(x, y)) if xt != yt]
+        assert len(steps) == 1 and steps[0][1] == n0[steps[0][0]]
+        assert multidim_value(seqs, x) != multidim_value(seqs, y)
 
 
 @st.composite
