@@ -26,7 +26,6 @@ from .covering import (
     PeriodicValueTable,
     System,
     WeightedSequence,
-    cover_table,
     equal_cover_superset_check,
     expsum_cover_check,
     least_period,

@@ -11,7 +11,7 @@ consecutive integers:
   (:func:`window_zero_check`);
 * equality of w with any candidate periodic function follows from equality
   on such a window (:func:`verify_covering_function`), which also decides
-  exact m-covers;
+  exact m-covers, zero systems and equal covers;
 * cover-by-zero-sets criteria and minimum-location windows come from subset
   sumsets of the moduli reciprocals (:func:`expsum_cover_check`,
   :func:`min_on_window`);
@@ -20,7 +20,8 @@ consecutive integers:
 
 Weights are exact rationals (not arbitrary complex numbers): every "is this
 coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
-exactly.  Every scan, windowed or full-period, is one evaluator: D times
+exactly.  Only :func:`cover_table` and :func:`weighted_average_check` scan
+a full period.  Every scan, windowed or full-period, is one evaluator: D times
 the covering function minus the tables over the window, with weights and
 table values put over one common denominator D by
 :mod:`coverkit._kernels`, and then searched for its first nonzero point.
@@ -85,12 +86,15 @@ def _rational(v) -> Fraction:
     return Fraction(int(f.numerator), int(f.denominator))
 
 
+def _integer(v):
+    """v as a Python int when it is an integer of any type, else unchanged."""
+    return v if type(v) is int or not isinstance(v, numbers.Integral) else int(v)
+
+
 def _exact(v):
-    """v as a Python int when it is an integer, else as a Fraction of
-    Python ints (:func:`_rational`)."""
-    if type(v) is not Fraction and isinstance(v, numbers.Integral):
-        return int(v)
-    return _rational(v)
+    """v as a Python int when it is an integer, else a Fraction of Python ints."""
+    v = _integer(v)
+    return v if type(v) is int else _rational(v)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class WeightedSequence:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        object.__setattr__(self, "modulus", _integer(self.modulus))
+        object.__setattr__(self, "residue", _integer(self.residue) % self.modulus)
         object.__setattr__(self, "weight", _rational(self.weight))
 
     def contains(self, x: int) -> bool:
@@ -226,13 +231,6 @@ def cover_table(system: System) -> PeriodicValueTable:
     """Covering function over one full period N = lcm of the moduli."""
     N = _oracle_points(system.lcm())
     return PeriodicValueTable(N, cover_values(system, 0, N))
-
-
-def _period_scan(system: System):
-    """(D * w over one full period [0, N), D), refused past the oracle cap;
-    the full-period checks reduce this array rather than a tuple of
-    per-point values."""
-    return _scan(system.seqs, (), 0, _oracle_points(system.lcm()))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +433,11 @@ def min_on_window(
     """(window length W_l, min of w on [start, start+W_l), global min of w).
 
     W_l is the largest number of distinct fractional parts of subset sums of
-    m_s/n_s over index subsets of size k-l; the covering function attains
-    its global minimum on every W_l consecutive integers, so the two minima
-    returned are always equal.  Each multiplier must be coprime to its
-    modulus, and l may not exceed the global minimum.
+    m_s/n_s over index subsets of size k-l.  For l at most the global
+    minimum, w attains it on every W_l consecutive integers; l = 0 always
+    is, so both minima come from one scan of W_0 >= W_l points from
+    ``start``.  Each multiplier must be coprime to its modulus, and l may
+    not exceed the global minimum, which is k only when every modulus is 1.
     """
     if not system.is_unweighted():
         raise ValueError("minimum-window search expects an unweighted system")
@@ -449,20 +448,18 @@ def min_on_window(
             raise ValueError(f"multiplier {ms} not coprime to modulus {seq.modulus}")
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
-    global_min = int(_period_scan(system)[0].min())
+    top = system.k - any(n > 1 for n in system.moduli)  # w <= k-1 off a class mod n > 1
+    if l > top:
+        raise ValueError(f"l={l} exceeds the minimum coverage, which is at most {top}")
+    if l == system.k:  # every modulus is 1, so w = k everywhere: no window
+        return 1, l, l
+    R_sets = [fraction_set([0, Fraction(ms, s.modulus)]) for ms, s in zip(multipliers, system.seqs)]
+    values = _scan(system.seqs, (), start, window_bound(R_sets, 1))[0]
+    global_min = int(values.min())
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
-    if l == system.k:
-        W_l = 1
-    else:
-        R_sets = [
-            fraction_set([0, Fraction(ms, seq.modulus)])
-            for ms, seq in zip(multipliers, system.seqs)
-        ]
-        W_l = window_bound(R_sets, l + 1)
-    window_min = int(_scan(system.seqs, (), start, W_l)[0].min())
-    assert window_min == global_min, "window missed the global minimum"
-    return W_l, window_min, global_min
+    W_l = window_bound(R_sets, l + 1) if l else len(values)
+    return W_l, int(values[:W_l].min()), global_min
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +501,7 @@ def weighted_average_check(system: System) -> bool:
     The scan of D * w over the period is summed exactly (its points fit
     the scan's width, their sum over N points need not), and the mean is
     one Fraction."""
-    arr, D = _period_scan(system)
+    arr, D = _scan(system.seqs, (), 0, _oracle_points(system.lcm()))
     lhs = Fraction(_kernels.exact_sum(arr), D * len(arr))
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs
@@ -512,13 +509,13 @@ def weighted_average_check(system: System) -> bool:
 
 def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicElement]]:
     """All (alpha, c_alpha) pairs of a system whose covering function is
-    identically zero.
+    identically zero (decided on a window by :func:`verify_covering_function`).
 
     As in :func:`least_period`, c_{p/q} is the image of c_{1/q} under
     zeta_q -> zeta_q^p, so c_{1/q} is built and asserted to vanish once per
     denominator q, and c_{p/q} moves its coefficient at j to p*j mod q.
     """
-    if _period_scan(system)[0].any():
+    if not verify_covering_function(system, PeriodicValueTable.constant(0)):
         raise ValueError("covering function is not identically zero")
     units: dict[int, tuple] = {}
     out = []
@@ -535,12 +532,15 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
 
 
 def equal_cover_superset_check(system: System) -> bool:
-    """For a system covering all integers equally often, check that the
-    subset sums of the reciprocals 1/n cover every fraction r/n (mod 1)."""
+    """For a system covering all integers equally often (w = w(0) on the
+    window of :func:`verify_covering_function`), check that the subset
+    sums of the reciprocals 1/n cover every fraction r/n (mod 1).  The
+    sums cost about k * min(2^k, N), so past the oracle cap they are refused."""
     if not system.is_unweighted():
         raise ValueError("superset check expects an unweighted system")
-    arr = _period_scan(system)[0]
-    if (arr != arr[0]).any():
+    if min(2**system.k, system.lcm()) > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"too many subset sums: min(2^k, N) exceeds cap {DEFAULT_ORACLE_CAP}")
+    if not verify_covering_function(system, PeriodicValueTable.constant(cover_count(system, 0))):
         raise ValueError("system does not cover all integers equally often")
     sums = set(subset_sum_set([Fraction(1, n) for n in system.moduli]))
     return sums.issuperset(multiples_set(system.moduli))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
-from .covering import _oracle_points, _rational
+from .covering import _integer, _oracle_points, _rational
 from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
@@ -51,10 +51,10 @@ class MultiSequence:
             raise ValueError("residue and modulus must share a positive dimension")
         if any(n < 1 for n in self.modulus):
             raise ValueError(f"modulus components must be positive, got {self.modulus}")
+        object.__setattr__(self, "modulus", tuple(map(_integer, self.modulus)))
         object.__setattr__(
-            self, "residue", tuple(a % n for a, n in zip(self.residue, self.modulus))
+            self, "residue", tuple(_integer(a) % n for a, n in zip(self.residue, self.modulus))
         )
-        object.__setattr__(self, "modulus", tuple(self.modulus))
         object.__setattr__(self, "weight", _rational(self.weight))
 
     @property

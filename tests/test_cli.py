@@ -353,6 +353,18 @@ def test_oracle_cap_refuses_large_period(tmp_path, capsys):
     assert "result|cmd=average|verdict=error|witness=none" in out
 
 
+def test_hypothesis_checks_past_the_period_cap(tmp_path, capsys):
+    # lcm 1.04e9 and 1022117: min-window and zero-coeffs test their
+    # hypotheses on windows of 8 and 2021 points
+    f = write(tmp_path, "m.txt", "0 1\n0 1009\n1 1013\n2 1019\n")
+    code, out = run(capsys, "min-window", "--l", "1", "--multipliers", "1,1,1,1", f)
+    assert code == 0 and "window length: 8" in out and "global minimum: 1" in out
+    lines = ["0 1 -1"] + [f"{r} {n} 1/2" for n in (1009, 1013) for r in range(n)]
+    z = write(tmp_path, "z.txt", "\n".join(lines) + "\n")
+    code, out = run(capsys, "zero-coeffs", z)
+    assert code == 0 and "verdict=all-zero" in out and out.count("coefficient is zero") == 2021
+
+
 def test_window_cap_refuses_before_allocating(tmp_path, capsys):
     # the window for one modulus 10^12 + 39 has that many points
     big = write(tmp_path, "big.txt", "0 1000000000039\n")

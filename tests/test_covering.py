@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import coverkit.covering
 from coverkit import (
     CyclotomicElement,
     ExpSumSequence,
@@ -330,6 +331,11 @@ def test_expsum_from_arith_requires_coprime_multiplier():
 # --- minimum on a window -----------------------------------------------------
 
 
+# moduli 1, 1009, 1013, 1019: lcm 1.04e9 is far past the oracle cap, the
+# sumset window W_0 has 8 points
+PAST_CAP = System.of((0, 1), (0, 1009), (1, 1013), (2, 1019))
+
+
 def test_min_window_remark_values():
     system = System.of((0, 3), (0, 5), (0, 15))
     W, wmin, gmin = min_on_window(system, [1, 1, 2], 0)
@@ -338,12 +344,25 @@ def test_min_window_remark_values():
     assert (W, wmin, gmin) == (8, 0, 0)
 
 
-def test_min_window_l_equals_k():
+def test_min_window_l_equals_k(monkeypatch):
+    """l = k is at most the minimum only when every modulus is 1; l >= k
+    is answered or refused without a window, for any k."""
+
+    def no_window(*args):
+        raise AssertionError("l >= k needs no window")
+
+    monkeypatch.setattr(coverkit.covering, "window_bound", no_window)
+    monkeypatch.setattr(coverkit.covering, "_scan", no_window)
     # all index subsets of size k-l are empty, so a single integer suffices
     double = System.of((0, 1), (0, 1))
     for start in (-3, 0, 17):
         W, wmin, gmin = min_on_window(double, [1, 1], 2, start)
         assert W == 1 and wmin == gmin == 2
+    ones = System.of(*[(0, 1)] * 30)  # k past the subset-enumeration cap
+    assert min_on_window(ones, [1] * 30, 30, 2**70) == (1, 30, 30)
+    for system, l in ((ones, 31), (system_B(), 3), (PAST_CAP, 4), (PAST_CAP, 5)):
+        with pytest.raises(ValueError, match="exceeds the minimum coverage"):
+            min_on_window(system, [1] * system.k, l)
 
 
 def test_min_window_B():
@@ -372,6 +391,14 @@ def test_min_window_rejections():
         min_on_window(B, [1, 1, 1], 2)
     with pytest.raises(ValueError):
         min_on_window(B, [1, 1], 0)
+
+
+def test_min_window_past_the_period_cap():
+    assert PAST_CAP.lcm() > DEFAULT_ORACLE_CAP
+    assert min_on_window(PAST_CAP, [1] * 4, 1) == (8, 1, 1)
+    assert min_on_window(PAST_CAP, [1, 2, 3, 4], 0, 10**12) == (8, 1, 1)
+    with pytest.raises(ValueError, match="exceeds the minimum coverage 1"):
+        min_on_window(PAST_CAP, [1] * 4, 2)
 
 
 # --- least period -------------------------------------------------------------
@@ -524,6 +551,73 @@ def test_zero_system_coefficients_one_test_per_denominator(monkeypatch):
 def test_zero_system_rejects_nonzero():
     with pytest.raises(ValueError):
         zero_system_coefficients(system_B())
+
+
+def halves_minus_one(*moduli: int) -> list[tuple]:
+    """Every residue class mod each of two moduli at weight 1/2, and Z at
+    weight -1: a zero system of lcm the moduli's product."""
+    return [(0, 1, -1)] + [(r, n, F(1, 2)) for n in moduli for r in range(n)]
+
+
+def test_zero_system_coefficients_past_the_period_cap():
+    entries = halves_minus_one(1009, 1013)
+    system = System.of(*entries)
+    assert system.k == 2023 and system.lcm() > DEFAULT_ORACLE_CAP
+    pairs = zero_system_coefficients(system)
+    assert [a for a, _ in pairs] == list(multiples_set([1009, 1013]))
+    by_alpha = dict(pairs)
+    assert by_alpha[F(0)].coeffs == (F(0),)
+    assert by_alpha[F(5, 1009)].coeffs == (F(1, 2018),) * 1009
+    with pytest.raises(ValueError, match="not identically zero"):
+        zero_system_coefficients(System.of(*entries[:-1]))
+
+
+def test_superset_check_bounds_the_subset_sums(monkeypatch):
+    """The subset sums cost about k * min(2^k, N): refused up front, before
+    any scan, when both pass the oracle cap, and answered when either fits."""
+    scans = []
+    points = coverkit.covering._oracle_points
+    monkeypatch.setattr(coverkit.covering, "_oracle_points", lambda *a: scans.append(a) or points(*a))
+    # 0(1) and every class mod 1009 and mod 1013: w = 3, k = 2023
+    triple = System.of((0, 1), *((r, n) for n in (1009, 1013) for r in range(n)))
+    with pytest.raises(ValueError, match="too many subset sums"):
+        equal_cover_superset_check(triple)
+    assert scans == []
+    assert equal_cover_superset_check(System.of(*[(0, 1)] * 21))
+    with pytest.raises(ValueError, match="equally often"):
+        equal_cover_superset_check(System.of((0, 1009), (0, 1013)))
+
+
+def test_hypothesis_checks_scan_only_windows(monkeypatch):
+    """min_on_window, zero_system_coefficients and
+    equal_cover_superset_check test their hypotheses on windows: every
+    scan they ask the cap for, whether they answer or refuse, below the
+    period cap or past it, is a window."""
+    asked = []
+    points = coverkit.covering._oracle_points
+
+    def recording(n, what="period"):
+        asked.append(what)
+        return points(n, what)
+
+    monkeypatch.setattr(coverkit.covering, "_oracle_points", recording)
+    checks = [
+        lambda: min_on_window(system_B(), [1, 1, 1], 1),
+        lambda: min_on_window(system_B(), [1, 1, 1], 2),
+        lambda: min_on_window(PAST_CAP, [1] * 4, 1),
+        lambda: zero_system_coefficients(System.of((0, 2), (1, 2), (0, 1, -1))),
+        lambda: zero_system_coefficients(system_B()),
+        lambda: zero_system_coefficients(System.of(*halves_minus_one(1009, 1013))),
+        lambda: equal_cover_superset_check(system_B()),
+        lambda: equal_cover_superset_check(system_B_prime()),
+        lambda: equal_cover_superset_check(System.of((0, 1009), (0, 1013))),
+    ]
+    for check in checks:
+        try:
+            check()
+        except ValueError:
+            pass
+    assert len(asked) >= len(checks) and set(asked) == {"window"}
 
 
 def test_superset_check_examples():

@@ -13,7 +13,7 @@ from coverkit.covering import (
     Verdict,
     WeightedSequence,
     _first_nonzero,
-    _period_scan,
+    _scan,
     cover_count,
     cover_table,
     cover_values,
@@ -251,6 +251,9 @@ def _answers(seed: int) -> list:
         system = random_unweighted_system(rng)
         exp = [ExpSumSequence.from_arith_sequence(s) for s in system.seqs]
         out.append(expsum_cover_check(exp, rng.randint(1, system.k), rng.randint(-40, 40)))
+    for _ in range(10):
+        system = random_unweighted_system(rng)
+        out.append(min_on_window(system, [1] * system.k, 0, rng.randint(-40, 40)))
     return out
 
 
@@ -408,9 +411,6 @@ def _full_period_answers(seed: int) -> list:
         for _ in range(5):
             psis = random_prime_field_tables(rng, p, force_zero_sum=rng.random() < 0.5)
             out.append(brute_tables_zero_verdict(psis))
-    for _ in range(10):
-        system = random_unweighted_system(rng)
-        out.append(min_on_window(system, [1] * system.k, 0, rng.randint(-40, 40)))
     return out
 
 
@@ -475,7 +475,7 @@ def test_table_sums_blocks_match_pointwise_definition():
 
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     system = System.of((0, 2, 2**60), (1, 1009, 2**60))
-    arr, D = _period_scan(system)
+    arr, D = _scan(system.seqs, (), 0, system.lcm())
     assert arr.dtype == np.int64 and D == 1
     # every point fits in int64, the total over the period does not
     assert sum(arr.tolist()) == 1011 * 2**60 != int(arr.sum())
@@ -493,7 +493,7 @@ def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     for s in systems[1:]:
         assert mean_reference(s) == sum(Fraction(q.weight, q.modulus) for q in s.seqs)
     monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
-    assert _period_scan(system)[0].dtype == object
+    assert _scan(system.seqs, (), 0, system.lcm())[0].dtype == object
     assert [weighted_average_check(s) for s in systems] == fast
 
 
@@ -516,3 +516,16 @@ def test_numpy_integers_become_exact():
     multi = [MultiSequence((0,), (2,), big)] * 4
     assert type(multi[0].weight.numerator) is int
     assert not is_periodic_mod_vec(multi, (1,)).ok and not brute_periodic_mod_vec(multi, (1,)).ok
+    # residues and moduli become Python ints too, so a start past int64
+    # does not overflow the list path's (a - start) % n
+    mixed = System.of((np.int64(1), 3), (np.int64(0), 3), (2, 3))
+    assert {type(v) for s in mixed.seqs for v in (s.residue, s.modulus)} == {int}
+    one = PeriodicValueTable.constant(1)
+    assert verify_covering_function(mixed, one, start=2**70) == Verdict(True)
+    entries = [((1, 0), (3, 2)), ((0, 1), (3, 2)), ((2, 0), (3, 1), -1)]
+    plain = [MultiSequence(*e) for e in entries]
+    wide = [MultiSequence(tuple(map(np.int64, a)), tuple(map(np.int64, n)), *w) for a, n, *w in entries]
+    assert {type(v) for s in wide for v in s.residue + s.modulus} == {int}
+    for n0 in ((1, 2), (3, 1), (2**70, 2), (3 * 2**70, 4)):
+        assert is_periodic_mod_vec(wide, n0) == is_periodic_mod_vec(plain, n0)
+    assert is_periodic_mod_vec(wide, (1, 2)) == brute_periodic_mod_vec(plain, (1, 2))

@@ -28,22 +28,28 @@ from coverkit import (
     MultiSequence,
     PeriodicValueTable,
     System,
+    WeightedSequence,
     cover_count,
     cover_table,
     cover_values,
     decide_periodic_by_divisibility,
+    equal_cover_superset_check,
     exp_sum_eval,
     fraction_set,
     is_periodic_mod_vec,
     least_prime_factor,
+    min_on_window,
     multidim_value,
+    multiples_set,
     root_power,
     subset_sum_set,
     sumset_mod1,
     verify_covering_function,
     window_bound,
     window_zero_check,
+    zero_system_coefficients,
 )
+from coverkit.covering import _scan
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, divisors_of, factorize
 from coverkit.oracle import (
@@ -255,6 +261,76 @@ def test_window_verdicts_match_oracle(setting, system, kind, start, data):
     if not verdict.ok:
         x = verdict.witness
         assert x >= start and cover_count(system, x) != target.value_at(x)
+
+
+# --- hypothesis checks on windows against full-period scans ---------------------
+
+
+@st.composite
+def unweighted_cases(draw):
+    """(system, k0, equal, mults, splits): a random unweighted system of k0
+    classes with moduli up to 12 (lcm at most 27720), a unit multiplier
+    and a split count in 1..3 for each of them.  When its lcm is at most 60
+    it is completed to an equal cover (equal true) half the time, by
+    adding x(N) as often as w(x) falls short of the maximum of w."""
+    entries = draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=6))
+    units = [[u for u in range(1, n + 1) if math.gcd(u, n) == 1] for _, n in entries]
+    mults = [draw(st.sampled_from(us)) for us in units]
+    splits = [draw(st.integers(1, 3)) for _ in entries]
+    system = System.of(*entries)
+    N = system.lcm()
+    equal = N <= 60 and draw(st.booleans())
+    if equal:
+        counts = cover_values(system, 0, N)
+        top = max(counts)
+        system = System.of(*entries, *((x, N) for x, c in enumerate(counts) for _ in range(top - c)))
+    return system, len(entries), equal, mults, splits
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+@settings(PROPERTY, max_examples=60)
+# l = k with every modulus 1: answered with no window
+@example((System.of((0, 1), (3, 1)), 2, False, [1, 1], [1, 2]), 2, 2**70, True)
+@given(unweighted_cases(), st.integers(0, 7), st.one_of(st.integers(-50, 50), st.just(2**70)), st.booleans())
+def test_hypothesis_checks_match_full_period_scans(setting, case, l, start, drop):
+    """min_on_window, zero_system_coefficients and
+    equal_cover_superset_check decide their hypotheses on windows, under
+    every scan setting, as full-period scans on exact Python ints do.  Both
+    minima are the full-period minimum whenever l is at most it, and l is
+    refused otherwise.  w vanishes for the system less a refinement of
+    itself (each class a(n) split into r classes mod r*n), and not when
+    one class of that refinement is left out (``drop``).  The equal-cover
+    hypothesis holds exactly where w = w(0) on the full period."""
+    system, k0, equal, mults, splits = case
+    base = System(system.seqs[:k0])
+    refined = [(s.residue + j * s.modulus, r * s.modulus, -1) for s, r in zip(base.seqs, splits) for j in range(r)]
+    candidate = System(base.seqs + tuple(WeightedSequence(*e) for e in refined[: len(refined) - drop]))
+    zero = PeriodicValueTable.constant(0)
+    with kernel_widths("guard-1"):
+        full_min = int(_scan(base.seqs, (), 0, base.lcm())[0].min())
+        is_zero = brute_cover_verdict(candidate, zero).ok
+        is_equal = brute_cover_verdict(system, PeriodicValueTable.constant(cover_count(system, 0))).ok
+    assert is_zero != drop and is_equal >= equal and not brute_cover_verdict(base, zero).ok
+    with kernel_widths(setting):
+        if l <= full_min:
+            W_l, window_min, global_min = min_on_window(base, mults, l, start)
+            assert W_l >= 1 and window_min == global_min == full_min
+        else:
+            with pytest.raises(ValueError, match="exceeds the minimum coverage"):
+                min_on_window(base, mults, l, start)
+        with pytest.raises(ValueError, match="not identically zero"):
+            zero_system_coefficients(base)
+        if is_zero:
+            pairs = zero_system_coefficients(candidate)
+            assert [a for a, _ in pairs] == list(multiples_set(candidate.moduli))
+        else:
+            with pytest.raises(ValueError, match="not identically zero"):
+                zero_system_coefficients(candidate)
+        if is_equal:
+            equal_cover_superset_check(system)
+        else:
+            with pytest.raises(ValueError, match="equally often"):
+                equal_cover_superset_check(system)
 
 
 # --- periodicity mod a vector against the box oracle ---------------------------
