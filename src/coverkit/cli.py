@@ -35,7 +35,7 @@ from .covering import (
     weighted_average_check,
     zero_system_coefficients,
 )
-from .cyclotomic import CyclotomicElement, root_power
+from .cyclotomic import CyclotomicElement
 from .fracsets import phi_sum_cardinality
 from .multidim import (
     MultiSequence,
@@ -130,15 +130,14 @@ _TERM_RE = re.compile(r"([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(?:\*\s*z\^(-?\d+))?|z\^(-
 
 
 def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
-    total = CyclotomicElement.zero(level)
+    terms: list[tuple[int, Fraction]] = []
     pos = 0
-    seen = False
     while pos < len(expr):
         m = _TERM_RE.match(expr, pos)
         if not m or m.end() == pos:
             raise ParseError(f"line {lineno}: bad coefficient near {expr[pos:]!r}")
         sign, rat, exp1, exp2 = m.groups()
-        if seen and not sign:
+        if terms and not sign:
             raise ParseError(f"line {lineno}: missing +/- between terms in {expr!r}")
         try:
             coeff = Fraction(rat) if rat else Fraction(1)
@@ -147,13 +146,11 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
         if sign == "-":
             coeff = -coeff
         exp = exp1 if exp1 is not None else exp2
-        power = root_power(level, int(exp)) if exp is not None else CyclotomicElement.constant(level, 1)
-        total = total + power * coeff
+        terms.append((int(exp) if exp is not None else 0, coeff))
         pos = m.end()
-        seen = True
-    if not seen:
+    if not terms:
         raise ParseError(f"line {lineno}: empty coefficient")
-    return total
+    return CyclotomicElement.from_terms(level, terms)
 
 
 def _parse_int(tok: str, what: str, lineno: int) -> int:

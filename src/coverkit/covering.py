@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
-from .cyclotomic import CyclotomicElement, _lifted_entries, _shifted_sum, _vanishes, root_power
+from .cyclotomic import CyclotomicElement, zero_set_table
 from .fracsets import (
     FractionSet,
     divisor_union_phis,
@@ -383,7 +383,7 @@ class ExpSumSequence:
         if math.gcd(multiplier, n) != 1:
             raise ValueError(f"multiplier {multiplier} not coprime to modulus {n}")
         c0 = CyclotomicElement.constant(1, 1)
-        c1 = -root_power(n, -seq.residue * multiplier)
+        c1 = CyclotomicElement.from_terms(n, ((-seq.residue * multiplier, Fraction(-1)),))
         return cls(n, ((0, c0), (multiplier % n, c1)))
 
     def term_fractions(self) -> FractionSet:
@@ -391,15 +391,7 @@ class ExpSumSequence:
 
     def membership_table(self) -> tuple[bool, ...]:
         """Zero-set indicator over one period (x enters only via x mod n)."""
-        level = math.lcm(self.modulus, *(c.level for _, c in self.terms))
-        step = level // self.modulus
-        _, lifted = _lifted_entries([c for _, c in self.terms], level)
-        out = []
-        for x in range(self.modulus):
-            shifts = (step * t * x for t, _ in self.terms)
-            ints = _shifted_sum(level, zip(shifts, lifted))
-            out.append(_vanishes(level, ints))
-        return tuple(out)
+        return zero_set_table(self.modulus, self.terms)
 
 
 def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 0) -> Verdict:
@@ -408,13 +400,16 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     The window length is the largest sumset cardinality of the term-fraction
     sets over index subsets of size k-m+1; covering that many consecutive
     integers at least m times covers all of Z at least m times.  The window
-    is one kernel call over the 0/1 zero-set indicators; a window past the
-    oracle cap is refused before the indicators are built.
+    is one kernel call over the 0/1 zero-set indicators; a window or tables
+    past the oracle cap are refused before any table is built.
     """
     k = len(exp_seqs)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
     W = _oracle_points(window_bound([es.term_fractions() for es in exp_seqs], m), "window")
+    # a table is n zero tests at the lcm of n and its coefficient levels
+    tables = sum(es.modulus * math.lcm(es.modulus, *(c.level for _, c in es.terms)) for es in exp_seqs)
+    _oracle_points(tables, "zero-set table")
     indicators = [[int(v) for v in es.membership_table()] for es in exp_seqs]
     x = _kernels.first_below(indicators, m, start, W)
     return Verdict(True) if x is None else Verdict(False, x)
@@ -466,14 +461,10 @@ def min_on_window(
 # least period and the coefficients that determine it
 
 
-def _coefficient(system: System, q: int) -> CyclotomicElement:
-    # c_{1/q} = sum over {s : q | n_s} of (weight/n_s) * zeta_q^(a_s), built
-    # in one pass at level q
-    coeffs = [Fraction(0)] * q
-    for seq in system.seqs:
-        if seq.modulus % q == 0:
-            coeffs[seq.residue % q] += seq.weight / seq.modulus
-    return CyclotomicElement(q, tuple(coeffs))
+def _unit_terms(system: System, q: int) -> list[tuple[int, Fraction]]:
+    # c_{1/q} = sum over {s : q | n_s} of (weight/n_s) * zeta_q^(a_s), as
+    # its (a_s, weight/n_s) terms
+    return [(s.residue, s.weight / s.modulus) for s in system.seqs if s.modulus % q == 0]
 
 
 def least_period(system: System) -> int:
@@ -489,7 +480,7 @@ def least_period(system: System) -> int:
     """
     result = 1
     for q in sorted(divisor_union_phis(system.moduli), reverse=True):
-        if result % q and not _coefficient(system, q).is_zero():
+        if result % q and not CyclotomicElement.from_terms(q, _unit_terms(system, q)).is_zero():
             result = math.lcm(result, q)
     return result
 
@@ -512,22 +503,19 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
     identically zero (decided on a window by :func:`verify_covering_function`).
 
     As in :func:`least_period`, c_{p/q} is the image of c_{1/q} under
-    zeta_q -> zeta_q^p, so c_{1/q} is built and asserted to vanish once per
-    denominator q, and c_{p/q} moves its coefficient at j to p*j mod q.
+    zeta_q -> zeta_q^p, so c_{1/q} is asserted to vanish once per
+    denominator q, and c_{p/q} is built from its terms with exponents p*a_s.
     """
     if not verify_covering_function(system, PeriodicValueTable.constant(0)):
         raise ValueError("covering function is not identically zero")
-    units: dict[int, tuple] = {}
+    terms: dict[int, list] = {}
     out = []
     for alpha in multiples_set(system.moduli):
-        q = alpha.denominator
-        if q not in units:
-            unit = _coefficient(system, q)
-            assert unit.is_zero(), f"nonzero coefficient at alpha=1/{q} for a zero system"
-            units[q] = unit.coeffs
-        inverse = pow(alpha.numerator, -1, q)
-        coeffs = tuple(units[q][inverse * e % q] for e in range(q))
-        out.append((alpha, CyclotomicElement(q, coeffs)))
+        q, p = alpha.denominator, alpha.numerator
+        if q not in terms:
+            terms[q] = _unit_terms(system, q)
+            assert CyclotomicElement.from_terms(q, terms[q]).is_zero(), f"c_(1/{q}) != 0 in a zero system"
+        out.append((alpha, CyclotomicElement.from_terms(q, ((p * a, w) for a, w in terms[q]))))
     return out
 
 

@@ -6,6 +6,10 @@ redundant (the vector has length N, the field has degree phi(N)), so
 equality and the zero test always reduce modulo the N-th cyclotomic
 polynomial; coefficient vectors are never compared directly.
 
+This module owns that layout: every element is built from exponent terms
+(j, c), meaning c * zeta^j, by :meth:`CyclotomicElement.from_terms`, and
+only code here (zero tests, exponential sums, zero-set tables) reads it.
+
 Rational scalars only — verdicts that hinge on "!= 0" must stay exact, so
 complex floating point is never used anywhere in this module.  Division is
 not provided; nothing downstream needs it.
@@ -19,9 +23,10 @@ from typing import Iterable, Sequence
 
 from .numtheory import cyclotomic_poly
 
-__all__ = ["CyclotomicElement", "root_power", "indicator_sum_check", "exp_sum_eval"]
+__all__ = ["CyclotomicElement", "root_power", "indicator_sum_check", "exp_sum_eval", "zero_set_table"]
 
 Rational = Fraction | int
+_ZERO = Fraction(0)
 
 
 class CyclotomicElement:
@@ -38,14 +43,26 @@ class CyclotomicElement:
         self.coeffs = coeffs
 
     @classmethod
+    def from_terms(cls, level: int, terms: Iterable[tuple[int, Rational]]) -> CyclotomicElement:
+        """Sum of c * zeta_level^j over the (j, c) pairs, exponents mod
+        ``level``: the one builder of a coefficient vector.  Repeated
+        exponents add; a c on an untouched entry is stored as given."""
+        if level < 1:
+            raise ValueError(f"level must be positive, got {level}")
+        coeffs = [_ZERO] * level
+        for j, c in terms:
+            j %= level
+            old = coeffs[j]
+            coeffs[j] = c if old is _ZERO else old + c
+        return cls(level, tuple(coeffs))
+
+    @classmethod
     def zero(cls, level: int) -> CyclotomicElement:
-        return cls(level, (Fraction(0),) * level)
+        return cls.from_terms(level, ())
 
     @classmethod
     def constant(cls, level: int, value: Rational) -> CyclotomicElement:
-        coeffs = [Fraction(0)] * level
-        coeffs[0] = Fraction(value)
-        return cls(level, tuple(coeffs))
+        return cls.from_terms(level, ((0, Fraction(value)),))
 
     def lift(self, M: int) -> CyclotomicElement:
         """Embed into Q(zeta_M); requires level | M (zeta_N = zeta_M^(M/N))."""
@@ -54,11 +71,7 @@ class CyclotomicElement:
         if M == self.level:
             return self
         step = M // self.level
-        coeffs = [Fraction(0)] * M
-        for j, c in enumerate(self.coeffs):
-            if c:
-                coeffs[j * step] = c
-        return CyclotomicElement(M, tuple(coeffs))
+        return CyclotomicElement.from_terms(M, ((j * step, c) for j, c in enumerate(self.coeffs) if c))
 
     def _common(self, other: CyclotomicElement) -> tuple[CyclotomicElement, CyclotomicElement]:
         N = math.lcm(self.level, other.level)
@@ -93,14 +106,10 @@ class CyclotomicElement:
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         a, b = self._common(other)
-        N = a.level
-        out = [Fraction(0)] * N
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        out[(i + j) % N] += ca * cb
-        return CyclotomicElement(N, tuple(out))
+        nonzero = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
+        return CyclotomicElement.from_terms(
+            a.level, ((i + j, ca * cb) for i, ca in enumerate(a.coeffs) if ca for j, cb in nonzero)
+        )
 
     __rmul__ = __mul__
 
@@ -158,10 +167,13 @@ def _lifted_entries(
 ) -> tuple[int, list[list[tuple[int, int]]]]:
     """(den, entries): den the lcm of the elements' coefficient
     denominators, and each element lifted to ``level`` as its nonzero
-    entries (j, den * coefficient of zeta_level^j)."""
+    entries (j, den * coefficient of zeta_level^j), read off its own
+    coefficients with no level-long vector."""
     den = math.lcm(*(v.denominator for c in elements for v in c.coeffs))
+    if any(level % c.level for c in elements):
+        raise ValueError(f"coefficient levels must divide {level}")
     return den, [
-        [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(c.lift(level).coeffs) if v]
+        [(j * (level // c.level), v.numerator * (den // v.denominator)) for j, v in enumerate(c.coeffs) if v]
         for c in elements
     ]
 
@@ -179,11 +191,7 @@ def _shifted_sum(level: int, shifted: Iterable[tuple[int, list[tuple[int, int]]]
 
 def root_power(N: int, j: int) -> CyclotomicElement:
     """zeta_N^j (exponent taken mod N)."""
-    if N < 1:
-        raise ValueError(f"level must be positive, got {N}")
-    coeffs = [Fraction(0)] * N
-    coeffs[j % N] = Fraction(1)
-    return CyclotomicElement(N, tuple(coeffs))
+    return CyclotomicElement.from_terms(N, ((j, Fraction(1)),))
 
 
 def indicator_sum_check(N: int, n: int, a: int) -> bool:
@@ -231,5 +239,17 @@ def exp_sum_eval(
         shifts.append(-int(aN) * x)
     den, lifted = _lifted_entries(coeffs, N)
     ints = _shifted_sum(N, zip(shifts, lifted))
-    zero = Fraction(0)
-    return CyclotomicElement(N, tuple(Fraction(v, den) if v else zero for v in ints))
+    return CyclotomicElement.from_terms(N, ((j, Fraction(v, den)) for j, v in enumerate(ints) if v))
+
+
+def zero_set_table(modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]) -> tuple[bool, ...]:
+    """Whether sum_t c_t * e^(2*pi*i*t*x/modulus) = 0 over the (t, c_t)
+    pairs (t may repeat), for x in [0, modulus): one zero test per point at
+    the lcm of the modulus and the coefficient levels."""
+    level = math.lcm(modulus, *(c.level for _, c in terms))
+    step = level // modulus
+    _, lifted = _lifted_entries([c for _, c in terms], level)
+    return tuple(
+        _vanishes(level, _shifted_sum(level, zip((step * t * x for t, _ in terms), lifted)))
+        for x in range(modulus)
+    )

@@ -13,6 +13,7 @@ import pytest
 import coverkit
 from coverkit import MultiSequence, multidim_value
 from coverkit.cli import ParseError, parse_coefficient_file, parse_system, run_command
+from coverkit.cyclotomic import CyclotomicElement
 
 B_TEXT = "1 2\n2 4\n0 4\n"
 BP_TEXT = "1 2\n2 4\n4 6\n"
@@ -155,6 +156,25 @@ def test_coefficient_terms_grammar():
     seqs = parse_coefficient_file("level 6\nmodulus 2\n0 1/2*z^3+z^-1-2\n1 -z^2\n")
     (s,) = seqs
     assert len(s.terms) == 2
+
+
+def test_coefficient_parses_with_one_build(monkeypatch):
+    """A coefficient's terms are collected and built once, so parsing does
+    no element arithmetic: O(level + terms), not O(level * terms)."""
+    from coverkit import cyclotomic
+
+    def refused(*args):
+        raise AssertionError("element arithmetic while parsing")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CyclotomicElement, name, refused)
+    monkeypatch.setattr(cyclotomic, "root_power", refused)
+    (s,) = parse_coefficient_file("level 6\nmodulus 2\n0 1/2*z^3+z^-1-2+3/4*z^9\n1 -z^2+z^8\n")
+    c0, c1 = (c for _, c in s.terms)
+    monkeypatch.undo()
+    F = Fraction
+    assert c0.coeffs == (F(-2), F(0), F(0), F(5, 4), F(0), F(1))
+    assert c1.coeffs == (F(0), F(0), F(0), F(0), F(0), F(0))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -377,6 +397,22 @@ def test_window_cap_refuses_before_allocating(tmp_path, capsys):
     coeffs = write(tmp_path, "c.txt", "level 1\n" + "".join(blocks))
     code, out = run(capsys, "expsum-cover", "--m", "1", coeffs)
     assert code == 2 and "window too large: 1022117 points" in out
+    assert "result|cmd=expsum-cover|verdict=error|witness=none" in out
+
+
+@pytest.mark.parametrize(
+    "text,points",
+    [
+        # a modulus near the level cap: every point is a level-n vector
+        ("level 999983\nmodulus 999979\n0 1\n1 -1\n", 999979 * 999979 * 999983),
+        # a small level, but a level-n vector at each of n points
+        ("level 3\nmodulus 1000003\n0 1\n1 -1*z^1\n", 1000003 * 3000009),
+    ],
+)
+def test_expsum_refuses_a_zero_set_table_past_the_cap(tmp_path, capsys, text, points):
+    f = write(tmp_path, "c.txt", text)
+    code, out = run(capsys, "expsum-cover", "--m", "1", f)
+    assert code == 2 and f"zero-set table too large: {points} points" in out
     assert "result|cmd=expsum-cover|verdict=error|witness=none" in out
 
 

@@ -323,6 +323,24 @@ def test_expsum_cover_refuses_a_window_past_the_cap(monkeypatch):
         expsum_cover_check(exp, 1)
 
 
+def test_expsum_cover_refuses_zero_set_tables_past_the_cap(monkeypatch):
+    """Each table point is one vector at the lcm of the modulus and the
+    coefficient levels: sum_s n_s * lcm(n_s, levels) past the cap is refused
+    before any coefficient is lifted or any table is built."""
+    from coverkit import covering
+
+    def unbuilt(*args):
+        raise AssertionError("zero-set table built past the cap")
+
+    monkeypatch.setattr(covering, "zero_set_table", unbuilt)
+    monkeypatch.setattr(CyclotomicElement, "lift", unbuilt)
+    one = CyclotomicElement.constant(1, 1)
+    big = ExpSumSequence(997, ((0, one), (1, CyclotomicElement.constant(991, -1))))
+    small = ExpSumSequence.from_arith_sequence(WeightedSequence(0, 2))
+    with pytest.raises(ValueError, match=f"zero-set table too large: {997 * 997 * 991 + 2 * 2} points"):
+        expsum_cover_check([big, small], 1)
+
+
 def test_expsum_from_arith_requires_coprime_multiplier():
     with pytest.raises(ValueError):
         ExpSumSequence.from_arith_sequence(WeightedSequence(1, 6), 2)

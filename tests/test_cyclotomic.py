@@ -37,6 +37,34 @@ def test_ring_ops_examples():
     assert (1 + z4) * (1 - z4) == 2
 
 
+@pytest.mark.parametrize(
+    "level,terms",
+    [
+        (1, []),
+        (1, [(5, F(2)), (-3, F(-1, 2))]),
+        (6, [(0, F(1))]),
+        (6, [(-1, F(1, 2)), (-7, F(1, 3))]),  # negative, and the same entry twice
+        (6, [(2, F(3)), (2, F(-3)), (8, F(1))]),  # repeats cancel, 8 = 2 mod 6
+        (6, [(6, F(5)), (12, F(0)), (1, F(0))]),  # exponents past the level, zero coefficients
+        (7, [(j * 3 - 10, F(j - 2, j + 1)) for j in range(15)]),
+        (12, [(0, 1), (11, -2), (-13, 3)]),  # int coefficients
+    ],
+)
+def test_from_terms_equals_the_dense_sum(level, terms):
+    built = CyclotomicElement.from_terms(level, terms)
+    dense = CyclotomicElement.zero(level)
+    for j, c in terms:
+        dense = dense + root_power(level, j) * c
+    assert built == dense
+    assert built.level == level and built.coeffs == dense.coeffs
+
+
+def test_from_terms_rejects_a_nonpositive_level():
+    for level in (0, -3):
+        with pytest.raises(ValueError, match="level must be positive"):
+            CyclotomicElement.from_terms(level, [(1, F(1))])
+
+
 def test_level_lifting():
     # zeta_2 = zeta_4^2 = zeta_12^6
     assert root_power(2, 1) == root_power(4, 2)

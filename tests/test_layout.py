@@ -1,0 +1,55 @@
+"""Each representation has one home in the package: only `cyclotomic`
+reads or builds the Q(zeta) coefficient vector, and only `_kernels`
+imports numpy."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coverkit"
+
+
+def modules() -> dict[str, ast.Module]:
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC.glob("*.py")}
+    assert {"cyclotomic.py", "covering.py", "cli.py", "_kernels.py"} <= set(trees)
+    return trees
+
+
+def users(found) -> set[str]:
+    """Names of the modules in which ``found(node)`` holds for some node."""
+    return {name for name, tree in modules().items() if any(found(node) for node in ast.walk(tree))}
+
+
+def reads_coeffs(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "coeffs"
+
+
+def builds_element(node) -> bool:
+    # CyclotomicElement(level, coeffs) with a vector laid out by the caller
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "CyclotomicElement") or (
+        isinstance(f, ast.Attribute) and f.attr == "CyclotomicElement"
+    )
+
+
+def imports_private_cyclotomic(node) -> bool:
+    if not isinstance(node, ast.ImportFrom) or node.module not in ("cyclotomic", "coverkit.cyclotomic"):
+        return False
+    return any(alias.name.startswith("_") for alias in node.names)
+
+
+def imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_only_cyclotomic_touches_the_coefficient_layout():
+    assert users(reads_coeffs) == {"cyclotomic.py"}
+    assert users(builds_element) <= {"cyclotomic.py"}
+    assert users(imports_private_cyclotomic) == set()
+
+
+def test_only_kernels_imports_numpy():
+    assert users(imports_numpy) == {"_kernels.py"}
