@@ -1,10 +1,10 @@
 """Hot scan kernels, and the one place that picks how a scan runs.
 
-The kernels (window covering counts, periodic-table sums and covering
-counts over a box in Z^l) are the only loops in the package that touch
-millions of points.  Every scan first puts its exact values over a common
-denominator with :func:`_plan`, which also decides, once, the path the
-scan runs on.  A numpy scan gets the narrowest
+The kernels (window covering counts, periodic-table sums, and the first
+nonzero of a covering function over a box in Z^l) are the only loops in
+the package that touch millions of points.  Every scan first puts its
+exact values over a common denominator with :func:`_plan`, which also
+decides, once, the path the scan runs on.  A numpy scan gets the narrowest
 of int8, int16, int32 and int64 that no kernel sum can leave.  A scan's
 cost is memory traffic, so an exact cover whose counts stay below 64 scans
 bytes, not words.  The kernels take their dtype from the values they are
@@ -148,60 +148,27 @@ def _flat(axes, strides) -> list[int]:
     return out
 
 
-def box_first_mismatch(classes, dims, checks):
-    """(t, x) for the first check (t, h, window) in ``checks`` that fails
-    on the box [0, dims), or None.  Such a check compares the value at each
-    x of the window prod_u [0, window_u) with the value at x + h*e_t, its
-    t-th coordinate taken mod dims[t], and x is its first mismatch in C
-    order.  The values are D * w of the classes (residues, moduli,
-    weights), on the path :func:`_plan` picks from the work of filling the
-    box and comparing it (its points twice) plus the class hits.  On numpy
-    the pairs are compared in at most two slices along axis t, those that
-    stay in the box and those that wrap round it, with no copy of the box."""
+def box_first_nonzero(classes, dims):
+    """First x in C order of the box [0, dims) where w of the classes
+    (residues, moduli, weights) is nonzero, or None.  The values are D * w,
+    on the path :func:`_plan` picks from the work of filling the box, its
+    points plus the class hits."""
     residues, moduli, weights = classes
     points = math.prod(dims)
     hits = len(moduli) + sum(math.prod(map(floordiv, dims, n)) for n in moduli)
-    nums, _ = _plan([*zip(weights)], 2 * points + hits)
+    nums, _ = _plan([*zip(weights)], points + hits)
     if type(nums) is not list:
-        box = _box_counts(residues, moduli, nums, dims)
-        for t, h, window in checks:
-            stop = min(window[t], dims[t] - h)
-            # (first x_t, end of x_t, first partner x_t) of the pairs that
-            # stay in the box, then of those that wrap round it
-            parts = ((0, stop, h), (stop, window[t], 0))
-            found = (_slice_mismatch(box, t, window, *part) for part in parts if part[0] < part[1])
-            x = min(filter(None, found), default=None)
-            if x is not None:
-                return t, x
-        return None
+        # argmax stops at the first True, and is 0 when there is none
+        bad = _box_counts(residues, moduli, nums, dims).ravel() != 0
+        i = int(bad.argmax())
+        return _unravel(i, dims) if bad[i] else None
     strides = list(accumulate(reversed(dims[1:]), mul, initial=1))[::-1]
     flat = [0] * points
     for a, n, w in zip(residues, moduli, nums):
         for i in _flat(map(range, a, dims, n), strides):
             flat[i] += w
-    for t, h, window in checks:
-        axes = list(map(range, window))
-        at = _flat(axes, strides)
-        axes[t] = [(x + h) % dims[t] for x in axes[t]]
-        moved = map(flat.__getitem__, _flat(axes, strides))
-        i = next(compress(at, map(ne, map(flat.__getitem__, at), moved)), None)
-        if i is not None:
-            return t, _unravel(i, dims)
-    return None
-
-
-def _slice_mismatch(box, t: int, window, lo: int, hi: int, to: int):
-    """First x in C order of the window cut to [lo, hi) along axis t whose
-    value differs from that at x + (to - lo)*e_t, or None."""
-    head = tuple(slice(0, m) for m in window[:t])
-    tail = tuple(slice(0, m) for m in window[t + 1 :])
-    bad = box[head + (slice(lo, hi),) + tail] != box[head + (slice(to, to + hi - lo),) + tail]
-    # argmax stops at the first True, and is 0 when there is none
-    i = int(bad.argmax())
-    if not bad.flat[i]:
-        return None
-    x = _unravel(i, bad.shape)
-    return x[:t] + (x[t] + lo,) + x[t + 1 :]
+    i = next(compress(count(), flat), None)
+    return None if i is None else _unravel(i, dims)
 
 
 def table_sums(values, offsets, periods, start: int, length: int, char: int = 0) -> np.ndarray:

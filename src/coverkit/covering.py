@@ -91,6 +91,15 @@ def _integer(v):
     return v if type(v) is int or not isinstance(v, numbers.Integral) else int(v)
 
 
+def _integers(*values) -> list[int]:
+    """Residues or moduli as Python ints; any value that is not an integer
+    of some type (1.5, a Fraction, a string) is refused."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"residues and moduli must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 def _exact(v):
     """v as a Python int when it is an integer, else a Fraction of Python ints."""
     v = _integer(v)
@@ -106,10 +115,11 @@ class WeightedSequence:
     weight: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "modulus", _integer(self.modulus))
-        object.__setattr__(self, "residue", _integer(self.residue) % self.modulus)
+        residue, modulus = _integers(self.residue, self.modulus)
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue % modulus)
         object.__setattr__(self, "weight", _rational(self.weight))
 
     def contains(self, x: int) -> bool:
@@ -157,7 +167,8 @@ class PeriodicValueTable:
 
     ``char`` 0 means F = Q (values are ints or Fractions, kept as Python
     ints and Fractions of them, so numpy integers become exact); a prime p
-    means F = F_p (values are reduced into [0, p) at construction).
+    means F = F_p (values are integers, or Fractions with denominator 1,
+    reduced into [0, p) at construction; any other value is refused).
     """
 
     period: int
@@ -172,7 +183,12 @@ class PeriodicValueTable:
         if self.char:
             if not _is_prime(self.char):
                 raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
-            object.__setattr__(self, "values", tuple(int(v) % self.char for v in self.values))
+            values = tuple(self.values)
+            if not {int}.issuperset(map(type, values)):
+                for v in values:
+                    if not isinstance(v, numbers.Rational) or v.denominator != 1:
+                        raise ValueError(f"values over F_{self.char} must be integers, got {v!r}")
+            object.__setattr__(self, "values", tuple(int(v) % self.char for v in values))
         else:
             values = tuple(self.values)
             if not {int}.issuperset(map(type, values)):
@@ -189,10 +205,11 @@ class PeriodicValueTable:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a check; ``witness`` locates the first failure when not ok."""
+    """Outcome of a check; ``witness`` locates the first failure when not
+    ok: a point, or for periodicity mod a vector a pair (x, y) of points."""
 
     ok: bool
-    witness: int | None = None
+    witness: int | tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -350,8 +367,7 @@ def non_exact_witness(system: System, m: int) -> int:
     bound = system.k - f_additive(N)
     if m <= bound:
         raise ValueError(f"hypothesis not met: need m > k - f(N) = {bound}, got m={m}")
-    size = phi_sum_cardinality(system.moduli)
-    verdict = _first_nonzero(system.seqs, [PeriodicValueTable.constant(m)], 0, size)
+    verdict = verify_covering_function(system, PeriodicValueTable.constant(m))
     if verdict.ok:
         raise AssertionError("no witness in the window; this contradicts the guarantee")
     return verdict.witness

@@ -3,7 +3,9 @@
 Vectors are plain int tuples; d | y means each component of d divides the
 matching component of y.  Periodicity of the covering function of a family
 of weighted multidimensional residue classes is decided from a window, as
-in one dimension: a difference w(x + h*e_t) - w(x) vanishes on Z^l iff it
+in one dimension: a difference w(x) - w(x + h*e_t) is itself the covering
+function of a weighted system (each class, plus a copy shifted by -h*e_t
+with its weight negated), and such a function vanishes on Z^l iff it
 vanishes on prod_u [0, L_u), L_u the totient sum over the divisors of the
 moduli's u-th components (a tensor Vandermonde argument, one axis at a
 time).  That test anchors both the divisibility inequality chain and the
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
-from .covering import _integer, _oracle_points, _rational
+from .covering import Verdict, _integers, _oracle_points, _rational
 from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
@@ -49,12 +51,11 @@ class MultiSequence:
     def __post_init__(self):
         if len(self.residue) != len(self.modulus) or not self.modulus:
             raise ValueError("residue and modulus must share a positive dimension")
-        if any(n < 1 for n in self.modulus):
+        residue, modulus = _integers(*self.residue), _integers(*self.modulus)
+        if any(n < 1 for n in modulus):
             raise ValueError(f"modulus components must be positive, got {self.modulus}")
-        object.__setattr__(self, "modulus", tuple(map(_integer, self.modulus)))
-        object.__setattr__(
-            self, "residue", tuple(_integer(a) % n for a, n in zip(self.residue, self.modulus))
-        )
+        object.__setattr__(self, "modulus", tuple(modulus))
+        object.__setattr__(self, "residue", tuple(a % n for a, n in zip(residue, modulus)))
         object.__setattr__(self, "weight", _rational(self.weight))
 
     @property
@@ -90,29 +91,24 @@ def multidim_value(seqs: Sequence[MultiSequence], x: IntVector) -> Fraction:
     return sum((s.weight for s in seqs if s.contains(x)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
-    ok: bool
-    witness: tuple[IntVector, IntVector] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
+# periodicity verdicts are covering.Verdict, their witness a pair (x, y)
+PeriodicityVerdict = Verdict
 
 
-def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
+def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:
     """Decide whether w is periodic modulo n0 from a window.
 
     w is periodic mod N, the componentwise lcm of the moduli, so along
     axis t a shift by n0_t acts as one by h_t = n0_t mod N_t, and an axis
     with h_t = 0 needs no check; when every h_t is 0 the answer is
-    "periodic" with no scan.  Every other axis t is checked on the window
-    prod_u [0, L_u) (module docstring): w(x) against w(x + h_t*e_t), on a
-    box of side min(L_u + h_u, N_u) along each axis u, where a side of N_u
-    pairs x with (x + h_t) mod N_t.  When h_t divides N_t the pairs that
-    wrap follow from the others by going round the cycle, so the window
-    along t stops at N_t - h_t.  The witness is the first mismatch x in C
-    order, which is also the first on all of Z^l with x >= 0, and
-    y = x + n0_t*e_t.  The box may not exceed the oracle cap.
+    "periodic" with no scan.  For every other axis t, w(x) - w(x + h_t*e_t)
+    is the covering function of the classes whose t-th modulus does not
+    divide h_t together with their copies shifted by -h_t*e_t with negated
+    weights (the classes it fixes cancel), so it is checked for vanishing
+    on the window prod_u [0, L_u) (module docstring).  The witness is its
+    first nonzero x in C order, which is also the first mismatch on all of
+    Z^l with x >= 0, and y = x + n0_t*e_t.  The window may not exceed the
+    oracle cap.
     """
     _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
@@ -121,24 +117,20 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Periodi
     periods = [math.lcm(*col) for col in zip(*moduli)]
     shifts = [c % N for c, N in zip(n0, periods)]
     if not any(shifts):
-        return PeriodicityVerdict(True)
+        return Verdict(True)
     # the totient sum over the divisors of N_u is N_u itself
     window = [N if N in col else phi_sum_cardinality(col) for N, col in zip(periods, zip(*moduli))]
-    dims = tuple(min(L + h, N) for L, h, N in zip(window, shifts, periods))
-    _oracle_points(math.prod(dims), "box")
-    checks = []
-    for t, (h, N) in enumerate(zip(shifts, periods)):
-        if h:
-            along = min(window[t], N - h) if N % h == 0 else window[t]
-            checks.append((t, h, window[:t] + [along] + window[t + 1 :]))
+    _oracle_points(math.prod(window), "box")
     # integral weights travel as ints, which skips the kernels' Fraction scaling
     weights = [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
-    found = _kernels.box_first_mismatch(([s.residue for s in seqs], moduli, weights), dims, checks)
-    if found is None:
-        return PeriodicityVerdict(True)
-    t, x = found
-    y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-    return PeriodicityVerdict(False, (x, y))
+    for t, h in enumerate(shifts):
+        if h:
+            kept = [(s.residue, n, w) for s, n, w in zip(seqs, moduli, weights) if h % n[t]]
+            moved = [(a[:t] + ((a[t] - h) % n[t],) + a[t + 1 :], n, -w) for a, n, w in kept]
+            x = _kernels.box_first_nonzero([*zip(*kept, *moved)], window)
+            if x is not None:
+                return Verdict(False, (x, x[:t] + (x[t] + n0[t],) + x[t + 1 :]))
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -226,7 +218,7 @@ def decide_periodic_by_divisibility(seqs: Sequence[MultiSequence], n0: IntVector
     return _divisibility_verdict(seqs, n0).ok
 
 
-def _divisibility_verdict(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
+def _divisibility_verdict(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:
     """The verdict of :func:`is_periodic_mod_vec`, with its witness, once
     it agrees with :func:`decide_periodic_by_divisibility`'s decision."""
     _check_dims(seqs, n0)

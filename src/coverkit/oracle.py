@@ -29,7 +29,7 @@ from .covering import (
     verify_covering_function,
 )
 from .fracsets import phi_sum_cardinality
-from .multidim import IntVector, MultiSequence, PeriodicityVerdict, _check_dims
+from .multidim import IntVector, MultiSequence, _check_dims
 from .numtheory import divisors_of
 
 __all__ = [
@@ -74,7 +74,7 @@ def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
     )
 
 
-def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> PeriodicityVerdict:
+def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:
     """Exhaustively decide whether w is periodic modulo n0.
 
     Scans one full period box (componentwise lcm of n0 and all moduli) and
@@ -99,8 +99,8 @@ def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Peri
         if bad.any():
             x = _kernels._unravel(int(bad.argmax()), bad.shape)
             y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-            return PeriodicityVerdict(False, (x, y))
-    return PeriodicityVerdict(True)
+            return Verdict(False, (x, y))
+    return Verdict(True)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,16 @@ def test_residue_canonicalization():
     assert s.contains(-3) and s.contains(5)
 
 
+def test_non_integer_residues_and_moduli_are_refused():
+    """A residue or modulus that is not an integer of some type is refused
+    at construction: 1.5 as a residue once reached the kernels, where the
+    list path raised TypeError and the numpy path truncated it to 1."""
+    for entries in (((1.5, 3), (0, 3), (2, 3)), ((0, 3.0),), ((F(3, 2), 2),), (("1", 2),)):
+        with pytest.raises(ValueError, match="must be integers"):
+            System.of(*entries)
+    assert System.of((True, 3)).seqs[0].residue == 1
+
+
 def test_system_requires_sequences():
     with pytest.raises(ValueError):
         System(())
@@ -69,6 +79,17 @@ def test_table_validation():
         PeriodicValueTable(2, (1, 0), char=4)
     t = PeriodicValueTable(3, (5, -1, 0), char=3)
     assert t.values == (2, 2, 0)
+
+
+def test_prime_field_table_refuses_fractions():
+    """Over F_p a table holds integers: a Fraction of denominator 1 is one,
+    any other Fraction or a float is refused, not truncated (1/2 once
+    became 0, so 1/2 + 2 read as nonzero in F_5)."""
+    assert PeriodicValueTable(2, (F(6, 2), -F(7)), 5).values == (3, 3)
+    for v in (F(1, 2), 0.5, 1.0):
+        with pytest.raises(ValueError, match="must be integers"):
+            PeriodicValueTable(1, (v,), 5)
+    assert PeriodicValueTable(1, (F(1, 2),)).values == (F(1, 2),)
 
 
 # --- covering function ----------------------------------------------------

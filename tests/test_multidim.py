@@ -45,6 +45,9 @@ def test_multiseq_canonicalization():
         MultiSequence((0,), (0,))
     with pytest.raises(ValueError):
         MultiSequence((0, 0), (2,))
+    for residue, modulus in (((0.5, 0), (2, 2)), ((0, 0), (2, 2.0)), ((0, F(1, 2)), (2, 2))):
+        with pytest.raises(ValueError, match="must be integers"):
+            MultiSequence(residue, modulus)
 
 
 def test_multidim_value_examples():
@@ -109,6 +112,21 @@ def test_period_past_the_box_cap():
     for period in (n0, odd):
         with pytest.raises(ValueError, match="box too large"):
             brute_periodic_mod_vec(seqs, period)
+
+
+def test_window_past_the_old_box_cap():
+    """Each axis is a vanishing check on the window prod_u [0, L_u), here
+    2021 * 4 points, so a shift of 500000 along axis 0 adds nothing to the
+    scan; comparing x with x + h*e_t in one filled box once needed a box of
+    (2021 + 500000) * 4 = 2008084 points and was refused.  The full box
+    scan of the oracle still is."""
+    seqs = [MultiSequence((0, 0), (1009, 2)), MultiSequence((0, 1), (1013, 3), F(-1, 2))]
+    n0 = (500000, 6)
+    v = is_periodic_mod_vec(seqs, n0)
+    assert v == PeriodicityVerdict(False, ((0, 0), (500000, 0)))
+    assert multidim_value(seqs, v.witness[0]) != multidim_value(seqs, v.witness[1])
+    with pytest.raises(ValueError, match="box too large"):
+        brute_periodic_mod_vec(seqs, n0)
 
 
 def test_chain_hand_instance():
