@@ -9,7 +9,8 @@ with one machine-readable line
 
 where a vector witness pair x, y (``multidim-period``, ``cor14``) is
 written ``witness=<x1,x2,...>:<y1,y2,...>``.  The bench subcommand
-additionally emits its own ``bench|...`` line.
+additionally emits its own ``bench|...`` line.  A subcommand returns what
+it found as a :class:`Report`; only :func:`run_command` prints.
 """
 
 from __future__ import annotations
@@ -81,11 +82,32 @@ class SystemFile:
         return "\n".join(lines) + "\n"
 
 
+def _lines(text: str):
+    """(line number, content) of each line of ``text`` that holds more than
+    blanks and a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _parse_int_vector(tok: str, lineno: int) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in tok.split(","))
     except ValueError:
         raise ParseError(f"line {lineno}: bad integer vector {tok!r}") from None
+
+
+def _parse_number(tok: str, what: str, lineno: int, kind=Fraction):
+    """``kind(tok)``: an int, or a Fraction written as an integer, p/q or a
+    decimal.  Exponent notation is refused up front, since
+    Fraction("1e10000000") alone runs for seconds."""
+    if "e" in tok.lower():
+        raise ParseError(f"line {lineno}: bad {what} {tok!r}: exponent notation is refused")
+    try:
+        return kind(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"line {lineno}: bad {what} {tok!r}") from None
 
 
 def parse_system(text: str) -> SystemFile:
@@ -94,13 +116,10 @@ def parse_system(text: str) -> SystemFile:
     and ``#`` comments are ignored; every entry must share one dimension."""
     entries: list[MultiSequence] = []
     dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'residue modulus [weight]', got {raw!r}")
+            raise ParseError(f"line {lineno}: expected 'residue modulus [weight]', got {line!r}")
         a = _parse_int_vector(parts[0], lineno)
         n = _parse_int_vector(parts[1], lineno)
         if len(a) != len(n):
@@ -111,12 +130,7 @@ def parse_system(text: str) -> SystemFile:
             raise ParseError(f"line {lineno}: mixed dimensions ({len(a)} after {dim})")
         if any(c < 1 for c in n):
             raise ParseError(f"line {lineno}: moduli must be positive, got {parts[1]}")
-        weight = Fraction(1)
-        if len(parts) == 3:
-            try:
-                weight = Fraction(parts[2])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"line {lineno}: bad weight {parts[2]!r}") from None
+        weight = _parse_number(parts[2], "weight", lineno) if len(parts) == 3 else Fraction(1)
         entries.append(MultiSequence(a, n, weight))
     if not entries:
         raise ParseError("no sequences in input")
@@ -153,13 +167,6 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
     return CyclotomicElement.from_terms(level, terms)
 
 
-def _parse_int(tok: str, what: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad {what} {tok!r}") from None
-
-
 def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
     level = None
     seqs: list[ExpSumSequence] = []
@@ -174,17 +181,14 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
             seqs.append(ExpSumSequence(modulus, tuple(terms)))
         modulus, terms = None, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         parts = line.split(None, 1)
         if parts[0] in ("level", "modulus") and len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '{parts[0]} N'")
         if parts[0] == "level":
             if level is not None:
                 raise ParseError(f"line {lineno}: duplicate level declaration")
-            level = _parse_int(parts[1], "level", lineno)
+            level = _parse_number(parts[1], "level", lineno, int)
             if level < 1:
                 raise ParseError(f"line {lineno}: level must be positive")
             # every coefficient is a dense vector of `level` rationals
@@ -194,7 +198,7 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
             if level is None:
                 raise ParseError(f"line {lineno}: 'level N' must precede the first modulus")
             flush(lineno)
-            modulus = _parse_int(parts[1], "modulus", lineno)
+            modulus = _parse_number(parts[1], "modulus", lineno, int)
             if modulus < 1:
                 raise ParseError(f"line {lineno}: modulus must be positive")
         else:
@@ -202,7 +206,7 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
                 raise ParseError(f"line {lineno}: term outside a modulus block")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 't <coefficient>'")
-            t = _parse_int(parts[0], "term index", lineno)
+            t = _parse_number(parts[0], "term index", lineno, int)
             terms.append((t, _parse_coefficient(parts[1], level, lineno)))
     flush(0)
     if not seqs:
@@ -222,23 +226,21 @@ def _read(path: str) -> str:
 
 def _read_target(args) -> PeriodicValueTable:
     if args.target_file is not None:
-        values = []
-        for lineno, raw in enumerate(_read(args.target_file).splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(Fraction(line))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"line {lineno}: bad target value {line!r}") from None
+        lines = _lines(_read(args.target_file))
+        values = [_parse_number(line, "target value", lineno) for lineno, line in lines]
         if not values:
             raise ParseError("target file holds no values")
         return PeriodicValueTable(len(values), tuple(values))
     return PeriodicValueTable.constant(args.target_const)
 
 
-def _csv_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _vector(args, name: str) -> tuple[int, ...]:
+    """The comma-separated integers of option ``--<name>``."""
+    text = getattr(args, name)
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ParseError(f"--{name}: expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,10 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-Witness = int | tuple[tuple[int, ...], tuple[int, ...]] | None
+@dataclass(frozen=True)
+class Report:
+    """What one subcommand found: its exit code, the verdict and witness of
+    the ``result|`` line, and the text lines printed before that line."""
+
+    code: int
+    verdict: str
+    witness: int | tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    lines: tuple[str, ...] = ()
 
 
-def _witness_text(witness: Witness) -> str:
+def _witness_text(witness) -> str:
     if witness is None:
         return "none"
     if isinstance(witness, tuple):
@@ -310,140 +320,127 @@ def _witness_text(witness: Witness) -> str:
     return str(witness)
 
 
-def _run(args) -> tuple[int, str, Witness]:
-    """Execute one subcommand; returns (exit code, verdict string, witness)."""
+def _checked(found, holds: tuple[str, str], fails: tuple[str, ...], head=()) -> Report:
+    """The report of a pass/fail check ``found``, a Verdict or a bool: exit
+    0 with the (verdict, line) ``holds``, else exit 1 with the verdict of
+    ``fails`` and the witness, if any, written after its line."""
+    if found:
+        return Report(0, holds[0], None, (*head, holds[1]))
+    w = getattr(found, "witness", None)
+    if w is None:
+        return Report(1, fails[0], None, head)
+    said = f"w{w[0]} != w{w[1]}" if isinstance(w, tuple) else str(w)
+    return Report(1, fails[0], w, (*head, fails[1] + said))
+
+
+def _run(args) -> Report:
+    """Execute one subcommand and report what it found; prints nothing."""
     cmd = args.cmd
 
     if cmd == "expsum-cover":
         exp_seqs = parse_coefficient_file(_read(args.file))
-        verdict = expsum_cover_check(exp_seqs, args.m, args.start)
-        print(f"sequences: {len(exp_seqs)}")
-        if verdict.ok:
-            print(f"every integer is covered at least {args.m} times")
-            return 0, "covers", None
-        print(f"uncovered witness: x = {verdict.witness}")
-        return 1, "uncovered", verdict.witness
+        return _checked(
+            expsum_cover_check(exp_seqs, args.m, args.start),
+            ("covers", f"every integer is covered at least {args.m} times"),
+            ("uncovered", "uncovered witness: x = "),
+            (f"sequences: {len(exp_seqs)}",),
+        )
 
     sf = parse_system(_read(args.file))
 
-    if cmd == "verify":
-        system = sf.as_system()
-        target = _read_target(args)
-        L = phi_sum_cardinality(system.moduli + [target.period])
-        verdict = verify_covering_function(system, target, args.start)
-        print(f"window: {L} points from {args.start}")
-        if verdict.ok:
-            print("covering function matches the target everywhere")
-            return 0, "matches", None
-        print(f"mismatch witness: x = {verdict.witness}")
-        return 1, "mismatch", verdict.witness
-
-    if cmd == "exact-cover":
-        system = sf.as_system()
-        if args.m < 1:
-            raise ParseError(f"m must be positive, got {args.m}")
-        target = PeriodicValueTable.constant(args.m)
-        verdict = verify_covering_function(system, target, args.start)
-        if verdict.ok:
-            print(f"exact {args.m}-cover")
-            return 0, "exact-cover", None
-        print(f"not an exact {args.m}-cover; witness x = {verdict.witness}")
-        return 1, "not-exact-cover", verdict.witness
-
-    if cmd == "least-period":
-        system = sf.as_system()
-        n0 = least_period(system)
-        print(f"least period: {n0}")
-        return 0, str(n0), None
-
-    if cmd == "min-window":
-        system = sf.as_system()
-        multipliers = _csv_vector(args.multipliers)
-        W_l, wmin, gmin = min_on_window(system, multipliers, args.l, args.start)
-        print(f"window length: {W_l}")
-        print(f"window minimum: {wmin}")
-        print(f"global minimum: {gmin}")
-        return 0, "ok", None
-
-    if cmd == "witness":
-        system = sf.as_system()
-        x = non_exact_witness(system, args.m)
-        print(f"witness: x = {x} has covering count != {args.m}")
-        return 0, "witness-found", x
-
-    if cmd == "multidim-period":
-        verdict = is_periodic_mod_vec(sf.entries, _csv_vector(args.n0))
-        if verdict.ok:
-            print("periodic")
-            return 0, "periodic", None
-        x, y = verdict.witness
-        print(f"not periodic: w{x} != w{y}")
-        return 1, "not-periodic", verdict.witness
+    if cmd in ("multidim-period", "cor14"):
+        n0 = _vector(args, "n0")
+        if cmd == "cor14":
+            verdict = _divisibility_verdict(sf.entries, n0)
+            holds, fails = "all moduli divide n0: periodic", "some modulus does not divide n0: not periodic, "
+        else:
+            verdict = is_periodic_mod_vec(sf.entries, n0)
+            holds, fails = "periodic", "not periodic: "
+        return _checked(verdict, ("periodic", holds), ("not-periodic", fails))
 
     if cmd == "thm14":
-        report = divisibility_chain_report(sf.entries, _csv_vector(args.n0), _csv_vector(args.d))
+        report = divisibility_chain_report(sf.entries, _vector(args, "n0"), _vector(args, "d"))
         if not report.applicable:
-            print(f"not applicable: {report.reason}")
-            return 2, "not-applicable", None
-        print(f"indices: {list(report.indices)}")
-        print(f"coefficient sum: {report.coefficient_sum}")
-        print(f"theta: {[str(t) for t in report.theta]}")
+            return Report(2, "not-applicable", None, (f"not applicable: {report.reason}",))
         ni, nt, bound, lp = report.chain
-        print(f"chain: {ni} >= {nt} >= {bound} >= {lp}")
-        return 0, "chain-verified", None
+        return Report(0, "chain-verified", None, (
+            f"indices: {list(report.indices)}",
+            f"coefficient sum: {report.coefficient_sum}",
+            f"theta: {[str(t) for t in report.theta]}",
+            f"chain: {ni} >= {nt} >= {bound} >= {lp}",
+        ))
 
-    if cmd == "cor14":
-        verdict = _divisibility_verdict(sf.entries, _csv_vector(args.n0))
-        if verdict.ok:
-            print("all moduli divide n0: periodic")
-            return 0, "periodic", None
-        x, y = verdict.witness
-        print(f"some modulus does not divide n0: not periodic, w{x} != w{y}")
-        return 1, "not-periodic", verdict.witness
+    system = sf.as_system()
+
+    if cmd == "verify":
+        verdict = verify_covering_function(system, _read_target(args), args.start)
+        return _checked(
+            verdict,
+            ("matches", "covering function matches the target everywhere"),
+            ("mismatch", "mismatch witness: x = "),
+            (f"window: {verdict.points} points from {args.start}",),
+        )
+
+    if cmd == "exact-cover":
+        if args.m < 1:
+            raise ParseError(f"m must be positive, got {args.m}")
+        return _checked(
+            verify_covering_function(system, PeriodicValueTable.constant(args.m), args.start),
+            ("exact-cover", f"exact {args.m}-cover"),
+            ("not-exact-cover", f"not an exact {args.m}-cover; witness x = "),
+        )
+
+    if cmd == "least-period":
+        n0 = least_period(system)
+        return Report(0, str(n0), None, (f"least period: {n0}",))
+
+    if cmd == "min-window":
+        W_l, wmin, gmin = min_on_window(system, _vector(args, "multipliers"), args.l, args.start)
+        lines = f"window length: {W_l}", f"window minimum: {wmin}", f"global minimum: {gmin}"
+        return Report(0, "ok", None, lines)
+
+    if cmd == "witness":
+        x = non_exact_witness(system, args.m)
+        return Report(0, "witness-found", x, (f"witness: x = {x} has covering count != {args.m}",))
 
     if cmd == "zero-coeffs":
-        system = sf.as_system()
         pairs = zero_system_coefficients(system)
-        for alpha, _ in pairs:
-            print(f"alpha={alpha}: coefficient is zero")
-        return 0, "all-zero", None
+        return Report(0, "all-zero", None, tuple(f"alpha={alpha}: coefficient is zero" for alpha, _ in pairs))
 
     if cmd == "average":
-        system = sf.as_system()
-        ok = weighted_average_check(system)
-        if ok:
-            print("mean value equals the weight/modulus sum")
-            return 0, "identity-holds", None
-        return 1, "identity-fails", None
+        return _checked(
+            weighted_average_check(system),
+            ("identity-holds", "mean value equals the weight/modulus sum"),
+            ("identity-fails",),
+        )
 
     if cmd == "su6-check":
-        system = sf.as_system()
-        ok = equal_cover_superset_check(system)
-        if ok:
-            print("subset sums contain every fraction r/n")
-            return 0, "superset-holds", None
-        return 1, "superset-fails", None
+        return _checked(
+            equal_cover_superset_check(system),
+            ("superset-holds", "subset sums contain every fraction r/n"),
+            ("superset-fails",),
+        )
 
     if cmd == "bench":
-        system = sf.as_system()
         report = bench_window_vs_full(system, PeriodicValueTable.constant(args.target_const))
-        print(f"window points: {report.window_points}")
-        print(f"full period:   {report.full_points}")
-        print(f"window time:   {report.t_window_ns} ns")
-        print(f"full time:     {report.t_full_ns} ns")
-        print(report.machine_line())
-        return 0, "agree" if report.agree else "disagree", None
+        return Report(0, "agree" if report.agree else "disagree", None, (
+            f"window points: {report.window_points}",
+            f"full period:   {report.full_points}",
+            f"window time:   {report.t_window_ns} ns",
+            f"full time:     {report.t_full_ns} ns",
+            report.machine_line(),
+        ))
 
     if cmd == "window-size":
-        system = sf.as_system()
         size = phi_sum_cardinality(system.moduli)
-        print(size)
-        return 0, str(size), None
+        return Report(0, str(size), None, (str(size),))
 
     raise AssertionError(f"unhandled command {cmd}")
 
 
 def run_command(argv=None) -> int:
+    """Run one subcommand and print its report, text lines first and the
+    ``result|`` line last, also on errors; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -451,22 +448,20 @@ def run_command(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
 
     try:
-        code, verdict, witness = _run(args)
+        report = _run(args)
     except (ParseError, ValueError, OSError) as e:
-        print(f"error: {e}")
-        print(f"result|cmd={args.cmd}|verdict=error|witness=none")
-        return 2
+        report = Report(2, "error", None, (f"error: {e}",))
     except Exception as e:
         # an internal failure, kept apart from exit 1 ("falsified"); its
         # traceback goes to stderr, so stdout keeps the line protocol
         import traceback
 
         traceback.print_exc()
-        print(f"error: {type(e).__name__}: {e}")
-        print(f"result|cmd={args.cmd}|verdict=error|witness=none")
-        return 3
-    print(f"result|cmd={args.cmd}|verdict={verdict}|witness={_witness_text(witness)}")
-    return code
+        report = Report(3, "error", None, (f"error: {type(e).__name__}: {e}",))
+    for line in report.lines:
+        print(line)
+    print(f"result|cmd={args.cmd}|verdict={report.verdict}|witness={_witness_text(report.witness)}")
+    return report.code
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -206,10 +206,13 @@ class PeriodicValueTable:
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a check; ``witness`` locates the first failure when not
-    ok: a point, or for periodicity mod a vector a pair (x, y) of points."""
+    ok: a point, or for periodicity mod a vector a pair (x, y) of points.
+    ``points`` is the length of the scan that decided it, when one did; it
+    says how the answer was reached, not what it is, so equality ignores it."""
 
     ok: bool
     witness: int | tuple | None = None
+    points: int | None = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -304,7 +307,7 @@ def _first_nonzero(
     second implementation."""
     find = _kernels.first_nonzero if full_period else _kernels.window_first_nonzero
     x = find(*_scan_input(seqs, psis, start, length))
-    return Verdict(True) if x is None else Verdict(False, x)
+    return Verdict(x is None, x, length)
 
 
 def window_zero_check(psis: Sequence[PeriodicValueTable], start: int = 0) -> Verdict:
@@ -494,6 +497,9 @@ def least_period(system: System) -> int:
     in descending order and a q already dividing the running lcm is skipped,
     since it cannot change the answer.
     """
+    # each test builds a dense element of level q, and the largest q is the
+    # largest modulus
+    _oracle_points(max(system.moduli), "cyclotomic level")
     result = 1
     for q in sorted(divisor_union_phis(system.moduli), reverse=True):
         if result % q and not CyclotomicElement.from_terms(q, _unit_terms(system, q)).is_zero():

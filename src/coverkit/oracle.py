@@ -28,7 +28,6 @@ from .covering import (
     _oracle_points,
     verify_covering_function,
 )
-from .fracsets import phi_sum_cardinality
 from .multidim import IntVector, MultiSequence, _check_dims
 from .numtheory import divisors_of
 
@@ -144,9 +143,6 @@ def bench_window_vs_full(system: System, target: PeriodicValueTable) -> BenchRep
     timed runs, so that one preempted run does not decide the contrast.
     This is an illustrative contrast, not a statistically careful benchmark.
     """
-    window_points = phi_sum_cardinality(system.moduli + [target.period])
-    full_points = math.lcm(system.lcm(), target.period)
-
     wv = verify_covering_function(system, target)
     fv = brute_cover_verdict(system, target)
     t_window = _best_ns(verify_covering_function, system, target)
@@ -155,5 +151,5 @@ def bench_window_vs_full(system: System, target: PeriodicValueTable) -> BenchRep
     agree = wv.ok == fv.ok
     assert agree, f"window verdict {wv} disagrees with full-period verdict {fv}"
     return BenchReport(
-        tuple(system.moduli), window_points, full_points, t_window, t_full, agree, wv, fv
+        tuple(system.moduli), wv.points, fv.points, t_window, t_full, agree, wv, fv
     )

@@ -311,6 +311,18 @@ def test_cor14_checks_periodicity_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_verify_computes_its_window_once(tmp_path, capsys, monkeypatch):
+    """The window length that verify prints is the one its check scanned."""
+    calls = []
+    size = coverkit.covering.phi_sum_cardinality
+    for module in (coverkit.covering, coverkit.cli):
+        monkeypatch.setattr(module, "phi_sum_cardinality", lambda m: calls.append(m) or size(m))
+    bp = write(tmp_path, "Bp.txt", BP_TEXT)
+    code, out = run(capsys, "verify", "--target-const", "1", "--start", "1", bp)
+    assert code == 1 and out.startswith("window: 8 points from 1\n")
+    assert calls == [[2, 4, 6, 1]]
+
+
 def test_zero_coeffs_command(tmp_path, capsys):
     z = write(tmp_path, "z.txt", ZERO_TEXT)
     code, out = run(capsys, "zero-coeffs", z)
@@ -364,6 +376,61 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "least-period", str(tmp_path / "missing.txt"))[0] == 2
     bad = write(tmp_path, "bad.txt", "1 2\n1,0 2,3\n")
     assert run(capsys, "least-period", bad)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["multidim-period", "--n0", "1,x"], "--n0: expected comma-separated integers, got '1,x'"),
+        (["cor14", "--n0", ""], "--n0: expected comma-separated integers, got ''"),
+        (["thm14", "--n0", "2,2", "--d", "4,,4"], "--d: expected comma-separated integers, got '4,,4'"),
+        (
+            ["min-window", "--l", "0", "--multipliers", "1,1.5"],
+            "--multipliers: expected comma-separated integers, got '1,1.5'",
+        ),
+    ],
+)
+def test_bad_vector_option_names_itself(tmp_path, capsys, argv, option):
+    dim = 1 if argv[0] == "min-window" else 2
+    f = write(tmp_path, "s.txt", ",".join(["0"] * dim) + " " + ",".join(["2"] * dim) + "\n")
+    code, out = run(capsys, *argv, f)
+    assert code == 2
+    assert out.splitlines() == [f"error: {option}", f"result|cmd={argv[0]}|verdict=error|witness=none"]
+
+
+def test_exponent_notation_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    """Fraction("1e10000000") alone runs for seconds, so a weight or a
+    target value in exponent notation is refused before Fraction sees it;
+    decimals are still read."""
+
+    def fraction(value=0, *rest):
+        assert not (isinstance(value, str) and "e" in value.lower()), value
+        return Fraction(value, *rest)
+
+    monkeypatch.setattr("coverkit.cli.Fraction", fraction)
+    w = write(tmp_path, "w.txt", "0 2\n1 2 1E10000000\n")
+    code, out = run(capsys, "exact-cover", "--m", "1", w)
+    assert code == 2 and "error: line 2: bad weight '1E10000000': exponent notation is refused" in out
+    b = write(tmp_path, "B.txt", B_TEXT)
+    tf = write(tmp_path, "t.txt", "1\n# two\n\n1e30000000\n")
+    code, out = run(capsys, "verify", "--target-file", tf, b)
+    assert code == 2 and "error: line 4: bad target value '1e30000000': exponent notation is refused" in out
+    halves = write(tmp_path, "h.txt", "0 2 0.5\n0 2 1/2\n1 2 1.0\n")
+    assert run(capsys, "exact-cover", "--m", "1", halves)[0] == 0
+    half = write(tmp_path, "half.txt", "0 1 0.5\n")
+    assert run(capsys, "verify", "--target-file", write(tmp_path, "t2.txt", "0.5\n"), half)[0] == 0
+
+
+def test_least_period_refuses_a_level_past_the_cap(tmp_path, capsys):
+    # each zero test builds a dense element of level q, up to the largest
+    # modulus: 2 * (10^12 + 39) entries here
+    f = write(tmp_path, "big.txt", "0 1000000000039\n1 2000000000078\n")
+    code, out = run(capsys, "least-period", f)
+    assert code == 2
+    assert out.splitlines() == [
+        "error: cyclotomic level too large: 2000000000078 points exceed cap 1000000",
+        "result|cmd=least-period|verdict=error|witness=none",
+    ]
 
 
 def test_oracle_cap_refuses_large_period(tmp_path, capsys):

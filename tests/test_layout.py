@@ -1,6 +1,6 @@
 """Each representation has one home in the package: only `cyclotomic`
-reads or builds the Q(zeta) coefficient vector, and only `_kernels`
-imports numpy."""
+reads or builds the Q(zeta) coefficient vector, only `_kernels` imports
+numpy, and only `cli.run_command` prints a report."""
 
 import ast
 from pathlib import Path
@@ -53,3 +53,23 @@ def test_only_cyclotomic_touches_the_coefficient_layout():
 
 def test_only_kernels_imports_numpy():
     assert users(imports_numpy) == {"_kernels.py"}
+
+
+def calls_print(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+
+
+def test_one_renderer_prints_the_cli_report():
+    """Subcommands return a Report; `run_command` alone prints, and it
+    formats the result line in one place."""
+    tree = modules()["cli.py"]
+    doc = tree.body[0].value  # the module docstring, which documents the line
+    formats = [
+        node
+        for node in ast.walk(tree)
+        if node is not doc and isinstance(node, ast.Constant) and "result|cmd=" in str(node.value)
+    ]
+    assert len(formats) == 1
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "_run" in {f.name for f in functions}
+    assert {f.name for f in functions if any(calls_print(node) for node in ast.walk(f))} == {"run_command"}
