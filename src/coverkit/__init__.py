@@ -45,7 +45,6 @@ from .multidim import (
     vec_divides,
 )
 from .numtheory import (
-    cyclotomic_poly,
     divisors_of,
     euler_phi,
     f_additive,

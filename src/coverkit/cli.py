@@ -7,7 +7,8 @@ with one machine-readable line
 
     result|cmd=<name>|verdict=<str>|witness=<int-or-none>
 
-where a vector witness pair x, y (``multidim-period``, ``cor14``) is
+where <name> is none for a usage error that names no known subcommand,
+and a vector witness pair x, y (``multidim-period``, ``cor14``) is
 written ``witness=<x1,x2,...>:<y1,y2,...>``.  The bench subcommand
 additionally emits its own ``bench|...`` line.  A subcommand returns what
 it found as a :class:`Report`; only :func:`run_command` prints.
@@ -441,14 +442,16 @@ def _run(args) -> Report:
 def run_command(argv=None) -> int:
     """Run one subcommand and print its report, text lines first and the
     ``result|`` line last, also on errors; returns the exit code."""
-    parser = build_parser()
+    # argparse names the subcommand before it parses the subcommand's options
+    args = argparse.Namespace(cmd="none")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
-
-    try:
+        build_parser().parse_args(argv, args)
         report = _run(args)
+    except SystemExit as e:
+        if e.code == 0:  # --help
+            return 0
+        # a usage error, which argparse has explained on stderr
+        report = Report(2, "error")
     except (ParseError, ValueError, OSError) as e:
         report = Report(2, "error", None, (f"error: {e}",))
     except Exception as e:

@@ -3,8 +3,9 @@
 An element is a rational coefficient vector over the power basis
 1, zeta, ..., zeta^(N-1) where zeta = exp(2*pi*i/N).  The representation is
 redundant (the vector has length N, the field has degree phi(N)), so
-equality and the zero test always reduce modulo the N-th cyclotomic
-polynomial; coefficient vectors are never compared directly.
+equality goes through the exact zero test, which walks down the tower of
+subfields of Q(zeta_N) on the nonzero terms; coefficient vectors are never
+compared directly.
 
 This module owns that layout: every element is built from exponent terms
 (j, c), meaning c * zeta^j, by :meth:`CyclotomicElement.from_terms`, and
@@ -18,10 +19,11 @@ not provided; nothing downstream needs it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numtheory import cyclotomic_poly
+from .numtheory import factorize
 
 __all__ = ["CyclotomicElement", "root_power", "indicator_sum_check", "exp_sum_eval", "zero_set_table"]
 
@@ -114,12 +116,13 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        """True iff the representing polynomial is divisible by Phi_level.
+        """True iff the element is zero in Q(zeta_level).
 
         Denominators are cleared first, so the test runs on integers.
         """
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        return _vanishes(self.level, [int(c * den) for c in self.coeffs])
+        terms = {j: v for j, c in enumerate(self.coeffs) if (v := int(c * den))}
+        return _vanishes(self.level, _primes(self.level), terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -137,29 +140,52 @@ class CyclotomicElement:
         return f"<{body} at level {self.level}>"
 
 
-def _vanishes(level: int, ints: list[int]) -> bool:
-    """True iff sum_j ints[j] * zeta_level^j = 0, where ``ints`` holds
-    integer coefficients of zeta_level^0, ..., zeta_level^(level-1).
+def _primes(level: int) -> list[int]:
+    """The prime factors of ``level``, descending, repeated by multiplicity."""
+    return [p for p, e in reversed(factorize(level)) for _ in range(e)]
 
-    This is the one exact zero test of the package: ``ints`` is reduced in
-    place by long division by the monic integer polynomial Phi_level, and
-    the sum vanishes iff the remainder does.
+
+def _vanishes(level: int, primes: list[int], terms: dict[int, int]) -> bool:
+    """True iff sum c * zeta_level^j over the items (j, c) of ``terms`` is
+    zero, for integers c and 0 <= j < level, with ``primes`` =
+    ``_primes(level)``: the one exact zero test.
+
+    It walks down the tower of subfields one prime p of q = level at a
+    time, largest first (Lam and Leung, J. Algebra 224, 2000), at a cost that
+    follows the terms, not q:
+    - p^2 | q: 1, ..., zeta_q^(p-1) is a basis over Q(zeta_(q/p)), so for
+      each i the terms with j = i mod p, at exponent j // p, must vanish;
+    - p || q = p*m: the automorphism zeta_q -> zeta_q^(p+m) = zeta_p * zeta_m
+      of Q(zeta_q) takes the sum to sum_i zeta_p^i * A_i, with A_i in
+      Q(zeta_m) holding the terms with j = i mod p at exponent j mod m;
+      1, ..., zeta_p^(p-2) is a basis over Q(zeta_m), so it vanishes iff
+      all p groups A_i are equal.
+    By induction on these steps, fewer nonzero terms than the least prime
+    of q never vanish.
     """
-    if not any(ints):
-        return True
-    phi = cyclotomic_poly(level)
-    deg = len(phi) - 1
-    # Phi_N(x) = Phi_rad(N)(x^(N/rad(N))), so most of its coefficients are
-    # zero unless N is squarefree; only the nonzero ones subtract
-    lower = [(j, p) for j, p in enumerate(phi[:deg]) if p]
-    for i in range(len(ints) - 1, deg - 1, -1):
-        c = ints[i]
-        if c:
-            ints[i] = 0
-            off = i - deg
-            for j, p in lower:
-                ints[off + j] -= c * p
-    return not any(ints[:deg])
+    if level == 1 or len(terms) < primes[-1]:
+        return not any(terms.values())
+    p, rest = primes[0], primes[1:]
+    m = level // p
+    if m % p == 0:
+        parts: dict[int, dict[int, int]] = {}
+        for j, c in terms.items():
+            parts.setdefault(j % p, {})[j // p] = c
+        return all(_vanishes(m, rest, part) for part in parts.values())
+    if m == 1:
+        # the p groups are the scalars c_j, every j present
+        return len(set(terms.values())) == 1
+    groups: dict[int, dict[int, int]] = {}
+    for j, c in terms.items():
+        # j -> (j mod p, j mod m) is one-to-one, so no two terms meet
+        groups.setdefault(j % p, {})[j % m] = c
+    if len(groups) < p:
+        return all(_vanishes(m, rest, g) for g in groups.values())
+    ref = min(groups.values(), key=len)
+    return all(
+        _vanishes(m, rest, {k: d for k in g.keys() | ref.keys() if (d := g.get(k, 0) - ref.get(k, 0))})
+        for g in groups.values()
+    )
 
 
 def _lifted_entries(
@@ -178,15 +204,17 @@ def _lifted_entries(
     ]
 
 
-def _shifted_sum(level: int, shifted: Iterable[tuple[int, list[tuple[int, int]]]]) -> list[int]:
-    """Integer coefficients of sum of zeta_level^shift * element over the
+def _shifted_sum(level: int, shifted: Iterable[tuple[int, list[tuple[int, int]]]]) -> dict[int, int]:
+    """Integer terms {j: c} of sum of zeta_level^shift * element over the
     (shift, entries) pairs, entries as :func:`_lifted_entries` gives them:
-    multiplying by zeta_level^shift moves the entry at j to j + shift."""
-    ints = [0] * level
+    multiplying by zeta_level^shift moves the entry at j to j + shift.
+    A c may be zero where entries cancel."""
+    terms: dict[int, int] = {}
     for shift, entries in shifted:
         for j, v in entries:
-            ints[(j + shift) % level] += v
-    return ints
+            k = (j + shift) % level
+            terms[k] = terms.get(k, 0) + v
+    return terms
 
 
 def root_power(N: int, j: int) -> CyclotomicElement:
@@ -206,12 +234,10 @@ def indicator_sum_check(N: int, n: int, a: int) -> bool:
         raise ValueError(f"n={n} does not divide N={N}")
     # n times both sides, so the coefficients are integers
     step = N // n
-    ints = [0] * N
-    for r in range(n):
-        ints[(step * a * r) % N] += 1
+    terms = Counter(step * a * r % N for r in range(n))
     if a % n == 0:
-        ints[0] -= n
-    return _vanishes(N, ints)
+        terms[0] -= n
+    return _vanishes(N, _primes(N), terms)
 
 
 def exp_sum_eval(
@@ -225,7 +251,7 @@ def exp_sum_eval(
     All alphas must be distinct and have denominators dividing N; the result
     is reported at level N.  Multiplying c_j, lifted to level N, by the
     root z_j^x moves its entry at i to i - alpha_j*N*x, so the sum is built
-    as one integer vector over the coefficients' common denominator.
+    as integer terms over the coefficients' common denominator.
     """
     if len(coeffs) != len(alphas):
         raise ValueError("coeffs and alphas must have equal length")
@@ -238,8 +264,8 @@ def exp_sum_eval(
             raise ValueError(f"denominator of {alpha} does not divide N={N}")
         shifts.append(-int(aN) * x)
     den, lifted = _lifted_entries(coeffs, N)
-    ints = _shifted_sum(N, zip(shifts, lifted))
-    return CyclotomicElement.from_terms(N, ((j, Fraction(v, den)) for j, v in enumerate(ints) if v))
+    terms = _shifted_sum(N, zip(shifts, lifted))
+    return CyclotomicElement.from_terms(N, ((j, Fraction(v, den)) for j, v in terms.items() if v))
 
 
 def zero_set_table(modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]) -> tuple[bool, ...]:
@@ -249,7 +275,8 @@ def zero_set_table(modulus: int, terms: Sequence[tuple[int, CyclotomicElement]])
     level = math.lcm(modulus, *(c.level for _, c in terms))
     step = level // modulus
     _, lifted = _lifted_entries([c for _, c in terms], level)
+    primes = _primes(level)
     return tuple(
-        _vanishes(level, _shifted_sum(level, zip((step * t * x for t, _ in terms), lifted)))
+        _vanishes(level, primes, _shifted_sum(level, zip((step * t * x for t, _ in terms), lifted)))
         for x in range(modulus)
     )

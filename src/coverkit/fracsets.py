@@ -86,8 +86,13 @@ def phi_sum_cardinality(moduli: list[int]) -> int:
     """Sum of phi(d) over the union of the divisor sets of the moduli.
 
     Equals len(multiples_set(moduli)): each reduced fraction c/d with d
-    dividing some modulus is counted exactly once.
+    dividing some modulus is counted exactly once.  When the largest
+    modulus N is a multiple of all the others, it is their lcm, the union
+    is the divisors of N, and the sum is N itself, found without factoring.
     """
+    N = max(moduli, default=0)
+    if N > 0 and all(n > 0 and N % n == 0 for n in moduli):
+        return N
     return sum(divisor_union_phis(moduli).values())
 
 

@@ -118,8 +118,7 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict
     shifts = [c % N for c, N in zip(n0, periods)]
     if not any(shifts):
         return Verdict(True)
-    # the totient sum over the divisors of N_u is N_u itself
-    window = [N if N in col else phi_sum_cardinality(col) for N, col in zip(periods, zip(*moduli))]
+    window = [phi_sum_cardinality(col) for col in zip(*moduli)]
     _oracle_points(math.prod(window), "box")
     # integral weights travel as ints, which skips the kernels' Fraction scaling
     weights = [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]

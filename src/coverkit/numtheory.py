@@ -1,4 +1,4 @@
-"""Elementary exact number theory: totients, divisors, lcm, cyclotomic polynomials.
+"""Elementary exact number theory: factorization, totients, divisors, lcm.
 
 Everything here works with Python's arbitrary-precision integers; nothing
 ever wraps.  Factorization is one routine: trial division by the primes
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 
 __all__ = [
     "euler_phi",
@@ -22,7 +21,6 @@ __all__ = [
     "divisor_phis",
     "lcm_all",
     "factorize",
-    "cyclotomic_poly",
     "f_additive",
     "least_prime_factor",
     "FACTOR_BOUND",
@@ -189,38 +187,3 @@ def least_prime_factor(m: int) -> int:
     if m <= 1:
         raise ValueError(f"least_prime_factor expects m > 1, got {m}")
     return _factorize(m)[0][0]
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(N: int) -> tuple[int, ...]:
-    """Coefficients of the N-th cyclotomic polynomial, constant term first.
-
-    For N > 1, Phi_N = prod over squarefree e | N of (1 - x^(N/e))^mu(e),
-    expanded as a power series cut at degree phi(N).  Dividing by 1 - x^d is
-    multiplying by 1 + x^d + x^(2d) + ..., so each factor is one pass over
-    the coefficients, and a factor with N/e > phi(N) changes none of them.
-    Memoized per process; lru_cache keeps concurrent readers safe.
-    """
-    if N < 1:
-        raise ValueError(f"cyclotomic_poly expects N >= 1, got {N}")
-    if N == 1:
-        return (-1, 1)
-    # a cold call makes no public numtheory call, so the calls a trace
-    # records do not depend on what the cache already holds
-    deg = N
-    squarefree = [(1, 1)]  # (e, mu(e))
-    for p, _ in _factorize(N):
-        deg = deg // p * (p - 1)
-        squarefree += [(e * p, -mu) for e, mu in squarefree]
-    out = [1] + [0] * deg
-    for e, mu in squarefree:
-        d = N // e
-        if d > deg:
-            continue
-        if mu == 1:
-            for i in range(deg, d - 1, -1):
-                out[i] -= out[i - d]
-        else:
-            for i in range(d, deg + 1):
-                out[i] += out[i - d]
-    return tuple(out)

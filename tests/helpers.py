@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, inf, lcm
 
@@ -318,6 +319,58 @@ def trial_division_factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+# reference for the Q(zeta) zero test of coverkit.cyclotomic
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(N: int) -> tuple[int, ...]:
+    """Coefficients of the N-th cyclotomic polynomial, constant term first.
+
+    For N > 1, Phi_N = prod over squarefree e | N of (1 - x^(N/e))^mu(e),
+    expanded as a power series cut at degree phi(N).  Dividing by 1 - x^d is
+    multiplying by 1 + x^d + x^(2d) + ..., so each factor is one pass over
+    the coefficients, and a factor with N/e > phi(N) changes none of them.
+    """
+    if N == 1:
+        return (-1, 1)
+    deg = N
+    squarefree = [(1, 1)]  # (e, mu(e))
+    for p, _ in trial_division_factorize(N):
+        deg = deg // p * (p - 1)
+        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    out = [1] + [0] * deg
+    for e, mu in squarefree:
+        d = N // e
+        if d > deg:
+            continue
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                out[i] -= out[i - d]
+        else:
+            for i in range(d, deg + 1):
+                out[i] += out[i - d]
+    return tuple(out)
+
+
+def vanishes_reference(level: int, terms: dict[int, int]) -> bool:
+    """Whether sum c * zeta_level^j over the items (j, c) of ``terms`` is
+    zero: the level-long integer vector, long-divided by the monic Phi_level,
+    leaves no remainder."""
+    ints = [0] * level
+    for j, c in terms.items():
+        ints[j % level] += c
+    phi = cyclotomic_poly(level)
+    deg = len(phi) - 1
+    lower = [(j, p) for j, p in enumerate(phi[:deg]) if p]
+    for i in range(level - 1, deg - 1, -1):
+        c = ints[i]
+        if c:
+            ints[i] = 0
+            for j, p in lower:
+                ints[i - deg + j] -= c * p
+    return not any(ints[:deg])
 
 
 # Fraction references for the integer sumsets of coverkit.fracsets

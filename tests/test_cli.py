@@ -588,7 +588,11 @@ def test_window_size_of_a_large_prime(tmp_path, capsys):
     n = 10**16 + 61  # prime: the window is every fraction r/n and 0
     code, out = run(capsys, "window-size", write(tmp_path, "p.txt", f"0 {n}\n"))
     assert code == 0 and out.splitlines()[0] == str(n)
-    past = write(tmp_path, "past.txt", f"0 {2**89 - 1}\n")
+    # one modulus holding the lcm is its own window, found without factoring;
+    # beside a modulus that does not divide it, it must be factored
+    code, out = run(capsys, "window-size", write(tmp_path, "own.txt", f"0 {2**89 - 1}\n"))
+    assert code == 0 and out.splitlines()[0] == str(2**89 - 1)
+    past = write(tmp_path, "past.txt", f"0 2\n0 {2**89 - 1}\n")
     code, out = run(capsys, "window-size", past)
     assert code == 2 and "factoring bound 3317044064679887385961981" in out
 

@@ -3,6 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import coverkit.fracsets
+import coverkit.numtheory
+from coverkit import MultiSequence, PeriodicValueTable, System, is_periodic_mod_vec, verify_covering_function
+from coverkit.cli import run_command
+from coverkit.covering import window_zero_check
 from coverkit.fracsets import (
     frac_mod1,
     fraction_set,
@@ -12,6 +17,8 @@ from coverkit.fracsets import (
     sumset_mod1,
     window_bound,
 )
+
+from helpers import sequence_table
 
 F = Fraction
 
@@ -38,6 +45,30 @@ def test_multiples_set_sorted_reduced():
 @pytest.mark.parametrize("moduli,expected", [([2, 4, 6], 8), ([1], 1), ([2, 3], 4)])
 def test_phi_sum_examples(moduli, expected):
     assert phi_sum_cardinality(moduli) == expected
+
+
+def test_phi_sum_of_moduli_holding_their_lcm_needs_no_factoring(monkeypatch, tmp_path, capsys):
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(coverkit.numtheory, "divisor_phis", refuse)
+    monkeypatch.setattr(coverkit.fracsets, "divisor_phis", refuse)
+    assert phi_sum_cardinality([4, 2, 12, 6]) == 12
+    assert phi_sum_cardinality((1, 10**16 + 61)) == 10**16 + 61
+    system = System.of((0, 2), (1, 4), (3, 4))
+    assert verify_covering_function(system, PeriodicValueTable.constant(1)).points == 4
+    assert window_zero_check([sequence_table(0, 2), sequence_table(1, 2), PeriodicValueTable.constant(-1)])
+    assert is_periodic_mod_vec([MultiSequence((0, 1), (2, 3)), MultiSequence((1, 0), (4, 1))], (8, 3))
+    (tmp_path / "s").write_text("0 6\n1 3\n2 2\n")
+    assert run_command(["window-size", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().out.startswith("6\n")
+    # an lcm that is no modulus still needs the divisors, and bad moduli
+    # are refused even where their lcm is one of them
+    with pytest.raises(AssertionError, match="factored"):
+        phi_sum_cardinality([4, 6])
+    for moduli in ([0, 2], [2, -2]):
+        with pytest.raises(ValueError, match="moduli must be positive"):
+            phi_sum_cardinality(moduli)
 
 
 def test_phi_sum_equals_set_cardinality_random():

@@ -1,6 +1,7 @@
 """Golden CLI transcripts: the exact stdout and exit code of every
 subcommand on fixed small inputs, both verdicts where a subcommand has
-two, a line-numbered parse error, and an internal error (exit 3)."""
+two, a line-numbered parse error, usage errors, and an internal error
+(exit 3)."""
 
 import pytest
 
@@ -157,6 +158,23 @@ TRANSCRIPTS = [
 ]
 
 
+# usage errors: argparse's usage and message on stderr, the result line on
+# stdout, named "none" when no known subcommand was given
+USAGE_ERRORS = [
+    (
+        "exact-cover B",
+        "result|cmd=exact-cover|verdict=error|witness=none\n",
+        "the following arguments are required: --m",
+    ),
+    (
+        "verify --target-const 1/2 B",
+        "result|cmd=verify|verdict=error|witness=none\n",
+        "argument --target-const: invalid int value: '1/2'",
+    ),
+    ("no-such-command B", "result|cmd=none|verdict=error|witness=none\n", "invalid choice: 'no-such-command'"),
+]
+
+
 def raise_memory_error(*args):
     raise MemoryError("no room")
 
@@ -208,3 +226,11 @@ def test_forced_transcript(files, capsys, monkeypatch, name, replacement, argv, 
     monkeypatch.setattr(f"coverkit.cli.{name}", replacement)
     assert run_command(argv.split()) == code
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("argv,stdout,message", USAGE_ERRORS, ids=[u[0] for u in USAGE_ERRORS])
+def test_usage_error_transcript(files, capsys, argv, stdout, message):
+    assert run_command(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert err.startswith("usage: coverkit") and message in err

@@ -1,6 +1,7 @@
 """Each representation has one home in the package: only `cyclotomic`
 reads or builds the Q(zeta) coefficient vector, only `_kernels` imports
-numpy, and only `cli.run_command` prints a report."""
+numpy, and only `cli.run_command` prints a report.  No module memoizes,
+so every zero test and count is computed afresh."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,21 @@ def imports_numpy(node) -> bool:
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
 
 
+MEMOS = {"lru_cache", "cache"}
+
+
+def uses_functools_cache(node) -> bool:
+    # from functools import lru_cache, or functools.cache
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in MEMOS | {"*"} for alias in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in MEMOS
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
 def test_only_cyclotomic_touches_the_coefficient_layout():
     assert users(reads_coeffs) == {"cyclotomic.py"}
     assert users(builds_element) <= {"cyclotomic.py"}
@@ -53,6 +69,10 @@ def test_only_cyclotomic_touches_the_coefficient_layout():
 
 def test_only_kernels_imports_numpy():
     assert users(imports_numpy) == {"_kernels.py"}
+
+
+def test_no_module_memoizes():
+    assert users(uses_functools_cache) == set()
 
 
 def calls_print(node) -> bool:

@@ -1,6 +1,7 @@
 """Property tests: the factorizer against trial division and a sieve, the
 file parsers against round trips and fuzzed text, the integer sumsets and
-exp-sum membership tables against Fraction arithmetic, window verdicts
+exp-sum membership tables against Fraction arithmetic, the Q(zeta) zero
+test against long division by the cyclotomic polynomial, window verdicts
 against the full-period oracle at every kernel width, on exact ints and on
 lists, periodicity mod a vector against the box oracle, and fuzzed CLI
 checks against the oracle and their own witnesses.
@@ -50,6 +51,7 @@ from coverkit import (
     zero_system_coefficients,
 )
 from coverkit.covering import _scan
+from coverkit.cyclotomic import _primes, _vanishes
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, divisors_of, factorize
 from coverkit.oracle import (
@@ -67,6 +69,7 @@ from helpers import (
     subset_sum_set_reference,
     sumset_reference,
     trial_division_factorize,
+    vanishes_reference,
     window_bound_reference,
 )
 
@@ -215,6 +218,68 @@ def test_membership_table_matches_exp_sum_eval(es):
 
 def test_membership_table_with_non_unit_rationals():
     assert HALF_Z3_MINUS_THIRD.membership_table() == (True, False, False, False)
+
+
+# --- the Q(zeta) zero test against long division by Phi ---------------------------
+
+
+def radical(n: int) -> int:
+    return math.prod(p for p, _ in trial_division_factorize(n))
+
+
+# levels with repeated primes, with distinct primes, and prime levels,
+# drawn a third of the time each; the bounds keep the dense reference fast
+LEVELS = st.one_of(
+    st.sampled_from([d for d in divisors_of(720720) if d <= 5040 and radical(d) <= 2310]),
+    st.sampled_from([d for d in divisors_of(30030) if d <= 2310]),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 97, 997, 10007]),
+)
+
+
+@st.composite
+def cyclotomic_terms(draw):
+    """(level, {j: c}) with integer c, 0 included where terms cancel, a
+    quarter each: random terms; a sum of planted cosets
+    c * sum_u zeta^(j0 + u*level/d), each of which vanishes; the same with
+    one exponent dropped; the same under random terms.  At a prime level a
+    coset with d = level has full support."""
+    level = draw(LEVELS)
+    terms: dict[int, int] = {}
+
+    def add(j, c):
+        terms[j % level] = terms.get(j % level, 0) + c
+
+    orders = [d for d in divisors_of(level) if d > 1]
+    kind = draw(st.sampled_from(["random", "planted", "dropped", "covered"] if orders else ["random"]))
+    if kind != "random":
+        for _ in range(draw(st.integers(1, 3))):
+            d, j0 = draw(st.sampled_from(orders)), draw(st.integers(0, level - 1))
+            c = draw(st.integers(-3, 3).filter(bool))
+            for u in range(d):
+                add(j0 + u * (level // d), c)
+    if kind == "dropped":
+        del terms[draw(st.sampled_from(sorted(terms)))]
+    if kind in ("random", "covered"):
+        pairs = st.tuples(st.integers(0, level - 1), st.integers(-3, 3))
+        for j, c in draw(st.lists(pairs, min_size=1, max_size=6)):
+            add(j, c)
+    return level, terms
+
+
+FULL_PRIME = {j: 2 for j in range(10007)}
+
+
+@settings(PROPERTY, max_examples=400)
+@example((10007, FULL_PRIME))
+@example((10007, {**FULL_PRIME, 5: 3}))
+@example((720, {0: 2, 360: 1, 240: 1, 480: 1}))  # (1 + zeta_2) + (1 + zeta_3 + zeta_3^2) = 0
+@example((15, {0: 1, 6: 1, 12: 1, 3: 1}))  # four of the five groups mod 5 equal, one empty
+@given(cyclotomic_terms())
+def test_zero_test_matches_division_by_phi(case):
+    level, terms = case
+    expected = vanishes_reference(level, terms)
+    assert _vanishes(level, _primes(level), terms) == expected
+    assert CyclotomicElement.from_terms(level, terms.items()).is_zero() == expected
 
 
 # --- window verdicts against the oracle -----------------------------------------
