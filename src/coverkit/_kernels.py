@@ -17,6 +17,15 @@ reach the int64 guard, where lists beat numpy object arrays.  Full-period
 scans always run numpy, on object arrays of exact Python ints past the
 guard, so the oracle is a second implementation of every window check.
 
+A full-period first-nonzero search longer than ``_CHUNK`` points plans
+once, folds once and then scans in chunks: every table, and on a fixed
+width every class, goes into one row per maximal period, and the rows are
+summed chunk by chunk, from ``_CHUNK`` points doubling to ``_CHUNK_MAX``,
+through :func:`table_sums`.  It returns at the first chunk with a
+nonzero point, so a falsified scan whose witness comes early touches a
+few thousand points, not the period.  Shorter searches, window checks and
+:func:`scan` run whole, where a fold costs more than it saves.
+
 This is the only module that uses numpy, and it imports numpy inside each
 kernel entry point rather than at module load: a process that runs no
 long scan (``least-period``, ``window-size``, a short ``exact-cover``, a
@@ -29,7 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, floordiv, gt, mul, ne, sub
+from operator import add, floordiv, gt, mul, ne, not_, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -49,6 +58,16 @@ _WIDTHS = ((2**6, "int8"), (2**14, "int16"), (2**30, "int32"), (_INT64_GUARD, "i
 # window checks of at most this work run on lists: numpy's call overhead
 # outweighs its speed below about 2000-2500 on the window benchmark's checks
 _LIST_WORK = 2048
+
+# a periodic row shorter than this is tiled up to it before it is added to
+# a window block by block, when the window holds more than this many copies
+# of it, or when it is a folded row that every chunk adds
+_BLOCK = 2**12
+
+# a full-period first-nonzero search longer than _CHUNK folds its input and
+# runs in chunks that start at _CHUNK points and double up to _CHUNK_MAX
+_CHUNK = 2**13
+_CHUNK_MAX = 2**17
 
 
 def _plan(groups, work):
@@ -171,39 +190,86 @@ def box_first_nonzero(classes, dims):
     return None if i is None else _unravel(i, dims)
 
 
+def _by_period(vals, offsets, periods) -> dict:
+    """period -> the sum of the tables of that period, each one period of
+    ``vals`` from its offset."""
+    rows = {}
+    for off, n in zip(offsets, periods):
+        off, n = int(off), int(n)
+        row = vals[off : off + n]
+        rows[n] = rows[n] + row if n in rows else row
+    return rows
+
+
+def _tiled_length(n: int) -> int:
+    """The length a row of period n is tiled up to before it is added block
+    by block: the least multiple of n that is at least _BLOCK when
+    1 < n < _BLOCK, else n itself (a row of period 1 is added as a
+    scalar)."""
+    return -(-_BLOCK // n) * n if 1 < n < _BLOCK else n
+
+
+def _add_periodic(out, rows, start: int) -> None:
+    """out[j] += row[(start + j) mod n] for each row of ``rows`` (period n
+    -> one period of values), in place.
+
+    Each row is added as its slice from entry start mod n to its end, then
+    as whole copies broadcast over a block view of ``out``, then as the
+    head that is left, so a row at least as long as ``out`` is one or two
+    slices.  A row that ``out`` holds more than _BLOCK copies of is first
+    tiled up to _BLOCK values (:func:`_tiled_length`): a broadcast over
+    blocks of a few values costs 5 to 50 times one over blocks of
+    thousands, while over fewer blocks the tiling costs more than it
+    saves.  No index array is built.
+    """
+    import numpy as np
+
+    length = len(out)
+    for n, row in rows.items():
+        s = start % n
+        if 1 < n and n * _BLOCK < length:
+            # still periodic with n, so s stays its rotation
+            tiled = _tiled_length(n)
+            row = np.tile(row, tiled // n)
+            n = tiled
+        head = row[s : s + length]
+        out[: len(head)] += head
+        at = len(head)
+        full = (length - at) // n
+        if full:
+            # a view, since out is contiguous: adding to it adds to out
+            blocks = out[at : at + full * n].reshape(full, n)
+            blocks += row
+            at += full * n
+        if at < length:
+            out[at:] += row[: length - at]
+
+
 def table_sums(values, offsets, periods, start: int, length: int, char: int = 0) -> np.ndarray:
     """Array of sum over tables s of values[offsets[s] + (x mod periods[s])]
     for x in [start, start+length), in the dtype of ``values``, reduced mod
     char when char > 0 (values are then field elements, in [0, char)).
 
-    Tables of one period are summed into one row first.  Each row is
-    rotated once so that its entry 0 belongs to x = start; the window is
-    then whole blocks of one period, to which the row is added by
-    broadcasting, plus a short tail.  No index array is built, and a window
-    shorter than a period costs one slice add per row.
+    Tables of one period are summed into one row first, and each row is
+    added to the window by :func:`_add_periodic`.
     """
     import numpy as np
 
     vals = np.asarray(values)
-    folded = {}
-    for off, n in zip(offsets, periods):
-        off, n = int(off), int(n)
-        row = vals[off : off + n]
-        folded[n] = folded[n] + row if n in folded else row
     out = np.zeros(length, dtype=vals.dtype)
-    for n, row in folded.items():
-        s = start % n
-        row = np.concatenate((row[s:], row[:s]))
-        full = length // n
-        # a view, since out is contiguous: adding to it adds to out
-        blocks = out[: full * n].reshape(full, n)
-        blocks += row
-        out[full * n :] += row[: length - full * n]
+    _add_periodic(out, _by_period(vals, offsets, periods), start)
     # nonnegative sums of a fixed width of b bits are below 2**(b-1), so a
     # char at or past that (which the width may not even hold) leaves them
     # reduced already
     if char > 0 and (out.dtype == object or char < 1 << 8 * out.itemsize - 1):
-        out %= char
+        if out.itemsize < 8:
+            # numpy divides int8 to int32 by a scalar 3 to 9 times faster
+            # than it takes %; the sums are nonnegative, so no step wraps
+            quotient = out // char
+            quotient *= char
+            out -= quotient
+        else:
+            out %= char
     return out
 
 
@@ -262,9 +328,78 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
     return start + int(bad.argmax()) if bad.any() else None
 
 
+def _fold(classes, tables, length: int):
+    """(rows, strided): the input of a full-period scan of ``length``
+    points, planned once by :func:`_scaled`, folded for a chunked search.
+
+    ``rows`` holds (values, offsets, periods) of tables for
+    :func:`table_sums`: one row per maximal period, the sum of every table
+    whose period divides it, tiled into it, minus the weight of every class
+    whose modulus divides it, strided into it.  A row shorter than _BLOCK
+    is tiled up to it (:func:`_tiled_length`), and rows that end up of one
+    length are one row.  Classes on object arrays, and classes whose
+    modulus passes the scan's length, which hit it at most once, stay
+    ``strided``: (residues, moduli, weights) for :func:`cover_counts`.  The
+    table sums less the strided counts are D * (sum of the tables - w).
+    """
+    import numpy as np
+
+    residues, moduli, weights = classes
+    k = len(weights)
+    periods = list(map(len, tables))
+    nums, _ = _scaled([*zip(weights), *tables])
+    fixed = nums.dtype != object
+    fold = [fixed and n <= length for n in moduli]
+    # period -> the row length of the first maximal period, from the top,
+    # that it divides
+    maximal, home = [], {}
+    for n in sorted({*periods, *compress(moduli, fold)}, reverse=True):
+        M = next((M for M in maximal if M % n == 0), None)
+        if M is None:
+            M = n
+            maximal.append(M)
+        home[n] = _tiled_length(M)
+    # each row's offset in one flat array; rows of one length are one row
+    lengths = sorted(set(home.values()))
+    offsets = list(accumulate(lengths[:-1], initial=0))
+    at = dict(zip(lengths, offsets))
+    home = {n: (at[m], m) for n, m in home.items()}
+    flat = np.zeros(sum(lengths), dtype=nums.dtype)
+    for n, row in _by_period(nums, accumulate(periods, initial=k), periods).items():
+        o, m = home[n]
+        _add_periodic(flat[o : o + m], {n: row}, 0)
+    for a, n, w, folded in zip(residues, moduli, nums[:k], fold):
+        if folded:
+            o, m = home[n]
+            flat[o + a % n : o + m : n] -= w
+    kept = list(map(not_, fold))
+    strided = (list(compress(residues, kept)), list(compress(moduli, kept)), nums[:k][kept])
+    return (flat, offsets, lengths), strided
+
+
 def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
-    """First x where :func:`scan` is nonzero, or None; always on numpy."""
-    return _first_where(ne, 0, classes, tables, start, length, char, False)
+    """First x where :func:`scan` is nonzero, or None; always on numpy.
+
+    A search of more than _CHUNK points folds its input once
+    (:func:`_fold`) and scans it in chunks of _CHUNK points, doubling up
+    to _CHUNK_MAX, each through :func:`table_sums` and
+    :func:`cover_counts`; it returns at the first chunk with a nonzero
+    point, so a scan that fails early touches few points.
+    """
+    if length <= _CHUNK:
+        return _first_where(ne, 0, classes, tables, start, length, char, False)
+    rows, strided = _fold(classes, tables, length)
+    pos, chunk = 0, _CHUNK
+    while pos < length:
+        chunk = min(chunk, length - pos)
+        out = table_sums(*rows, start + pos, chunk, char)
+        if strided[0]:
+            out -= cover_counts(*strided, start + pos, chunk)
+        if out.any():
+            return start + pos + int((out != 0).argmax())
+        pos += chunk
+        chunk = min(2 * chunk, _CHUNK_MAX)
+    return None
 
 
 def window_first_nonzero(classes, tables, start: int, length: int, char: int = 0):

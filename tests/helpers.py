@@ -260,6 +260,29 @@ def table_sums_reference(values, offsets, periods, start: int, length: int, char
     return out
 
 
+def indexed_values(classes, tables, start: int, length: int, dtype=np.int64) -> np.ndarray:
+    """w(x) - sum of the tables at x for x in [start, start+length), each
+    point read by its own index: a class (a, n, w) adds w where
+    (x - a) mod n = 0, a table adds its entry at x mod its period.  In
+    ``dtype``: int64 is exact while the sums stay within it, object
+    always."""
+    residues, moduli, weights = classes
+    offsets = np.arange(length)
+    values = np.zeros(length, dtype=dtype)
+    for a, n, w in zip(residues, moduli, weights):
+        values[((start - a) % n + offsets) % n == 0] += w
+    for t in tables:
+        values -= np.array(t, dtype=dtype)[(start % len(t) + offsets) % len(t)]
+    return values
+
+
+def first_nonzero_reference(values: np.ndarray, start: int, char: int = 0):
+    """First start + j with values[j] nonzero (mod char when char > 0), or
+    None."""
+    hits = np.flatnonzero(values % char if char else values)
+    return start + int(hits[0]) if len(hits) else None
+
+
 def mean_reference(system: System) -> Fraction:
     """Mean of w over one full period, one exact ``cover_count`` per point."""
     N = system.lcm()

@@ -365,6 +365,28 @@ def test_list_boundary_keeps_answers(monkeypatch):
     assert 3 < failing < 10
 
 
+def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
+    """A 720720-point full-period scan whose first nonzero point is its
+    start hands the numpy kernels one chunk of at most 2**13 points, on
+    classes with a table and on tables alone, and returns that start."""
+    lengths = []
+    for name in ("cover_counts", "table_sums"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *a, _k=kernel: lengths.append(a[4]) or _k(*a))
+    # lcm 720720; every class contains 0, so w(0) = 6 and w - 0 is nonzero there
+    system = System.of(*((0, n) for n in (16, 9, 5, 7, 11, 13)))
+    zero = PeriodicValueTable.constant(0)
+    assert brute_cover_verdict(system, zero) == Verdict(False, 0)
+    assert 0 < sum(lengths) <= 2**13
+    # tables of periods 720 and 1001 (lcm 720720), nonzero only at x = 5
+    # and x = 5 + 720720, so a scan from 5 fails at its first point
+    tables = [PeriodicValueTable(720, tuple(int(x == 5) for x in range(720))), PeriodicValueTable(1001, (0,) * 1001)]
+    for start in (5, 5 + 720720):
+        lengths.clear()
+        assert _first_nonzero((), tables, start, 720720, full_period=True) == Verdict(False, start)
+        assert 0 < sum(lengths) <= 2**13
+
+
 def test_exact_sum_native_only_where_exact():
     rng = random.Random(32)
     for dtype, bound in (("int8", 2**6), ("int16", 2**14), ("int32", 2**30)):
@@ -450,8 +472,10 @@ def test_cover_values_is_pointwise_cover_count():
 
 
 def test_table_sums_blocks_match_pointwise_definition():
-    """Whole blocks of the largest period, a tail, and windows no longer
-    than one period, on int64 and object values over Q and F_p."""
+    """Whole blocks of the largest period, a tail, windows no longer than
+    one period, and a window holding more than _BLOCK copies of every
+    period, which tiles each row of period 2 or more first, on int64 and
+    object values over Q and F_p."""
     rng = random.Random(720720)
     periods = [1, 3, 4, 4, 7, 12]  # lcm 84
     offsets = [0, *accumulate(periods[:-1])]
@@ -465,7 +489,7 @@ def test_table_sums_blocks_match_pointwise_definition():
     for dtype, char, value in cases:
         vals = np.array([value() for _ in range(sum(periods))], dtype=dtype)
         for start in (0, -13, 2**64 + 5, -(2**70) + 3):
-            for length in (0, 5, 12, 3 * 12 + 1, 84 + 1):
+            for length in (0, 5, 12, 3 * 12 + 1, 84 + 1, 12 * _kernels._BLOCK + 5):
                 out = _kernels.table_sums(vals, offsets, periods, start, length, char)
                 assert out.dtype == dtype and len(out) == length
                 assert out.tolist() == table_sums_reference(

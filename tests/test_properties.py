@@ -15,14 +15,17 @@ import contextlib
 import io
 import math
 import operator
+import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coverkit import _kernels
 from coverkit import (
     CyclotomicElement,
     ExpSumSequence,
@@ -63,6 +66,8 @@ from coverkit.oracle import (
 
 from helpers import (
     SCAN_SETTINGS,
+    first_nonzero_reference,
+    indexed_values,
     kernel_widths,
     prime_sieve,
     sequence_table,
@@ -465,6 +470,80 @@ def test_periodicity_matches_box_oracle(setting, case):
         steps = [(t, yt - xt) for t, (xt, yt) in enumerate(zip(x, y)) if xt != yt]
         assert len(steps) == 1 and steps[0][1] == n0[steps[0][0]]
         assert multidim_value(seqs, x) != multidim_value(seqs, y)
+
+
+# --- chunk edges of the full-period first-nonzero scan ------------------------
+
+
+def chunk_edges() -> list[int]:
+    """Offsets from the start at which a chunked full-period scan moves to
+    its next chunk, up to the second chunk of the largest size."""
+    sizes = [min(_kernels._CHUNK << i, _kernels._CHUNK_MAX) for i in range(7)]
+    return list(accumulate(sizes))[:-1]
+
+
+@settings(PROPERTY, max_examples=4)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 5, 2**31 - 1]),
+    st.booleans(),
+    st.one_of(st.integers(-(10**6), -1), st.integers(-(10**6), 10**6).map(lambda d: 2**70 + d)),
+)
+def test_chunked_scan_finds_witnesses_at_chunk_edges(seed, char, huge, start):
+    """A full-period first-nonzero scan longer than one chunk, under every
+    scan setting, returns the first nonzero point that a pointwise
+    evaluation finds, for a witness planted at offset 0 and 1 and at each
+    chunk edge and one point either side of it, and None for the vanishing
+    input without one.  Classes with moduli 2**13 to 2**14 (over Q) or
+    tables of those periods (over F_p) cancel against tables at 1 to 3
+    times their period, and over Q a class of a modulus past the length
+    cancels against its split into two classes.  The witness is a class
+    (over Q) or a table entry (over F_p) of a period past its offset, so
+    the planted point is the first nonzero one; past the last edges that
+    period, and so its row, is longer than 2**17.  ``huge`` scales the
+    values past the int64 guard."""
+    rng = random.Random(seed)
+    scale, dtype = (2**62 + 1, object) if huge and not char else (1, "int64")
+    edges = chunk_edges()
+    classes, tables = ([], [], []), []
+    for _ in range(rng.randint(1, 2)):
+        n, c = rng.randint(2**13, 2**14), rng.randint(1, 3)
+        if char:
+            row = [rng.randrange(char) for _ in range(n)]
+            tables += [row, [-row[x % n] % char for x in range(c * n)]]
+        else:
+            a, w = rng.randrange(n), rng.choice((1, -1, 2, -3)) * scale
+            for part, v in zip(classes, (a, n, w)):
+                part.append(v)
+            tables.append([w if x % n == a else 0 for x in range(c * n)])
+    length = rng.randint(edges[-1] + 2**13 + 1, edges[-1] + 2**14)
+    if not char:
+        # a class of a modulus past the length, which hits the scan at most
+        # once and so is not folded, against its split into two classes
+        n = rng.randint(length + 1, 2 * length)
+        a, w = rng.randrange(n), rng.choice((1, -1)) * scale
+        for part, v in zip(classes, ((a, a, a + n), (n, 2 * n, 2 * n), (w, -w, -w))):
+            part.extend(v)
+    base = indexed_values(classes, tables, start, length, dtype)
+    assert first_nonzero_reference(base, start, char) is None
+    for offset in (None, 0, 1, *(e + d for e in edges for d in (-1, 0, 1))):
+        witness = ([], [], []), []
+        if offset is not None:
+            # no earlier point of the witness's period is in the scan, and
+            # over Q its class folds, its modulus being at most the length
+            period = rng.randint(offset + 1, offset + 2**13)
+            if char:
+                planted = [0] * period
+                planted[(start + offset) % period] = rng.randrange(1, char)
+                witness = ([], [], []), [planted]
+            else:
+                witness = ([(start + offset) % period], [period], [rng.choice((1, -1)) * scale]), []
+        expected = first_nonzero_reference(base + indexed_values(*witness, start, length, dtype), start, char)
+        assert expected == (None if offset is None else start + offset)
+        scan = [part + extra for part, extra in zip(classes, witness[0])], tables + witness[1]
+        for setting in SCAN_SETTINGS:
+            with kernel_widths(setting):
+                assert _kernels.first_nonzero(*scan, start, length, char) == expected, (setting, offset)
 
 
 @st.composite
