@@ -17,14 +17,13 @@ reach the int64 guard, where lists beat numpy object arrays.  Full-period
 scans always run numpy, on object arrays of exact Python ints past the
 guard, so the oracle is a second implementation of every window check.
 
-A full-period first-nonzero search longer than ``_CHUNK`` points plans
-once, folds once and then scans in chunks: every table, and on a fixed
-width every class, goes into one row per maximal period, and the rows are
-summed chunk by chunk, from ``_CHUNK`` points doubling to ``_CHUNK_MAX``,
-through :func:`table_sums`.  It returns at the first chunk with a
-nonzero point, so a falsified scan whose witness comes early touches a
-few thousand points, not the period.  Shorter searches, window checks and
-:func:`scan` run whole, where a fold costs more than it saves.
+A full-period first-nonzero search plans once, folds once and then scans
+in chunks: every table, and on a fixed width every class, goes into one
+row per maximal period, and the rows are summed chunk by chunk, from
+``_CHUNK`` points doubling to ``_CHUNK_MAX``, through :func:`table_sums`.
+It returns at the first chunk with a nonzero point, so a falsified scan
+whose witness comes early touches a few thousand points, not the period.
+Window checks and :func:`scan` run whole and are not folded.
 
 This is the only module that uses numpy, and it imports numpy inside each
 kernel entry point rather than at module load: a process that runs no
@@ -64,8 +63,8 @@ _LIST_WORK = 2048
 # of it, or when it is a folded row that every chunk adds
 _BLOCK = 2**12
 
-# a full-period first-nonzero search longer than _CHUNK folds its input and
-# runs in chunks that start at _CHUNK points and double up to _CHUNK_MAX
+# a full-period first-nonzero search folds its input and runs in chunks
+# that start at _CHUNK points and double up to _CHUNK_MAX
 _CHUNK = 2**13
 _CHUNK_MAX = 2**17
 
@@ -262,14 +261,12 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     # char at or past that (which the width may not even hold) leaves them
     # reduced already
     if char > 0 and (out.dtype == object or char < 1 << 8 * out.itemsize - 1):
-        if out.itemsize < 8:
-            # numpy divides int8 to int32 by a scalar 3 to 9 times faster
-            # than it takes %; the sums are nonnegative, so no step wraps
-            quotient = out // char
-            quotient *= char
-            out -= quotient
-        else:
-            out %= char
+        # the sums are nonnegative, so x - (x // char) * char is x mod char
+        # and no step wraps; numpy divides a fixed width by a scalar 1.7
+        # (int64) to 14 (int8) times faster than it takes %
+        quotient = out // char
+        quotient *= char
+        out -= quotient
     return out
 
 
@@ -315,11 +312,11 @@ def scan(classes, tables, start: int, length: int, char: int = 0):
     return _values(classes, tables, start, length, char, False)
 
 
-def _first_where(test, bound, classes, tables, start: int, length: int, char: int, window: bool):
-    """First x in [start, start+length) whose value v of :func:`_values`,
-    reduced mod char when char > 0, has test(v, bound), or None: the one
-    search of window checks and full-period first-nonzero scans."""
-    out, _ = _values(classes, tables, start, length, char, window)
+def _first_where(test, bound, classes, tables, start: int, length: int, char: int):
+    """First x in [start, start+length) whose value v of a window check's
+    :func:`_values`, reduced mod char when char > 0, has test(v, bound), or
+    None: the one search of window checks."""
+    out, _ = _values(classes, tables, start, length, char, True)
     if type(out) is list:
         if char:
             out = map(char.__rmod__, out)
@@ -380,14 +377,12 @@ def _fold(classes, tables, length: int):
 def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     """First x where :func:`scan` is nonzero, or None; always on numpy.
 
-    A search of more than _CHUNK points folds its input once
-    (:func:`_fold`) and scans it in chunks of _CHUNK points, doubling up
-    to _CHUNK_MAX, each through :func:`table_sums` and
-    :func:`cover_counts`; it returns at the first chunk with a nonzero
-    point, so a scan that fails early touches few points.
+    The search folds its input once (:func:`_fold`) and scans it in chunks
+    of _CHUNK points, doubling up to _CHUNK_MAX, each through
+    :func:`table_sums` and :func:`cover_counts`, so a search of at most
+    _CHUNK points is one chunk; it returns at the first chunk with a
+    nonzero point, so a scan that fails early touches few points.
     """
-    if length <= _CHUNK:
-        return _first_where(ne, 0, classes, tables, start, length, char, False)
     rows, strided = _fold(classes, tables, length)
     pos, chunk = 0, _CHUNK
     while pos < length:
@@ -405,13 +400,13 @@ def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
 def window_first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     """:func:`first_nonzero` of a window check, on the path :func:`_plan`
     picks."""
-    return _first_where(ne, 0, classes, tables, start, length, char, True)
+    return _first_where(ne, 0, classes, tables, start, length, char)
 
 
 def first_below(tables, least: int, start: int, length: int):
     """First x where the sum of the integer tables is below ``least``, or
     None; a window check, on the path :func:`_plan` picks."""
-    return _first_where(gt, -least, ((), (), ()), tables, start, length, 0, True)
+    return _first_where(gt, -least, ((), (), ()), tables, start, length, 0)
 
 
 def exact_sum(arr) -> int:
