@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covering import (
     DEFAULT_ORACLE_CAP,
@@ -54,8 +54,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(NamedTuple):
     """Parsed system description plus the source text it came from."""
 
     entries: tuple[MultiSequence, ...]
@@ -302,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What one subcommand found: its exit code, the verdict and witness of
     the ``result|`` line, and the text lines printed before that line."""
 

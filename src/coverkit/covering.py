@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
 from .cyclotomic import CyclotomicElement, zero_set_table
@@ -106,21 +106,24 @@ def _exact(v):
     return v if type(v) is int else _rational(v)
 
 
-@dataclass(frozen=True)
-class WeightedSequence:
+def _record(name: str, fields: str) -> type:
+    """A named tuple base for a record that checks its fields in ``__new__``;
+    its ``_make``, and so ``_replace``, build through that check too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class WeightedSequence(_record("WeightedSequence", "residue modulus weight")):
     """Residue class a(n) = {a + n*x} carrying an exact rational weight."""
 
-    residue: int
-    modulus: int
-    weight: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        residue, modulus = _integers(self.residue, self.modulus)
+    def __new__(cls, residue: int, modulus: int, weight: Fraction = Fraction(1)):
+        residue, modulus = _integers(residue, modulus)
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", residue % modulus)
-        object.__setattr__(self, "weight", _rational(self.weight))
+        return super().__new__(cls, residue % modulus, modulus, _rational(weight))
 
     def contains(self, x: int) -> bool:
         return (x - self.residue) % self.modulus == 0
@@ -130,16 +133,16 @@ class WeightedSequence:
         return base if self.weight == 1 else f"{base}*{self.weight}"
 
 
-@dataclass(frozen=True)
-class System:
+class System(_record("System", "seqs")):
     """Nonempty finite family of weighted arithmetic sequences."""
 
-    seqs: tuple[WeightedSequence, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "seqs", tuple(self.seqs))
-        if not self.seqs:
+    def __new__(cls, seqs: Sequence[WeightedSequence]):
+        seqs = tuple(seqs)
+        if not seqs:
             raise ValueError("a system needs at least one sequence")
+        return super().__new__(cls, seqs)
 
     @classmethod
     def of(cls, *entries: tuple) -> System:
@@ -161,8 +164,7 @@ class System:
         return all(s.weight == 1 for s in self.seqs)
 
 
-@dataclass(frozen=True)
-class PeriodicValueTable:
+class PeriodicValueTable(_record("PeriodicValueTable", "period values char")):
     """Periodic map Z -> F given by one period of values.
 
     ``char`` 0 means F = Q (values are ints or Fractions, kept as Python
@@ -171,29 +173,25 @@ class PeriodicValueTable:
     reduced into [0, p) at construction; any other value is refused).
     """
 
-    period: int
-    values: tuple
-    char: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if len(self.values) != self.period:
-            raise ValueError(f"need {self.period} values, got {len(self.values)}")
-        if self.char:
-            if not _is_prime(self.char):
-                raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
-            values = tuple(self.values)
+    def __new__(cls, period: int, values: Sequence, char: int = 0):
+        if period < 1:
+            raise ValueError(f"period must be positive, got {period}")
+        if len(values) != period:
+            raise ValueError(f"need {period} values, got {len(values)}")
+        values = tuple(values)
+        if char:
+            if not _is_prime(char):
+                raise ValueError(f"characteristic must be 0 or prime, got {char}")
             if not {int}.issuperset(map(type, values)):
                 for v in values:
                     if not isinstance(v, numbers.Rational) or v.denominator != 1:
-                        raise ValueError(f"values over F_{self.char} must be integers, got {v!r}")
-            object.__setattr__(self, "values", tuple(int(v) % self.char for v in values))
-        else:
-            values = tuple(self.values)
-            if not {int}.issuperset(map(type, values)):
-                values = tuple(map(_exact, values))
-            object.__setattr__(self, "values", values)
+                        raise ValueError(f"values over F_{char} must be integers, got {v!r}")
+            values = tuple(int(v) % char for v in values)
+        elif not {int}.issuperset(map(type, values)):
+            values = tuple(map(_exact, values))
+        return super().__new__(cls, period, values, char)
 
     @classmethod
     def constant(cls, value, period: int = 1, char: int = 0) -> PeriodicValueTable:
@@ -203,19 +201,28 @@ class PeriodicValueTable:
         return self.values[x % self.period]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a check; ``witness`` locates the first failure when not
     ok: a point, or for periodicity mod a vector a pair (x, y) of points.
     ``points`` is the length of the scan that decided it, when one did; it
-    says how the answer was reached, not what it is, so equality ignores it."""
+    says how the answer was reached, not what it is, so equality and the
+    hash ignore it."""
 
     ok: bool
     witness: int | tuple | None = None
-    points: int | None = field(default=None, compare=False)
+    points: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Verdict) and self[:2] == other[:2]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +387,16 @@ def non_exact_witness(system: System, m: int) -> int:
 # cover criteria for zero sets of exponential sums
 
 
-@dataclass(frozen=True)
-class ExpSumSequence:
+class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
     """Zero set X = {x : sum_t c_t * e^(2*pi*i*t*x/n) = 0} of an exponential
     sum with exact cyclotomic coefficients."""
 
-    modulus: int
-    terms: tuple[tuple[int, CyclotomicElement], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __new__(cls, modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]):
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        return super().__new__(cls, modulus, tuple(terms))
 
     @classmethod
     def from_arith_sequence(cls, seq: WeightedSequence, multiplier: int = 1) -> ExpSumSequence:

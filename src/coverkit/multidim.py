@@ -16,12 +16,11 @@ divisibility criterion; the exhaustive scan of one period box is the oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .covering import Verdict, _integers, _oracle_points, _rational
+from .covering import Verdict, _integers, _oracle_points, _rational, _record
 from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
@@ -40,23 +39,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiSequence:
+class MultiSequence(_record("MultiSequence", "residue modulus weight")):
     """Residue class a + n*Z^l (componentwise) with an exact rational weight."""
 
-    residue: IntVector
-    modulus: IntVector
-    weight: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.residue) != len(self.modulus) or not self.modulus:
+    def __new__(cls, residue: IntVector, modulus: IntVector, weight: Fraction = Fraction(1)):
+        if len(residue) != len(modulus) or not modulus:
             raise ValueError("residue and modulus must share a positive dimension")
-        residue, modulus = _integers(*self.residue), _integers(*self.modulus)
-        if any(n < 1 for n in modulus):
-            raise ValueError(f"modulus components must be positive, got {self.modulus}")
-        object.__setattr__(self, "modulus", tuple(modulus))
-        object.__setattr__(self, "residue", tuple(a % n for a, n in zip(residue, modulus)))
-        object.__setattr__(self, "weight", _rational(self.weight))
+        a, n = _integers(*residue), _integers(*modulus)
+        if any(nt < 1 for nt in n):
+            raise ValueError(f"modulus components must be positive, got {modulus}")
+        residue = tuple(at % nt for at, nt in zip(a, n))
+        return super().__new__(cls, residue, tuple(n), _rational(weight))
 
     @property
     def dim(self) -> int:
@@ -132,8 +127,7 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class DivisibilityChainReport:
+class DivisibilityChainReport(NamedTuple):
     """Outcome of the divisor-vector counting bound.
 
     When applicable, ``chain`` holds (#indices, #distinct fraction sums,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
 from .covering import (
@@ -102,8 +101,7 @@ def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verd
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     """Timing contrast of the window check against the full-period scan."""
 
     moduli: tuple[int, ...]

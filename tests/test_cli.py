@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import random
@@ -527,13 +528,17 @@ def test_module_entry_points_agree(tmp_path):
         assert len(results) == 1 and results.pop().startswith("result|cmd=exact-cover|")
 
 
-def numpy_loaded_after(code: str) -> bool:
-    """Run ``code`` in a fresh interpreter; whether numpy was imported."""
-    probe = code + "\nimport sys\nprint('numpy' in sys.modules)"
+def loaded_after(code: str, *names: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; which of the modules ``names``
+    it imported."""
+    probe = code + f"\nimport sys\nprint(sorted({set(names)!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env(), check=True
     )
-    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+RUN_CLI = "from coverkit.cli import run_command\nassert run_command({!r}) == {}"
 
 
 def test_numpy_loads_only_for_a_scan(tmp_path):
@@ -551,8 +556,7 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
     box = write(tmp_path, "box.txt", "0,0 2,3\n1,1 4,1\n")
     # a 60 x 60 box, past the list work
     wide = write(tmp_path, "wide.txt", "0,0 60,60\n")
-    run_cli = "from coverkit.cli import run_command\nassert run_command({!r}) == {}"
-    assert not numpy_loaded_after("import coverkit, coverkit.cli")
+    assert not loaded_after("import coverkit, coverkit.cli", "numpy")
     for argv in (
         ["least-period", b],
         ["window-size", big],
@@ -561,11 +565,19 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
         ["witness", "--m", "2", b],
         ["expsum-cover", "--m", "1", coeffs],
     ):
-        assert not numpy_loaded_after(run_cli.format(argv, 0)), argv
+        assert not loaded_after(RUN_CLI.format(argv, 0), "numpy"), argv
     for argv in (["multidim-period", "--n0", "2,3", box], ["cor14", "--n0", "2,3", box]):
-        assert not numpy_loaded_after(run_cli.format(argv, 1)), argv
-    assert numpy_loaded_after(run_cli.format(["exact-cover", "--m", "1", long], 0))
-    assert numpy_loaded_after(run_cli.format(["multidim-period", "--n0", "1,1", wide], 1))
+        assert not loaded_after(RUN_CLI.format(argv, 1), "numpy"), argv
+    assert loaded_after(RUN_CLI.format(["exact-cover", "--m", "1", long], 0), "numpy")
+    assert loaded_after(RUN_CLI.format(["multidim-period", "--n0", "1,1", wide], 1), "numpy")
+
+
+def test_records_need_no_dataclasses(tmp_path):
+    """The record types are named tuples, so neither the package, the CLI
+    nor a short check loads ``dataclasses`` or the ``inspect`` it imports."""
+    b = write(tmp_path, "B.txt", B_TEXT)
+    for code in ("import coverkit", "import coverkit.cli", RUN_CLI.format(["exact-cover", "--m", "1", b], 0)):
+        assert loaded_after(code, "dataclasses", "inspect") == set(), code
 
 
 def test_only_kernels_import_numpy():

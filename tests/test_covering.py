@@ -9,7 +9,10 @@ from coverkit import (
     CyclotomicElement,
     ExpSumSequence,
     PeriodicValueTable,
+    BenchReport,
+    MultiSequence,
     System,
+    Verdict,
     WeightedSequence,
     brute_cover_verdict,
     brute_least_period,
@@ -31,7 +34,9 @@ from coverkit import (
     window_zero_check,
     zero_system_coefficients,
 )
+from coverkit.cli import Report, SystemFile
 from coverkit.covering import DEFAULT_ORACLE_CAP
+from coverkit.multidim import DivisibilityChainReport
 from helpers import (
     erdos_cover,
     erdos_system,
@@ -90,6 +95,92 @@ def test_prime_field_table_refuses_fractions():
         with pytest.raises(ValueError, match="must be integers"):
             PeriodicValueTable(1, (v,), 5)
     assert PeriodicValueTable(1, (F(1, 2),)).values == (F(1, 2),)
+
+
+ONE = CyclotomicElement.constant(1, 1)
+# (type, arguments by field name, every field of the record they build);
+# arguments left out take their defaults, and a record built from every
+# field, each kept as given, uses one dict, `both`, for both
+RECORDS = [
+    (WeightedSequence, dict(residue=-3, modulus=4), dict(residue=1, modulus=4, weight=F(1))),
+    (WeightedSequence, dict(residue=0, modulus=2, weight=2), dict(residue=0, modulus=2, weight=F(2))),
+    (System, dict(seqs=[WeightedSequence(0, 1)]), dict(seqs=(WeightedSequence(0, 1),))),
+    (PeriodicValueTable, dict(period=2, values=(1, 2)), dict(period=2, values=(1, 2), char=0)),
+    (PeriodicValueTable, dict(period=2, values=[7, -1], char=5), dict(period=2, values=(2, 4), char=5)),
+    (Verdict, dict(ok=True), dict(ok=True, witness=None, points=None)),
+    (ExpSumSequence, dict(modulus=2, terms=[(0, ONE)]), dict(modulus=2, terms=((0, ONE),))),
+    (
+        MultiSequence,
+        dict(residue=[3, -1], modulus=[2, 3]),
+        dict(residue=(1, 2), modulus=(2, 3), weight=F(1)),
+    ),
+    (
+        DivisibilityChainReport,
+        both := dict(
+            applicable=False,
+            reason="r",
+            indices=(),
+            theta=(),
+            coefficient_sum=F(0),
+            chain=None,
+            verified=False,
+        ),
+        both,
+    ),
+    (
+        BenchReport,
+        both := dict(
+            moduli=(2,),
+            window_points=2,
+            full_points=2,
+            t_window_ns=1,
+            t_full_ns=1,
+            agree=True,
+            window_verdict=Verdict(True),
+            full_verdict=Verdict(True),
+        ),
+        both,
+    ),
+    (SystemFile, both := dict(entries=(), dim=1, source=""), both),
+    (Report, dict(code=0, verdict="ok"), dict(code=0, verdict="ok", witness=None, lines=())),
+]
+
+
+@pytest.mark.parametrize(
+    "record, given, fields", RECORDS, ids=[f"{r.__name__}-{i}" for i, (r, _, _) in enumerate(RECORDS)]
+)
+def test_record_contract(record, given, fields):
+    """Every record builds positionally and by keyword with the same
+    defaults, normalises its fields, and refuses attribute assignment."""
+    r = record(*given.values())
+    assert r == record(**given)
+    for name, value in fields.items():
+        got = getattr(r, name)
+        assert got == value and type(got) is type(value), name
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+
+
+def test_replaced_fields_are_checked():
+    """A named tuple's ``_make`` and ``_replace`` go through the record's own
+    checks and normalisation, as the constructor does."""
+    s = WeightedSequence(1, 4)
+    assert s._replace(residue=-1).residue == 3
+    assert WeightedSequence._make((5, 4, 2)) == WeightedSequence(1, 4, F(2))
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        s._replace(modulus=0)
+    with pytest.raises(ValueError, match="must share a positive dimension"):
+        MultiSequence((0,), (2,))._replace(modulus=(2, 3))
+
+
+def test_verdict_equality_ignores_points():
+    assert Verdict(False, 3, 10) == Verdict(False, 3)
+    assert not Verdict(False, 3, 10) != Verdict(False, 3)
+    assert hash(Verdict(False, 3, 10)) == hash(Verdict(False, 3))
+    assert Verdict(False, 3) != Verdict(True)
+    assert not Verdict(False, 3) == Verdict(True)
 
 
 # --- covering function ----------------------------------------------------
