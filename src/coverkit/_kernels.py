@@ -18,9 +18,9 @@ scans always run numpy, on object arrays of exact Python ints past the
 guard, so the oracle is a second implementation of every window check.
 
 A full-period first-nonzero search plans once, folds once and then scans
-in chunks: every table, and on a fixed width every class, goes into one
-row per maximal period, and the rows are summed chunk by chunk, from
-``_CHUNK`` points doubling to ``_CHUNK_MAX``, through :func:`table_sums`.
+in chunks: every table and every class goes into one row per maximal
+period, and the rows are summed chunk by chunk, from ``_CHUNK`` points
+doubling to ``_CHUNK_MAX``, by one :func:`table_sums` call per chunk.
 It returns at the first chunk with a nonzero point, so a falsified scan
 whose witness comes early touches a few thousand points, not the period.
 Window checks and :func:`scan` run whole and are not folded.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, floordiv, gt, mul, ne, not_, sub
+from operator import add, floordiv, gt, mul, ne, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -325,19 +325,18 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
     return start + int(bad.argmax()) if bad.any() else None
 
 
-def _fold(classes, tables, length: int):
-    """(rows, strided): the input of a full-period scan of ``length``
-    points, planned once by :func:`_scaled`, folded for a chunked search.
+def _fold(classes, tables):
+    """(values, offsets, periods): the input of a full-period scan, planned
+    once by :func:`_scaled`, folded for a chunked search by
+    :func:`table_sums`.
 
-    ``rows`` holds (values, offsets, periods) of tables for
-    :func:`table_sums`: one row per maximal period, the sum of every table
-    whose period divides it, tiled into it, minus the weight of every class
-    whose modulus divides it, strided into it.  A row shorter than _BLOCK
-    is tiled up to it (:func:`_tiled_length`), and rows that end up of one
-    length are one row.  Classes on object arrays, and classes whose
-    modulus passes the scan's length, which hit it at most once, stay
-    ``strided``: (residues, moduli, weights) for :func:`cover_counts`.  The
-    table sums less the strided counts are D * (sum of the tables - w).
+    There is one row per maximal period of the tables and the moduli: the
+    sum of every table whose period divides it, tiled into it, minus the
+    weight of every class whose modulus n divides it, at every n-th entry
+    from its residue.  Every class folds, on a fixed width or on object
+    arrays, and whatever its modulus.  A row shorter than _BLOCK is tiled
+    up to it (:func:`_tiled_length`).  The rows' table sums are then
+    D * (sum of the tables - w).
     """
     import numpy as np
 
@@ -345,51 +344,38 @@ def _fold(classes, tables, length: int):
     k = len(weights)
     periods = list(map(len, tables))
     nums, _ = _scaled([*zip(weights), *tables])
-    fixed = nums.dtype != object
-    fold = [fixed and n <= length for n in moduli]
-    # period -> the row length of the first maximal period, from the top,
-    # that it divides
+    # period -> the first maximal period, from the top, that it divides
     maximal, home = [], {}
-    for n in sorted({*periods, *compress(moduli, fold)}, reverse=True):
-        M = next((M for M in maximal if M % n == 0), None)
-        if M is None:
-            M = n
-            maximal.append(M)
-        home[n] = _tiled_length(M)
-    # each row's offset in one flat array; rows of one length are one row
-    lengths = sorted(set(home.values()))
+    for n in sorted({*periods, *moduli}, reverse=True):
+        home[n] = next((M for M in maximal if M % n == 0), n)
+        if home[n] == n:
+            maximal.append(n)
+    lengths = list(map(_tiled_length, maximal))
     offsets = list(accumulate(lengths[:-1], initial=0))
-    at = dict(zip(lengths, offsets))
-    home = {n: (at[m], m) for n, m in home.items()}
+    # maximal period -> its row, a view of one flat array
     flat = np.zeros(sum(lengths), dtype=nums.dtype)
+    row_of = {M: flat[o : o + m] for M, o, m in zip(maximal, offsets, lengths)}
     for n, row in _by_period(nums, accumulate(periods, initial=k), periods).items():
-        o, m = home[n]
-        _add_periodic(flat[o : o + m], {n: row}, 0)
-    for a, n, w, folded in zip(residues, moduli, nums[:k], fold):
-        if folded:
-            o, m = home[n]
-            flat[o + a % n : o + m : n] -= w
-    kept = list(map(not_, fold))
-    strided = (list(compress(residues, kept)), list(compress(moduli, kept)), nums[:k][kept])
-    return (flat, offsets, lengths), strided
+        _add_periodic(row_of[home[n]], {n: row}, 0)
+    for a, n, w in zip(residues, moduli, nums[:k]):
+        row_of[home[n]][a % n :: n] -= w
+    return flat, offsets, lengths
 
 
 def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     """First x where :func:`scan` is nonzero, or None; always on numpy.
 
     The search folds its input once (:func:`_fold`) and scans it in chunks
-    of _CHUNK points, doubling up to _CHUNK_MAX, each through
-    :func:`table_sums` and :func:`cover_counts`, so a search of at most
-    _CHUNK points is one chunk; it returns at the first chunk with a
-    nonzero point, so a scan that fails early touches few points.
+    of _CHUNK points, doubling up to _CHUNK_MAX, each one :func:`table_sums`
+    call, so a search of at most _CHUNK points is one chunk; it returns at
+    the first chunk with a nonzero point, so a scan that fails early
+    touches few points.
     """
-    rows, strided = _fold(classes, tables, length)
+    rows = _fold(classes, tables)
     pos, chunk = 0, _CHUNK
     while pos < length:
         chunk = min(chunk, length - pos)
         out = table_sums(*rows, start + pos, chunk, char)
-        if strided[0]:
-            out -= cover_counts(*strided, start + pos, chunk)
         if out.any():
             return start + pos + int((out != 0).argmax())
         pos += chunk

@@ -368,7 +368,8 @@ def test_list_boundary_keeps_answers(monkeypatch):
 def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
     """A 720720-point full-period scan whose first nonzero point is its
     start hands the numpy kernels one chunk of at most 2**13 points, on
-    classes with a table and on tables alone, and returns that start."""
+    classes with a table and on tables alone, and returns that start;
+    classes on object arrays fold too, so they make no cover_counts call."""
     lengths = []
     for name in ("cover_counts", "table_sums"):
         kernel = getattr(_kernels, name)
@@ -385,6 +386,13 @@ def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
         lengths.clear()
         assert _first_nonzero((), tables, start, 720720, full_period=True) == Verdict(False, start)
         assert 0 < sum(lengths) <= 2**13
+    # the classes above at weight 2**62 + 1 put the scan on object arrays,
+    # where they fold too: one table_sums call of 2**13 points
+    monkeypatch.setattr(_kernels, "cover_counts", lambda *a: pytest.fail("cover_counts called"))
+    lengths.clear()
+    system = System.of(*((0, n, 2**62 + 1) for n in (16, 9, 5, 7, 11, 13)))
+    assert brute_cover_verdict(system, zero) == Verdict(False, 0)
+    assert lengths == [2**13]
 
 
 def test_exact_sum_native_only_where_exact():

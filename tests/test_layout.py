@@ -1,6 +1,7 @@
 """Each representation has one home in the package: only `cyclotomic`
 reads or builds the Q(zeta) coefficient vector, only `_kernels` imports
-numpy, and only `cli.run_command` prints a report.  No module memoizes,
+numpy, names an integer width or reads a dtype, and only
+`cli.run_command` prints a report.  No module memoizes,
 so every zero test and count is computed afresh."""
 
 import ast
@@ -46,6 +47,18 @@ def imports_numpy(node) -> bool:
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
 
 
+WIDTHS = {"int8", "int16", "int32", "int64"}
+
+
+def names_width(node) -> bool:
+    # np.int64, a bare int64, the string "int64", or a read of .dtype
+    if isinstance(node, ast.Attribute):
+        return node.attr in WIDTHS | {"dtype"}
+    if isinstance(node, ast.Name):
+        return node.id in WIDTHS
+    return isinstance(node, ast.Constant) and node.value in WIDTHS
+
+
 MEMOS = {"lru_cache", "cache"}
 
 
@@ -69,6 +82,10 @@ def test_only_cyclotomic_touches_the_coefficient_layout():
 
 def test_only_kernels_imports_numpy():
     assert users(imports_numpy) == {"_kernels.py"}
+
+
+def test_only_kernels_names_an_integer_width():
+    assert users(names_width) == {"_kernels.py"}
 
 
 def test_no_module_memoizes():
