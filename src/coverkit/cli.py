@@ -91,11 +91,13 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _parse_int_vector(tok: str, lineno: int) -> tuple[int, ...]:
+def _parse_int_vector(text: str, bad: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, for a file token or an
+    option; any other text is refused with ``bad`` followed by its repr."""
     try:
-        return tuple(int(p) for p in tok.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ParseError(f"line {lineno}: bad integer vector {tok!r}") from None
+        raise ParseError(f"{bad} {text!r}") from None
 
 
 def _parse_number(tok: str, what: str, lineno: int, kind=Fraction):
@@ -120,8 +122,8 @@ def parse_system(text: str) -> SystemFile:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ParseError(f"line {lineno}: expected 'residue modulus [weight]', got {line!r}")
-        a = _parse_int_vector(parts[0], lineno)
-        n = _parse_int_vector(parts[1], lineno)
+        bad = f"line {lineno}: bad integer vector"
+        a, n = _parse_int_vector(parts[0], bad), _parse_int_vector(parts[1], bad)
         if len(a) != len(n):
             raise ParseError(f"line {lineno}: residue and modulus dimensions differ")
         if dim is None:
@@ -148,7 +150,7 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
     pos = 0
     while pos < len(expr):
         m = _TERM_RE.match(expr, pos)
-        if not m or m.end() == pos:
+        if not m:
             raise ParseError(f"line {lineno}: bad coefficient near {expr[pos:]!r}")
         sign, rat, exp1, exp2 = m.groups()
         if terms and not sign:
@@ -162,25 +164,13 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
         exp = exp1 if exp1 is not None else exp2
         terms.append((int(exp) if exp is not None else 0, coeff))
         pos = m.end()
-    if not terms:
-        raise ParseError(f"line {lineno}: empty coefficient")
     return CyclotomicElement.from_terms(level, terms)
 
 
 def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
     level = None
-    seqs: list[ExpSumSequence] = []
-    modulus = None
-    terms: list[tuple[int, CyclotomicElement]] = []
-
-    def flush(lineno: int):
-        nonlocal modulus, terms
-        if modulus is not None:
-            if not terms:
-                raise ParseError(f"line {lineno}: modulus {modulus} has no terms")
-            seqs.append(ExpSumSequence(modulus, tuple(terms)))
-        modulus, terms = None, []
-
+    # (line, modulus, terms) of each `modulus` block, in file order
+    blocks: list[tuple[int, int, list[tuple[int, CyclotomicElement]]]] = []
     for lineno, line in _lines(text):
         parts = line.split(None, 1)
         if parts[0] in ("level", "modulus") and len(parts) != 2:
@@ -197,21 +187,23 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
         elif parts[0] == "modulus":
             if level is None:
                 raise ParseError(f"line {lineno}: 'level N' must precede the first modulus")
-            flush(lineno)
             modulus = _parse_number(parts[1], "modulus", lineno, int)
             if modulus < 1:
                 raise ParseError(f"line {lineno}: modulus must be positive")
+            blocks.append((lineno, modulus, []))
         else:
-            if modulus is None:
+            if not blocks:
                 raise ParseError(f"line {lineno}: term outside a modulus block")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 't <coefficient>'")
             t = _parse_number(parts[0], "term index", lineno, int)
-            terms.append((t, _parse_coefficient(parts[1], level, lineno)))
-    flush(0)
-    if not seqs:
+            blocks[-1][2].append((t, _parse_coefficient(parts[1], level, lineno)))
+    for lineno, modulus, terms in blocks:
+        if not terms:
+            raise ParseError(f"line {lineno}: modulus {modulus} has no terms")
+    if not blocks:
         raise ParseError("no sequences in coefficient file")
-    return seqs
+    return [ExpSumSequence(modulus, terms) for _, modulus, terms in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +228,7 @@ def _read_target(args) -> PeriodicValueTable:
 
 def _vector(args, name: str) -> tuple[int, ...]:
     """The comma-separated integers of option ``--<name>``."""
-    text = getattr(args, name)
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ParseError(f"--{name}: expected comma-separated integers, got {text!r}") from None
+    return _parse_int_vector(getattr(args, name), f"--{name}: expected comma-separated integers, got")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -86,11 +86,6 @@ def _rational(v) -> Fraction:
     return Fraction(int(f.numerator), int(f.denominator))
 
 
-def _integer(v):
-    """v as a Python int when it is an integer of any type, else unchanged."""
-    return v if type(v) is int or not isinstance(v, numbers.Integral) else int(v)
-
-
 def _integers(*values) -> list[int]:
     """Residues or moduli as Python ints; any value that is not an integer
     of some type (1.5, a Fraction, a string) is refused."""
@@ -101,9 +96,18 @@ def _integers(*values) -> list[int]:
 
 
 def _exact(v):
-    """v as a Python int when it is an integer, else a Fraction of Python ints."""
-    v = _integer(v)
-    return v if type(v) is int else _rational(v)
+    """v as a Python int when it is an integer of any type, else a Fraction
+    of Python ints."""
+    if type(v) is int:
+        return v
+    return int(v) if isinstance(v, numbers.Integral) else _rational(v)
+
+
+def _kernel_weights(seqs: Sequence) -> list:
+    """The weights of ``seqs`` as the kernels take them: integral weights
+    travel as ints, so all-integer input skips the kernels' per-value
+    Fraction scaling."""
+    return [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
 
 
 def _record(name: str, fields: str) -> type:
@@ -127,10 +131,6 @@ class WeightedSequence(_record("WeightedSequence", "residue modulus weight")):
 
     def contains(self, x: int) -> bool:
         return (x - self.residue) % self.modulus == 0
-
-    def __str__(self) -> str:
-        base = f"{self.residue}({self.modulus})"
-        return base if self.weight == 1 else f"{base}*{self.weight}"
 
 
 class System(_record("System", "seqs")):
@@ -282,10 +282,7 @@ def _scan_input(
     char = _common_char(psis) if psis else 0
     if char and seqs:
         raise ValueError("tables compared with weighted classes must be rational-valued")
-    # integral weights travel as ints, so all-integer input skips the
-    # per-value Python scaling in the kernels
-    weights = [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
-    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], weights)
+    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], _kernel_weights(seqs))
     return classes, [t.values for t in psis], start, length, char
 
 
@@ -491,6 +488,11 @@ def _unit_terms(system: System, q: int) -> list[tuple[int, Fraction]]:
     return [(s.residue, s.weight / s.modulus) for s in system.seqs if s.modulus % q == 0]
 
 
+def _unit_coefficient_is_zero(q: int, terms: list[tuple[int, Fraction]]) -> bool:
+    """Whether c_{1/q}, given by its :func:`_unit_terms`, is zero in Q(zeta_q)."""
+    return CyclotomicElement.from_terms(q, terms).is_zero()
+
+
 def least_period(system: System) -> int:
     """Smallest positive period of the weighted covering function.
 
@@ -507,7 +509,7 @@ def least_period(system: System) -> int:
     _oracle_points(max(system.moduli), "cyclotomic level")
     result = 1
     for q in sorted(divisor_union_phis(system.moduli), reverse=True):
-        if result % q and not CyclotomicElement.from_terms(q, _unit_terms(system, q)).is_zero():
+        if result % q and not _unit_coefficient_is_zero(q, _unit_terms(system, q)):
             result = math.lcm(result, q)
     return result
 
@@ -541,7 +543,7 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
         q, p = alpha.denominator, alpha.numerator
         if q not in terms:
             terms[q] = _unit_terms(system, q)
-            assert CyclotomicElement.from_terms(q, terms[q]).is_zero(), f"c_(1/{q}) != 0 in a zero system"
+            assert _unit_coefficient_is_zero(q, terms[q]), f"c_(1/{q}) != 0 in a zero system"
         out.append((alpha, CyclotomicElement.from_terms(q, ((p * a, w) for a, w in terms[q]))))
     return out
 

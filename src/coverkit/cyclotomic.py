@@ -75,37 +75,39 @@ class CyclotomicElement:
         step = M // self.level
         return CyclotomicElement.from_terms(M, ((j * step, c) for j, c in enumerate(self.coeffs) if c))
 
+    def _operand(self, other: object) -> CyclotomicElement | None:
+        """``other`` as an element: a rational is the constant at this
+        level, and anything else that is not an element is None."""
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicElement.constant(self.level, other)
+        return other if isinstance(other, CyclotomicElement) else None
+
     def _common(self, other: CyclotomicElement) -> tuple[CyclotomicElement, CyclotomicElement]:
         N = math.lcm(self.level, other.level)
         return self.lift(N), other.lift(N)
 
     def __add__(self, other: CyclotomicElement | Rational) -> CyclotomicElement:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicElement.constant(self.level, other)
-        if not isinstance(other, CyclotomicElement):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return CyclotomicElement(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CyclotomicElement.from_terms(a.level, ((j, c) for e in (a, b) for j, c in enumerate(e.coeffs) if c))
 
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicElement:
-        return CyclotomicElement(self.level, tuple(-c for c in self.coeffs))
+        return CyclotomicElement.from_terms(self.level, ((j, -c) for j, c in enumerate(self.coeffs) if c))
 
     def __sub__(self, other: CyclotomicElement | Rational) -> CyclotomicElement:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicElement.constant(self.level, other)
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other: Rational) -> CyclotomicElement:
         return (-self) + other
 
     def __mul__(self, other: CyclotomicElement | Rational) -> CyclotomicElement:
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.level, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, CyclotomicElement):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         a, b = self._common(other)
         nonzero = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
@@ -125,14 +127,11 @@ class CyclotomicElement:
         return _vanishes(self.level, _primes(self.level), terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicElement.constant(self.level, other)
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return (self - other).is_zero()
+        other = self._operand(other)
+        return NotImplemented if other is None else (self - other).is_zero()
 
     def __hash__(self):
-        raise TypeError("CyclotomicElement is not hashable (equality is up to Phi_N)")
+        raise TypeError("CyclotomicElement is not hashable (equality is the exact zero test)")
 
     def __repr__(self) -> str:
         terms = [f"{c}*z^{j}" for j, c in enumerate(self.coeffs) if c]

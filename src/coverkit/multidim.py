@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .covering import Verdict, _integers, _oracle_points, _rational, _record
+from .covering import Verdict, _integers, _kernel_weights, _oracle_points, _rational, _record
 from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
@@ -115,8 +115,7 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict
         return Verdict(True)
     window = [phi_sum_cardinality(col) for col in zip(*moduli)]
     _oracle_points(math.prod(window), "box")
-    # integral weights travel as ints, which skips the kernels' Fraction scaling
-    weights = [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
+    weights = _kernel_weights(seqs)
     for t, h in enumerate(shifts):
         if h:
             kept = [(s.residue, n, w) for s, n, w in zip(seqs, moduli, weights) if h % n[t]]

@@ -132,6 +132,8 @@ def test_parse_coefficient_file():
         ("level 4\nmodulus 2\n0 1+\n", "bad coefficient"),
         ("level 4\nmodulus 2\n0 2 3\n", "missing"),
         ("level 4\nmodulus 2\n", "no terms"),
+        ("level 4\nmodulus 2\n0 1\nmodulus 3\n", "line 4: modulus 3 has no terms"),
+        ("level 4\nmodulus 2\nmodulus 3\n0 1\n", "line 2: modulus 2 has no terms"),
         ("level 4\nmodulus 2\n0 1 1\n", "missing"),
         ("level\nmodulus 2\n0 1\n", "line 1: expected 'level N'"),
         ("level 4\nmodulus\n0 1\n", "line 2: expected 'modulus N'"),

@@ -141,10 +141,18 @@ def test_chain_hand_instance():
     assert report.coefficient_sum == 1
 
 
-def test_chain_not_applicable_when_d_divides_n0():
-    seqs = [MultiSequence((0, 0), (2, 2))]
-    report = divisibility_chain_report(seqs, (2, 2), (2, 2))
+@pytest.mark.parametrize(
+    "seqs,n0,d,reason",
+    [
+        ([MultiSequence((0, 0), (2, 2))], (2, 2), (2, 2), "d divides the period vector"),
+        ([MultiSequence((0,), (2,))], (2,), (3,), "no modulus is divisible by d"),
+    ],
+    ids=["d-divides-n0", "no-modulus-divisible-by-d"],
+)
+def test_chain_not_applicable_when_d_divides_n0(seqs, n0, d, reason):
+    report = divisibility_chain_report(seqs, n0, d)
     assert not report.applicable and report.chain is None
+    assert report.reason == reason
 
 
 def test_chain_rejects_non_periodic_input():
