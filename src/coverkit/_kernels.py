@@ -115,14 +115,6 @@ def _plan(groups, work):
     return (flat if work is not None else np.array(flat, dtype=object)), D
 
 
-def _scaled(groups):
-    """(nums, D): the values of ``groups`` over their common denominator D
-    as one flat array for a full-period scan, which always runs numpy: in
-    the narrowest width of the ladder, or an object array of exact Python
-    ints past the guard (:func:`_plan`)."""
-    return _plan(groups, None)
-
-
 def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarray:
     """Array of sum(weights[s] : x = residues[s] mod moduli[s]) for x in
     [start, start+length), in the dtype of ``weights``."""
@@ -286,7 +278,7 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
         hits = len(moduli) + sum(map(length.__floordiv__, moduli))
         nums, D = _plan(groups, length * (1 + len(set(periods))) + hits + sum(periods))
     else:
-        nums, D = _scaled(groups)
+        nums, D = _plan(groups, None)
     if type(nums) is not list:
         out = cover_counts(residues, moduli, nums[: len(weights)], start, length)
         if tables:
@@ -327,7 +319,7 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
 
 def _fold(classes, tables):
     """(values, offsets, periods): the input of a full-period scan, planned
-    once by :func:`_scaled`, folded for a chunked search by
+    once by :func:`_plan` (always numpy), folded for a chunked search by
     :func:`table_sums`.
 
     There is one row per maximal period of the tables and the moduli: the
@@ -343,7 +335,7 @@ def _fold(classes, tables):
     residues, moduli, weights = classes
     k = len(weights)
     periods = list(map(len, tables))
-    nums, _ = _scaled([*zip(weights), *tables])
+    nums, _ = _plan([*zip(weights), *tables], None)
     # period -> the first maximal period, from the top, that it divides
     maximal, home = [], {}
     for n in sorted({*periods, *moduli}, reverse=True):

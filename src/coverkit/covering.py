@@ -21,14 +21,14 @@ consecutive integers:
 Weights are exact rationals (not arbitrary complex numbers): every "is this
 coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
 exactly.  Only :func:`cover_table` and :func:`weighted_average_check` scan
-a full period.  Every scan, windowed or full-period, is one evaluator: D times
-the covering function minus the tables over the window, with weights and
-table values put over one common denominator D by
-:mod:`coverkit._kernels`, and then searched for its first nonzero point.
-One plan there picks the path: the narrowest fixed integer width that the
-scaled sums provably fit, or lists of exact Python ints for a window too
-short for numpy to pay off or past the widest width, where a full-period
-scan runs on numpy object arrays instead.
+a full period, for its values; every search for a first nonzero point here
+runs on a window, and the full-period search is :mod:`coverkit.oracle`'s.
+Every scan is one evaluator: D times the covering function minus the
+tables, with weights and table values put over one common denominator D by
+:mod:`coverkit._kernels`.  One plan there picks the path: the narrowest
+fixed integer width that the scaled sums provably fit, or lists of exact
+Python ints for a window too short for numpy to pay off or past the widest
+width, where a full-period scan runs on numpy object arrays instead.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
     Integers when the weights' common denominator is 1, Fractions otherwise.
     """
-    arr, D = _scan(system.seqs, (), start, length)
+    arr, D = _kernels.scan(*_scan_input(system.seqs, (), start, length))
     if D == 1:
         return tuple(arr.tolist())
     return tuple(Fraction(v, D) for v in arr.tolist())
@@ -276,8 +276,10 @@ def _scan_input(
 ):
     """The kernel arguments (classes, tables, start, length, char) of
     w - sum_s psi_s over [start, start+length), where w is the covering
-    function of ``seqs``.  A window past the oracle cap is refused before
-    anything is allocated."""
+    function of ``seqs``; ``_kernels.scan`` of them is (D times those
+    values, D), D the common denominator of the weights and table values,
+    with sums over F_p reduced mod p.  A window past the oracle cap is
+    refused before anything is allocated."""
     _oracle_points(length, "window")
     char = _common_char(psis) if psis else 0
     if char and seqs:
@@ -286,31 +288,15 @@ def _scan_input(
     return classes, [t.values for t in psis], start, length, char
 
 
-def _scan(
-    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
-):
-    """(D * (w - sum_s psi_s) over [start, start+length), D), where D is
-    the common denominator of the weights and table values.  Sums over F_p
-    are reduced mod p first, so a point is zero exactly where the
-    difference vanishes in the field."""
-    return _kernels.scan(*_scan_input(seqs, psis, start, length))
-
-
 def _first_nonzero(
-    seqs: Sequence[WeightedSequence],
-    psis: Sequence[PeriodicValueTable],
-    start: int,
-    length: int,
-    full_period: bool = False,
+    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
 ) -> Verdict:
-    """Scan [start, start+length) for the first x where w(x) - sum_s psi_s(x)
-    is nonzero in the tables' field; the witness of a failed Verdict.  A
-    window runs on the path the kernels' plan picks (lists of Python ints
-    when it is short or its values pass the widest fixed width); a
-    full-period scan always runs the numpy kernels, so the oracle is a
-    second implementation."""
-    find = _kernels.first_nonzero if full_period else _kernels.window_first_nonzero
-    x = find(*_scan_input(seqs, psis, start, length))
+    """Search the window [start, start+length) for the first x where
+    w(x) - sum_s psi_s(x) is nonzero in the tables' field; the witness of a
+    failed Verdict.  It runs on the path the kernels' plan picks for a
+    window: lists of Python ints when it is short or its values pass the
+    widest fixed width, numpy otherwise."""
+    x = _kernels.window_first_nonzero(*_scan_input(seqs, psis, start, length))
     return Verdict(x is None, x, length)
 
 
@@ -433,7 +419,7 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     _oracle_points(tables, "zero-set table")
     indicators = [[int(v) for v in es.membership_table()] for es in exp_seqs]
     x = _kernels.first_below(indicators, m, start, W)
-    return Verdict(True) if x is None else Verdict(False, x)
+    return Verdict(x is None, x, W)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +456,7 @@ def min_on_window(
     if l == system.k:  # every modulus is 1, so w = k everywhere: no window
         return 1, l, l
     R_sets = [fraction_set([0, Fraction(ms, s.modulus)]) for ms, s in zip(multipliers, system.seqs)]
-    values = _scan(system.seqs, (), start, window_bound(R_sets, 1))[0]
+    values = _kernels.scan(*_scan_input(system.seqs, (), start, window_bound(R_sets, 1)))[0]
     global_min = int(values.min())
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
@@ -521,7 +507,7 @@ def weighted_average_check(system: System) -> bool:
     The scan of D * w over the period is summed exactly (its points fit
     the scan's width, their sum over N points need not), and the mean is
     one Fraction."""
-    arr, D = _scan(system.seqs, (), 0, _oracle_points(system.lcm()))
+    arr, D = _kernels.scan(*_scan_input(system.seqs, (), 0, _oracle_points(system.lcm())))
     lhs = Fraction(_kernels.exact_sum(arr), D * len(arr))
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs

@@ -114,7 +114,7 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict
     if not any(shifts):
         return Verdict(True)
     window = [phi_sum_cardinality(col) for col in zip(*moduli)]
-    _oracle_points(math.prod(window), "box")
+    points = _oracle_points(math.prod(window), "box")
     weights = _kernel_weights(seqs)
     for t, h in enumerate(shifts):
         if h:
@@ -122,8 +122,8 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict
             moved = [(a[:t] + ((a[t] - h) % n[t],) + a[t + 1 :], n, -w) for a, n, w in kept]
             x = _kernels.box_first_nonzero([*zip(*kept, *moved)], window)
             if x is not None:
-                return Verdict(False, (x, x[:t] + (x[t] + n0[t],) + x[t + 1 :]))
-    return Verdict(True)
+                return Verdict(False, (x, x[:t] + (x[t] + n0[t],) + x[t + 1 :]), points)
+    return Verdict(True, None, points)
 
 
 class DivisibilityChainReport(NamedTuple):

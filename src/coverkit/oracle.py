@@ -2,14 +2,14 @@
 benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
-exhaustive scan here.  The scans run the first-nonzero scan of
-:mod:`coverkit.covering` over one full period (or compare slices of one
-full period box, for periodicity mod a vector), always on the numpy kernels
-(in the narrowest fixed integer width that the scaled sums fit, or on
-numpy object arrays of exact Python ints past the widest), so a window
-check, which runs on lists of Python ints when it is short or past the
-widest width, is checked by a second implementation; they never consult
-the window theorems themselves.
+exhaustive scan here.  The scans search one full period for its first
+nonzero point with the chunked :func:`coverkit._kernels.first_nonzero`,
+which no window check calls (or compare slices of one full period box, for
+periodicity mod a vector), always on the numpy kernels (in the narrowest
+fixed integer width that the scaled sums fit, or on numpy object arrays of
+exact Python ints past the widest), so a window check, which runs on lists
+of Python ints when it is short or past the widest width, is checked by a
+second implementation; they never consult the window theorems themselves.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .covering import (
     PeriodicValueTable,
     System,
     Verdict,
-    _first_nonzero,
+    WeightedSequence,
     _oracle_points,
+    _scan_input,
     verify_covering_function,
 )
 from .multidim import IntVector, MultiSequence, _check_dims
@@ -40,16 +41,23 @@ __all__ = [
 ]
 
 
+def _whole_period(seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable]) -> Verdict:
+    """Search one full common period N of the classes and tables, at most
+    the oracle cap, for the first x where w(x) - sum_s psi_s(x) is nonzero
+    in the tables' field, on the numpy kernels."""
+    N = _oracle_points(math.lcm(*(s.modulus for s in seqs), *(t.period for t in psis)))
+    x = _kernels.first_nonzero(*_scan_input(seqs, psis, 0, N))
+    return Verdict(x is None, x, N)
+
+
 def brute_cover_verdict(system: System, target: PeriodicValueTable) -> Verdict:
     """Compare w with the target on every point of one full common period."""
-    N = _oracle_points(math.lcm(system.lcm(), target.period))
-    return _first_nonzero(system.seqs, [target], 0, N, full_period=True)
+    return _whole_period(system.seqs, [target])
 
 
 def brute_tables_zero_verdict(psis: list[PeriodicValueTable]) -> Verdict:
     """Check sum_s psi_s(x) = 0 on every point of one full common period."""
-    N = _oracle_points(math.lcm(*(t.period for t in psis)))
-    return _first_nonzero((), psis, 0, N, full_period=True)
+    return _whole_period((), psis)
 
 
 def brute_least_period(table: PeriodicValueTable) -> int:
@@ -59,17 +67,10 @@ def brute_least_period(table: PeriodicValueTable) -> int:
     arr[x] == arr[x+d] for x < N-d (the wrapped pairs follow by going round
     the cycle), so each d compares two slices of one array, without a copy.
     """
-    arr = _kernels._scaled([table.values])[0]
+    arr = _kernels._plan([table.values], None)[0]
     N = len(arr)
     # d = period always matches (two empty slices)
     return next(d for d in divisors_of(N) if (arr[d:] == arr[: N - d]).all())
-
-
-def _box_dims(seqs: Sequence[MultiSequence], n0: IntVector) -> tuple[int, ...]:
-    l = len(n0)
-    return tuple(
-        math.lcm(n0[t], *(s.modulus[t] for s in seqs)) for t in range(l)
-    )
 
 
 def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:
@@ -86,10 +87,10 @@ def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verd
     l = _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
         raise ValueError(f"period components must be positive, got {n0}")
-    dims = _box_dims(seqs, n0)
-    _oracle_points(math.prod(dims), "box")
+    dims = tuple(math.lcm(c, *(s.modulus[t] for s in seqs)) for t, c in enumerate(n0))
+    points = _oracle_points(math.prod(dims), "box")
     # D * w over the box, D the weights' common denominator
-    nums, _ = _kernels._scaled([(s.weight,) for s in seqs])
+    nums, _ = _kernels._plan([(s.weight,) for s in seqs], None)
     box = _kernels._box_counts([s.residue for s in seqs], [s.modulus for s in seqs], nums, dims)
     for t in range(l):
         head = (slice(None),) * t
@@ -97,8 +98,8 @@ def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verd
         if bad.any():
             x = _kernels._unravel(int(bad.argmax()), bad.shape)
             y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-            return Verdict(False, (x, y))
-    return Verdict(True)
+            return Verdict(False, (x, y), points)
+    return Verdict(True, None, points)
 
 
 class BenchReport(NamedTuple):

@@ -16,6 +16,7 @@ from coverkit import (
     WeightedSequence,
     brute_cover_verdict,
     brute_least_period,
+    brute_periodic_mod_vec,
     brute_tables_zero_verdict,
     cover_count,
     cover_table,
@@ -24,6 +25,7 @@ from coverkit import (
     equal_cover_superset_check,
     expsum_cover_check,
     is_exact_m_cover,
+    is_periodic_mod_vec,
     least_period,
     min_on_window,
     multiples_set,
@@ -181,6 +183,52 @@ def test_verdict_equality_ignores_points():
     assert hash(Verdict(False, 3, 10)) == hash(Verdict(False, 3))
     assert Verdict(False, 3) != Verdict(True)
     assert not Verdict(False, 3) == Verdict(True)
+
+
+# 1_{0 mod 4} + 1_{not 0 mod 4} - 1 = 0, and with one -1 dropped from the
+# period-6 table it is 1 at x = 5
+TABLES = [PeriodicValueTable(4, (1, 0, 0, 0)), PeriodicValueTable(4, (0, 1, 1, 1))]
+CANCEL = PeriodicValueTable.constant(-1, 6)
+NEAR = PeriodicValueTable(6, (-1, -1, -1, -1, -1, 0))
+# an exact 1-cover of lcm 4, and its zero sets
+COVER = System.of((0, 2), (1, 4), (3, 4))
+ZERO_SETS = [ExpSumSequence.from_arith_sequence(s) for s in COVER.seqs]
+# w = 1 on the rows y = 0 mod 3 of Z^2: periodic mod (1, 3) and (1, 6),
+# not mod (1, 1) or (1, 2)
+ROWS = [MultiSequence((0, 0), (2, 3)), MultiSequence((1, 0), (2, 3))]
+ONE = PeriodicValueTable.constant(1)
+
+
+@pytest.mark.parametrize(
+    "check,args,ok,points",
+    [
+        # windows: the totient sum over the divisors of the periods
+        (window_zero_check, (TABLES + [CANCEL],), True, 8),
+        (window_zero_check, (TABLES + [NEAR],), False, 8),
+        (verify_covering_function, (COVER, ONE), True, 4),
+        (verify_covering_function, (COVER, PeriodicValueTable.constant(2)), False, 4),
+        # the largest sumset of the term fractions, {0, 1/2} + {0, 1/4} + {0, 1/4}
+        (expsum_cover_check, (ZERO_SETS, 1), True, 4),
+        (expsum_cover_check, (ZERO_SETS, 2), False, 4),
+        # the box [0, 2) x [0, 3); a shift by a period of w scans nothing
+        (is_periodic_mod_vec, (ROWS, (1, 3)), True, 6),
+        (is_periodic_mod_vec, (ROWS, (1, 1)), False, 6),
+        (is_periodic_mod_vec, (ROWS, (2, 3)), True, None),
+        # oracles: one full period, or one period box
+        (brute_cover_verdict, (COVER, PeriodicValueTable.constant(1, 3)), True, 12),
+        (brute_cover_verdict, (COVER, PeriodicValueTable.constant(2)), False, 4),
+        (brute_tables_zero_verdict, (TABLES + [CANCEL],), True, 12),
+        (brute_tables_zero_verdict, (TABLES + [NEAR],), False, 12),
+        (brute_periodic_mod_vec, (ROWS, (1, 6)), True, 12),
+        (brute_periodic_mod_vec, (ROWS, (1, 2)), False, 12),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_every_scan_verdict_records_its_points(check, args, ok, points):
+    """A verdict that a scan decided carries the scan's length in points,
+    whether it holds or fails."""
+    verdict = check(*args)
+    assert (verdict.ok, verdict.points) == (ok, points)
 
 
 # --- covering function ----------------------------------------------------
@@ -482,7 +530,7 @@ def test_min_window_l_equals_k(monkeypatch):
         raise AssertionError("l >= k needs no window")
 
     monkeypatch.setattr(coverkit.covering, "window_bound", no_window)
-    monkeypatch.setattr(coverkit.covering, "_scan", no_window)
+    monkeypatch.setattr(coverkit._kernels, "scan", no_window)
     # all index subsets of size k-l are empty, so a single integer suffices
     double = System.of((0, 1), (0, 1))
     for start in (-3, 0, 17):

@@ -13,7 +13,7 @@ from coverkit.covering import (
     Verdict,
     WeightedSequence,
     _first_nonzero,
-    _scan,
+    _scan_input,
     cover_count,
     cover_table,
     cover_values,
@@ -68,9 +68,9 @@ def test_scaled_refuses_at_the_guard():
     g = _kernels._INT64_GUARD
 
     def dtype(groups):
-        return _kernels._scaled(groups)[0].dtype
+        return _kernels._plan(groups, None)[0].dtype
 
-    nums, D = _kernels._scaled([(Fraction(1, 2), 3), (Fraction(-1, 3),)])
+    nums, D = _kernels._plan([(Fraction(1, 2), 3), (Fraction(-1, 3),)], None)
     assert (nums.tolist(), D) == ([3, 18, -2], 6)
     assert dtype([(g - 2, -5), (1,)]) == np.int64
     assert dtype([(g - 2, -5), (2,)]) == object  # the group peaks sum to g
@@ -79,11 +79,11 @@ def test_scaled_refuses_at_the_guard():
     assert dtype([(Fraction(g - 2, 3),)]) == np.int64
     assert dtype([(Fraction(g - 2, 3), Fraction(1, 2))]) == object  # D = 6
     # past the guard the numerators stay exact
-    nums, D = _kernels._scaled([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)])
+    nums, D = _kernels._plan([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)], None)
     assert (nums.tolist(), D) == ([2 * (g - 2), 3, -6 * 2**63], 6)
     # a denominator past int64 stays off the object path when only zeros
     # need scaling by it
-    nums, D = _kernels._scaled([(Fraction(1, 2**70),), (0, 0)])
+    nums, D = _kernels._plan([(Fraction(1, 2**70),), (0, 0)], None)
     assert (nums.dtype, nums.tolist(), D) == (np.int8, [1, 0, 0], 2**70)
 
 
@@ -103,7 +103,7 @@ def test_scaled_picks_the_narrowest_width():
             [(peak - 1, 0), (-1,), (0, 0)],
             [(Fraction(peak, 3), Fraction(-1, 3))],
         ):
-            nums, D = _kernels._scaled(groups)
+            nums, D = _kernels._plan(groups, None)
             assert nums.dtype == width, (peak, groups)
             flat = [v for g in groups for v in g]
             assert [Fraction(v, D) for v in nums.tolist()] == flat
@@ -124,8 +124,8 @@ def test_prime_field_tables_in_narrow_widths(p):
             for n in periods
         ]
         negated = [PeriodicValueTable(t.period, tuple(-v for v in t.values), p) for t in tables]
-        assert _kernels._scaled([t.values for t in tables])[0].dtype == np.int8
-        assert _kernels._scaled([t.values for t in tables + negated])[0].dtype == (
+        assert _kernels._plan([t.values for t in tables], None)[0].dtype == np.int8
+        assert _kernels._plan([t.values for t in tables + negated], None)[0].dtype == (
             np.int16 if p < 2**14 else np.int64
         )
         start = rng.choice((0, 2**64 + rng.randrange(99)))
@@ -267,7 +267,7 @@ def test_int64_guard_changes_speed_never_answers(setting):
         exact = _answers(8128)
     with kernel_widths(setting):
         width = {"int64-guard": np.int64, "guard-1": object}.get(setting, np.int8)
-        assert _kernels._scaled([(Fraction(1),), (1, 0)])[0].dtype == width
+        assert _kernels._plan([(Fraction(1),), (1, 0)], None)[0].dtype == width
         assert _answers(8128) == exact
 
 
@@ -340,7 +340,7 @@ def test_list_boundary_keeps_answers(monkeypatch):
             assert bool(numpy_calls) == on_numpy
             assert (verdict.ok, verdict.witness) == (expected is None, expected)
             numpy_calls.clear()
-            assert _first_nonzero(*padded, start, length, full_period=True) == verdict
+            assert _kernels.first_nonzero(*_scan_input(*padded, start, length)) == verdict.witness
             assert numpy_calls
     assert 5 < failing < 15
     failing, length = 0, 150
@@ -384,7 +384,7 @@ def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
     tables = [PeriodicValueTable(720, tuple(int(x == 5) for x in range(720))), PeriodicValueTable(1001, (0,) * 1001)]
     for start in (5, 5 + 720720):
         lengths.clear()
-        assert _first_nonzero((), tables, start, 720720, full_period=True) == Verdict(False, start)
+        assert _kernels.first_nonzero(*_scan_input((), tables, start, 720720)) == start
         assert 0 < sum(lengths) <= 2**13
     # the classes above at weight 2**62 + 1 put the scan on object arrays,
     # where they fold too: one table_sums call of 2**13 points
@@ -446,17 +446,18 @@ def _full_period_answers(seed: int) -> list:
 
 def test_full_period_answers_independent_of_width(monkeypatch):
     chosen = {setting: set() for setting in WIDTH_SETTINGS}
-    scaled = _kernels._scaled
+    plan = _kernels._plan
     answers = {}
     for setting in WIDTH_SETTINGS:
 
-        def recording(groups):
-            nums, D = scaled(groups)
-            chosen[setting].add(nums.dtype)
+        def recording(groups, work):
+            nums, D = plan(groups, work)
+            if work is None:  # a full-period plan
+                chosen[setting].add(nums.dtype)
             return nums, D
 
         with kernel_widths(setting):
-            monkeypatch.setattr(_kernels, "_scaled", recording)
+            monkeypatch.setattr(_kernels, "_plan", recording)
             answers[setting] = _full_period_answers(496)
     assert chosen == {
         "narrowest": {np.dtype(t) for t in ("int8", "int16", "int32", "int64", object)},
@@ -507,7 +508,7 @@ def test_table_sums_blocks_match_pointwise_definition():
 
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     system = System.of((0, 2, 2**60), (1, 1009, 2**60))
-    arr, D = _scan(system.seqs, (), 0, system.lcm())
+    arr, D = _kernels.scan(*_scan_input(system.seqs, (), 0, system.lcm()))
     assert arr.dtype == np.int64 and D == 1
     # every point fits in int64, the total over the period does not
     assert sum(arr.tolist()) == 1011 * 2**60 != int(arr.sum())
@@ -525,7 +526,7 @@ def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     for s in systems[1:]:
         assert mean_reference(s) == sum(Fraction(q.weight, q.modulus) for q in s.seqs)
     monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
-    assert _scan(system.seqs, (), 0, system.lcm())[0].dtype == object
+    assert _kernels.scan(*_scan_input(system.seqs, (), 0, system.lcm()))[0].dtype == object
     assert [weighted_average_check(s) for s in systems] == fast
 
 

@@ -1,7 +1,9 @@
 """Each representation has one home in the package: only `cyclotomic`
 reads or builds the Q(zeta) coefficient vector, only `_kernels` imports
 numpy, names an integer width or reads a dtype, and only
-`cli.run_command` prints a report.  No module memoizes,
+`cli.run_command` prints a report.  Each scan has one route: only `oracle`
+calls the full-period search `_kernels.first_nonzero`, so `covering`
+searches windows alone.  No module memoizes,
 so every zero test and count is computed afresh."""
 
 import ast
@@ -90,6 +92,19 @@ def test_only_kernels_names_an_integer_width():
 
 def test_no_module_memoizes():
     assert users(uses_functools_cache) == set()
+
+
+def names_full_period_search(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "first_nonzero"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_kernels"
+    )
+
+
+def test_only_the_oracle_searches_full_periods():
+    assert users(names_full_period_search) == {"oracle.py"}
 
 
 def calls_print(node) -> bool:

@@ -53,7 +53,7 @@ from coverkit import (
     window_zero_check,
     zero_system_coefficients,
 )
-from coverkit.covering import _scan
+from coverkit.covering import _scan_input
 from coverkit.cyclotomic import _primes, _vanishes
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, divisors_of, factorize
@@ -377,7 +377,7 @@ def test_hypothesis_checks_match_full_period_scans(setting, case, l, start, drop
     candidate = System(base.seqs + tuple(WeightedSequence(*e) for e in refined[: len(refined) - drop]))
     zero = PeriodicValueTable.constant(0)
     with kernel_widths("guard-1"):
-        full_min = int(_scan(base.seqs, (), 0, base.lcm())[0].min())
+        full_min = int(_kernels.scan(*_scan_input(base.seqs, (), 0, base.lcm()))[0].min())
         is_zero = brute_cover_verdict(candidate, zero).ok
         is_equal = brute_cover_verdict(system, PeriodicValueTable.constant(cover_count(system, 0))).ok
     assert is_zero != drop and is_equal >= equal and not brute_cover_verdict(base, zero).ok
@@ -518,8 +518,9 @@ def test_chunked_scan_finds_witnesses_at_chunk_edges(seed, char, huge, start):
             tables.append([w if x % n == a else 0 for x in range(c * n)])
     length = rng.randint(edges[-1] + 2**13 + 1, edges[-1] + 2**14)
     if not char:
-        # a class of a modulus past the length, which hits the scan at most
-        # once and so is not folded, against its split into two classes
+        # a class of a modulus n past the length, which hits the scan at
+        # most once, against its split into two classes mod 2n; like every
+        # class, all three fold, into one row of period 2n
         n = rng.randint(length + 1, 2 * length)
         a, w = rng.randrange(n), rng.choice((1, -1)) * scale
         for part, v in zip(classes, ((a, a, a + n), (n, 2 * n, 2 * n), (w, -w, -w))):
@@ -529,8 +530,9 @@ def test_chunked_scan_finds_witnesses_at_chunk_edges(seed, char, huge, start):
     for offset in (None, 0, 1, *(e + d for e in edges for d in (-1, 0, 1))):
         witness = ([], [], []), []
         if offset is not None:
-            # no earlier point of the witness's period is in the scan, and
-            # over Q its class folds, its modulus being at most the length
+            # no earlier point of the witness's period is in the scan, so
+            # the planted point, a class over Q or a table entry over F_p, is
+            # the first nonzero one
             period = rng.randint(offset + 1, offset + 2**13)
             if char:
                 planted = [0] * period
