@@ -50,7 +50,7 @@ from .fracsets import (
     subset_sum_set,
     window_bound,
 )
-from .numtheory import _is_prime, f_additive, lcm_all
+from .numtheory import _is_prime, factorize, lcm_all
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -356,8 +356,13 @@ def non_exact_witness(system: System, m: int) -> int:
     """
     if not system.is_unweighted():
         raise ValueError("witness search expects an unweighted system")
-    N = system.lcm()
-    bound = system.k - f_additive(N)
+    # f(N) = sum over p of (p-1) * max_s v_p(n_s), so only the moduli are
+    # factorized, never their lcm
+    exponents: dict[int, int] = {}
+    for n in set(system.moduli):
+        for p, e in factorize(n):
+            exponents[p] = max(exponents.get(p, 0), e)
+    bound = system.k - sum((p - 1) * e for p, e in exponents.items())
     if m <= bound:
         raise ValueError(f"hypothesis not met: need m > k - f(N) = {bound}, got m={m}")
     verdict = verify_covering_function(system, PeriodicValueTable.constant(m))

@@ -8,13 +8,17 @@ Sumsets, subset-sum sets and window bounds put their inputs over one
 common denominator D (the lcm of every denominator) once and compute on
 plain ints, the residues mod D of the numerators; they build Fractions
 only for the sets they return, since every Fraction sum pays a gcd.
+
+Window lengths are sizes of unions of the subgroups (1/n)Z/Z; they come
+from gcds by inclusion-exclusion, with no factoring.  Only
+divisor_union_phis, which lists the denominators themselves, factorizes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable
 
 from .numtheory import divisor_phis
@@ -62,22 +66,35 @@ def multiples_set(moduli: list[int]) -> FractionSet:
     return tuple(sorted(out))
 
 
+def _maximal(moduli: Iterable[int]) -> list[int]:
+    """The distinct moduli that divide no other one, in descending order."""
+    top: list[int] = []
+    for n in sorted(set(moduli), reverse=True):
+        for m in top:
+            if m % n == 0:
+                break
+        else:
+            top.append(n)
+    return top
+
+
+def _checked_maximal(moduli: list[int]) -> list[int]:
+    """_maximal of a caller's moduli, refusing an empty list and moduli below 1."""
+    if not moduli:
+        raise ValueError("expected a nonempty list of moduli")
+    if min(moduli) < 1:
+        raise ValueError(f"moduli must be positive, got {min(moduli)}")
+    return _maximal(moduli)
+
+
 def divisor_union_phis(moduli: list[int]) -> dict[int, int]:
     """phi(d) for every d dividing some modulus.
 
     Only the moduli that divide no other modulus are factorized: every
     divisor of the others divides one of them.
     """
-    if not moduli:
-        raise ValueError("expected a nonempty list of moduli")
-    if min(moduli) < 1:
-        raise ValueError(f"moduli must be positive, got {min(moduli)}")
-    top: list[int] = []
-    for n in sorted(set(moduli), reverse=True):
-        if all(m % n for m in top):
-            top.append(n)
     out: dict[int, int] = {}
-    for n in top:
+    for n in _checked_maximal(moduli):
         out.update(divisor_phis(n))
     return out
 
@@ -85,15 +102,29 @@ def divisor_union_phis(moduli: list[int]) -> dict[int, int]:
 def phi_sum_cardinality(moduli: list[int]) -> int:
     """Sum of phi(d) over the union of the divisor sets of the moduli.
 
-    Equals len(multiples_set(moduli)): each reduced fraction c/d with d
-    dividing some modulus is counted exactly once.  When the largest
-    modulus N is a multiple of all the others, it is their lcm, the union
-    is the divisors of N, and the sum is N itself, found without factoring.
+    Equals len(multiples_set(moduli)), the size of the union of the
+    subgroups (1/n)Z/Z: each reduced fraction c/d with d dividing some
+    modulus is counted exactly once.  Nothing is factorized: the size
+    comes from gcds by inclusion-exclusion (see _union_size).
     """
-    N = max(moduli, default=0)
-    if N > 0 and all(n > 0 and N % n == 0 for n in moduli):
-        return N
-    return sum(divisor_union_phis(moduli).values())
+    return _union_size(_checked_maximal(moduli))
+
+
+def _union_size(top: list[int]) -> int:
+    """|union of (1/n)Z/Z over n in top|, for moduli in descending order
+    none of which divides another.
+
+    (1/a)Z/Z meets (1/b)Z/Z in (1/gcd(a,b))Z/Z, so adding n_i to the union
+    of n_1 .. n_(i-1) adds n_i points minus the size of the union over the
+    gcd(n_i, n_j), j < i, which recurses on the maximal ones among them.
+    """
+    total = 0
+    for i, n in enumerate(top):
+        total += n
+        if i:
+            common = _maximal(map(math.gcd, top[:i], repeat(n)))
+            total -= _union_size(common)
+    return total
 
 
 def _over_one_denominator(sets: Iterable[Iterable[Fraction | int]]) -> tuple[int, list[list[int]]]:

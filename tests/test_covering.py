@@ -419,6 +419,24 @@ def test_non_exact_witness_examples():
 def test_non_exact_witness_hypothesis():
     with pytest.raises(ValueError, match="hypothesis not met"):
         non_exact_witness(system_B(), 0)
+    # f(lcm(2, 4, 4)) = f(4) = 2 takes each prime at its largest exponent
+    with pytest.raises(ValueError, match=r"need m > k - f\(N\) = 1, got m=1"):
+        non_exact_witness(system_B(), 1)
+
+
+def test_non_exact_witness_factors_the_moduli_not_their_lcm(monkeypatch):
+    # two primes near 10^13: their lcm is past FACTOR_BOUND, each prime is
+    # not, and the window cap refuses before any scan
+    system = System.of((0, 10**13 + 37), (0, 10**13 + 51))
+    factorize = coverkit.covering.factorize
+
+    def moduli_only(n):
+        assert n <= max(system.moduli), f"factored {n}, past every modulus"
+        return factorize(n)
+
+    monkeypatch.setattr(coverkit.covering, "factorize", moduli_only)
+    with pytest.raises(ValueError, match="window too large"):
+        non_exact_witness(system, 2)
 
 
 # --- exponential-sum cover criterion ----------------------------------------

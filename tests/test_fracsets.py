@@ -62,10 +62,10 @@ def test_phi_sum_of_moduli_holding_their_lcm_needs_no_factoring(monkeypatch, tmp
     (tmp_path / "s").write_text("0 6\n1 3\n2 2\n")
     assert run_command(["window-size", str(tmp_path / "s")]) == 0
     assert capsys.readouterr().out.startswith("6\n")
-    # an lcm that is no modulus still needs the divisors, and bad moduli
-    # are refused even where their lcm is one of them
-    with pytest.raises(AssertionError, match="factored"):
-        phi_sum_cardinality([4, 6])
+    # an lcm that is no modulus comes from gcds, and bad moduli are
+    # refused even where their lcm is one of them
+    assert phi_sum_cardinality([4, 6]) == 8
+    assert phi_sum_cardinality([2, 2**89 - 1]) == 2**89
     for moduli in ([0, 2], [2, -2]):
         with pytest.raises(ValueError, match="moduli must be positive"):
             phi_sum_cardinality(moduli)

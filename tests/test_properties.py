@@ -1,6 +1,7 @@
 """Property tests: the factorizer against trial division and a sieve, the
 file parsers against round trips and fuzzed text, the integer sumsets and
-exp-sum membership tables against Fraction arithmetic, the Q(zeta) zero
+exp-sum membership tables against Fraction arithmetic, window lengths from
+gcds against the factored divisor union and closed forms, the Q(zeta) zero
 test against long division by the cyclotomic polynomial, window verdicts
 against the full-period oracle at every kernel width, on exact ints and on
 lists, periodicity mod a vector against the box oracle, and fuzzed CLI
@@ -45,6 +46,7 @@ from coverkit import (
     min_on_window,
     multidim_value,
     multiples_set,
+    phi_sum_cardinality,
     root_power,
     subset_sum_set,
     sumset_mod1,
@@ -55,6 +57,7 @@ from coverkit import (
 )
 from coverkit.covering import _scan_input
 from coverkit.cyclotomic import _primes, _vanishes
+from coverkit.fracsets import divisor_union_phis
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, divisors_of, factorize
 from coverkit.oracle import (
@@ -170,6 +173,46 @@ def test_window_bound_matches_fraction_reference(R_sets, data):
 def test_subset_sums_and_sumsets_match_fraction_reference(terms, A, B):
     assert subset_sum_set(terms) == subset_sum_set_reference(terms)
     assert sumset_mod1(A, B) == sumset_reference(A, B)
+
+
+# --- window lengths from gcds against the divisor union ---------------------------
+
+
+def maximal_moduli(moduli):
+    return [n for n in moduli if not any(m != n and m % n == 0 for m in moduli)]
+
+
+DIVISORS_720720 = divisors_of(720720)
+window_moduli = st.one_of(
+    st.lists(st.integers(1, 10**9), min_size=1, max_size=8),
+    st.lists(st.integers(1, 10**4), min_size=1, max_size=4).flatmap(
+        lambda ms: st.lists(st.sampled_from(ms), min_size=1, max_size=12)
+    ),
+    st.lists(st.sampled_from(DIVISORS_720720), min_size=1, max_size=12),
+    st.lists(st.sampled_from(DIVISORS_720720), min_size=1, max_size=16).map(maximal_moduli),
+)
+
+
+@PROPERTY
+@given(window_moduli)
+def test_window_length_matches_the_divisor_union(moduli):
+    assert phi_sum_cardinality(moduli) == sum(divisor_union_phis(moduli).values())
+
+
+@PROPERTY
+@given(st.integers(FACTOR_BOUND, 2**200), st.integers(1, 2**200))
+@example(2**89 - 1, 2**127 - 1 - (2**89 - 1))
+def test_window_length_of_coprime_moduli_past_the_factoring_bound(n1, step):
+    n2 = n1 + step
+    assume(math.gcd(n1, n2) == 1)
+    assert phi_sum_cardinality([n1, n2]) == n1 + n2 - 1
+
+
+@PROPERTY
+@given(st.integers(0, 300), st.integers(0, 300))
+def test_window_length_of_a_prime_power_pair(a, b):
+    # (1/n1)Z/Z and (1/n2)Z/Z meet in (1/2^min(a,b))Z/Z
+    assert phi_sum_cardinality([3 * 2**a, 5 * 2**b]) == 3 * 2**a + 5 * 2**b - 2 ** min(a, b)
 
 
 # --- exp-sum membership tables ------------------------------------------------
