@@ -356,6 +356,9 @@ def non_exact_witness(system: System, m: int) -> int:
     """
     if not system.is_unweighted():
         raise ValueError("witness search expects an unweighted system")
+    # the window is refused before anything is factored; it is at least the
+    # largest modulus, so every modulus factored below fits under the cap
+    L = _oracle_points(phi_sum_cardinality(system.moduli), "window")
     # f(N) = sum over p of (p-1) * max_s v_p(n_s), so only the moduli are
     # factorized, never their lcm
     exponents: dict[int, int] = {}
@@ -365,7 +368,7 @@ def non_exact_witness(system: System, m: int) -> int:
     bound = system.k - sum((p - 1) * e for p, e in exponents.items())
     if m <= bound:
         raise ValueError(f"hypothesis not met: need m > k - f(N) = {bound}, got m={m}")
-    verdict = verify_covering_function(system, PeriodicValueTable.constant(m))
+    verdict = _first_nonzero(system.seqs, [PeriodicValueTable.constant(m)], 0, L)
     if verdict.ok:
         raise AssertionError("no witness in the window; this contradicts the guarantee")
     return verdict.witness

@@ -9,7 +9,8 @@ compared directly.
 
 This module owns that layout: every element is built from exponent terms
 (j, c), meaning c * zeta^j, by :meth:`CyclotomicElement.from_terms`, and
-only code here (zero tests, exponential sums, zero-set tables) reads it.
+read back as terms by ``_terms`` (ring operations, lifts, exponential sums,
+zero-set tables).  Only ``is_zero`` still reads the vector itself.
 
 Rational scalars only — verdicts that hinge on "!= 0" must stay exact, so
 complex floating point is never used anywhere in this module.  Division is
@@ -72,8 +73,13 @@ class CyclotomicElement:
             raise ValueError(f"cannot lift level {self.level} into level {M}")
         if M == self.level:
             return self
+        return CyclotomicElement.from_terms(M, self._terms(M))
+
+    def _terms(self, M: int) -> list[tuple[int, Fraction]]:
+        """The nonzero terms (j * M/level, c) as exponents of zeta_M, for M
+        a multiple of the level: the one reader of the stored vector."""
         step = M // self.level
-        return CyclotomicElement.from_terms(M, ((j * step, c) for j, c in enumerate(self.coeffs) if c))
+        return [(j * step, c) for j, c in enumerate(self.coeffs) if c]
 
     def _operand(self, other: object) -> CyclotomicElement | None:
         """``other`` as an element: a rational is the constant at this
@@ -82,21 +88,17 @@ class CyclotomicElement:
             return CyclotomicElement.constant(self.level, other)
         return other if isinstance(other, CyclotomicElement) else None
 
-    def _common(self, other: CyclotomicElement) -> tuple[CyclotomicElement, CyclotomicElement]:
-        N = math.lcm(self.level, other.level)
-        return self.lift(N), other.lift(N)
-
     def __add__(self, other: CyclotomicElement | Rational) -> CyclotomicElement:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        return CyclotomicElement.from_terms(a.level, ((j, c) for e in (a, b) for j, c in enumerate(e.coeffs) if c))
+        M = math.lcm(self.level, other.level)
+        return CyclotomicElement.from_terms(M, self._terms(M) + other._terms(M))
 
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicElement:
-        return CyclotomicElement.from_terms(self.level, ((j, -c) for j, c in enumerate(self.coeffs) if c))
+        return CyclotomicElement.from_terms(self.level, ((j, -c) for j, c in self._terms(self.level)))
 
     def __sub__(self, other: CyclotomicElement | Rational) -> CyclotomicElement:
         other = self._operand(other)
@@ -109,11 +111,9 @@ class CyclotomicElement:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        nonzero = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
-        return CyclotomicElement.from_terms(
-            a.level, ((i + j, ca * cb) for i, ca in enumerate(a.coeffs) if ca for j, cb in nonzero)
-        )
+        M = math.lcm(self.level, other.level)
+        b = other._terms(M)
+        return CyclotomicElement.from_terms(M, ((i + j, ca * cb) for i, ca in self._terms(M) for j, cb in b))
 
     __rmul__ = __mul__
 
@@ -134,7 +134,7 @@ class CyclotomicElement:
         raise TypeError("CyclotomicElement is not hashable (equality is the exact zero test)")
 
     def __repr__(self) -> str:
-        terms = [f"{c}*z^{j}" for j, c in enumerate(self.coeffs) if c]
+        terms = [f"{c}*z^{j}" for j, c in self._terms(self.level)]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} at level {self.level}>"
 
@@ -192,15 +192,13 @@ def _lifted_entries(
 ) -> tuple[int, list[list[tuple[int, int]]]]:
     """(den, entries): den the lcm of the elements' coefficient
     denominators, and each element lifted to ``level`` as its nonzero
-    entries (j, den * coefficient of zeta_level^j), read off its own
-    coefficients with no level-long vector."""
-    den = math.lcm(*(v.denominator for c in elements for v in c.coeffs))
+    entries (j, den * coefficient of zeta_level^j), read off its terms
+    with no level-long vector."""
     if any(level % c.level for c in elements):
         raise ValueError(f"coefficient levels must divide {level}")
-    return den, [
-        [(j * (level // c.level), v.numerator * (den // v.denominator)) for j, v in enumerate(c.coeffs) if v]
-        for c in elements
-    ]
+    lifted = [c._terms(level) for c in elements]
+    den = math.lcm(*(v.denominator for terms in lifted for _, v in terms))
+    return den, [[(j, v.numerator * (den // v.denominator)) for j, v in terms] for terms in lifted]
 
 
 def _shifted_sum(level: int, shifted: Iterable[tuple[int, list[tuple[int, int]]]]) -> dict[int, int]:

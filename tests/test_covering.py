@@ -439,6 +439,19 @@ def test_non_exact_witness_factors_the_moduli_not_their_lcm(monkeypatch):
         non_exact_witness(system, 2)
 
 
+def test_non_exact_witness_refuses_the_window_before_it_factors(monkeypatch):
+    # semiprimes near 2.4e24 and 3.1e24, each with two 13-digit factors, would
+    # send the factorizer into rho; the window is past the cap first
+    system = System.of((0, 1500000000047 * 1600000000021), (1, 1700000000011 * 1800000000047))
+
+    def refuse(n):
+        raise AssertionError(f"factored {n} before the window was refused")
+
+    monkeypatch.setattr(coverkit.covering, "factorize", refuse)
+    with pytest.raises(ValueError, match="window too large"):
+        non_exact_witness(system, 2)
+
+
 # --- exponential-sum cover criterion ----------------------------------------
 
 

@@ -82,6 +82,19 @@ def test_only_cyclotomic_touches_the_coefficient_layout():
     assert users(imports_private_cyclotomic) == set()
 
 
+def test_one_reader_of_the_stored_vector():
+    """Inside `cyclotomic`, the constructor stores the vector, `_terms`
+    reads it as exponent terms for everything else, and only the zero test
+    reads it directly."""
+    tree = modules()["cyclotomic.py"]
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    readers = {f.name for f in functions if any(reads_coeffs(node) for node in ast.walk(f))}
+    assert readers == {"__init__", "_terms", "is_zero"}
+    # and no read sits outside a function
+    inside = sum(reads_coeffs(node) for f in functions for node in ast.walk(f))
+    assert inside == sum(reads_coeffs(node) for node in ast.walk(tree))
+
+
 def test_only_kernels_imports_numpy():
     assert users(imports_numpy) == {"_kernels.py"}
 

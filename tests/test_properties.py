@@ -330,6 +330,49 @@ def test_zero_test_matches_division_by_phi(case):
     assert CyclotomicElement.from_terms(level, terms.items()).is_zero() == expected
 
 
+# --- stored vectors of ring results against a dense reference ----------------------
+
+
+def dense_vector(level: int, terms) -> list[Fraction]:
+    v = [Fraction(0)] * level
+    for j, c in terms:
+        v[j % level] += c
+    return v
+
+
+def dense_lift(v: list[Fraction], M: int) -> list[Fraction]:
+    return dense_vector(M, ((j * (M // len(v)), c) for j, c in enumerate(v)))
+
+
+elements = st.tuples(
+    st.sampled_from(divisors_of(360)),
+    st.lists(st.tuples(st.integers(-720, 720), st.fractions(-3, 3, max_denominator=6)), max_size=8),
+)
+
+
+@PROPERTY
+@example((12, [(1, Fraction(1)), (13, Fraction(-1))]), (8, [(3, Fraction(1, 2))]), 5)  # a cancelling repeat
+@given(elements, st.one_of(elements, st.fractions(-3, 3, max_denominator=6)), st.integers(1, 12))
+def test_ring_results_store_the_dense_vector(a_case, b_case, k):
+    """The stored coefficient vector of a + b, a * b, -a and a lifted to a
+    multiple of its level, entry by entry against plain lists of Fractions
+    (a rational b is the constant at level 1).  Equality in Q(zeta) would
+    accept any vector with the same value."""
+    a = CyclotomicElement.from_terms(*a_case)
+    u = dense_vector(*a_case)
+    if isinstance(b_case, Fraction):
+        b, w = b_case, [b_case]
+    else:
+        b, w = CyclotomicElement.from_terms(*b_case), dense_vector(*b_case)
+    M = math.lcm(len(u), len(w))
+    U, W = dense_lift(u, M), dense_lift(w, M)
+    product = dense_vector(M, ((i + j, x * y) for i, x in enumerate(U) if x for j, y in enumerate(W) if y))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(U, W))
+    assert (a * b).coeffs == tuple(product)
+    assert (-a).coeffs == tuple(-x for x in u)
+    assert a.lift(a.level * k).coeffs == tuple(dense_lift(u, a.level * k))
+
+
 # --- window verdicts against the oracle -----------------------------------------
 
 # small weights, and weights whose scaled sums pass the int64 guard
