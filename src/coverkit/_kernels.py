@@ -13,9 +13,15 @@ speed, never answers.
 
 A window check runs on lists of Python ints instead when its work is at
 most ``_LIST_WORK``, too short for numpy to pay off, or when its values
-reach the int64 guard, where lists beat numpy object arrays.  Full-period
-scans always run numpy, on object arrays of exact Python ints past the
-guard, so the oracle is a second implementation of every window check.
+reach the int64 guard, where lists beat numpy object arrays.
+Full-period scans always run numpy, so the oracle is a second
+implementation of every window check.  Past the guard a full-period scan
+over Q splits each lone value (a class weight, a constant table) into
+base-2**32 digits, runs every digit through the fixed-width kernels, and
+recombines the digit sums with one carry pass in int64 (a scan is
+linear: classical multiple precision, Knuth, TAOCP vol. 2, 4.3.1).  A
+periodic table goes whole into digit 0; where that reaches the guard, and
+over F_p, the scan runs on object arrays of exact Python ints.
 
 A full-period first-nonzero search plans once, folds once and then scans
 in chunks: every table and every class goes into one row per maximal
@@ -69,20 +75,23 @@ _CHUNK = 2**13
 _CHUNK_MAX = 2**17
 
 
-def _plan(groups, work):
+def _plan(groups, work, char: int = 0):
     """(nums, D): the values of ``groups`` (ints or Fractions) as ints over
     their common denominator D, in group order, laid out for the path the
     scan takes, which is decided here and nowhere else.
 
     ``work`` is a window check's work estimate, or None for a full-period
-    scan.  A window check runs on a list of Python ints when its work is at
-    most _LIST_WORK, where numpy's call overhead outweighs its speed.
-    Otherwise the sum over groups of each group's largest scaled magnitude
-    picks the narrowest width of the ladder whose bound it stays below, and
-    the values come back as an array in it; a sum of one value from each
+    scan, whose sums are reduced mod ``char`` when it is positive.  A window
+    check runs on a list of Python ints when its work is at most
+    _LIST_WORK, where numpy's call overhead outweighs its speed.  Otherwise
+    the sum over groups of each group's largest scaled magnitude picks the
+    narrowest width of the ladder whose bound it stays below, and the
+    values come back as an array in it; a sum of one value from each
     group, or the difference of two such sums, then fits the width.  At or
     past the int64 guard a window check runs on a list of exact Python ints
-    too, and a full-period scan on a numpy object array of them.
+    too, and a full-period scan on the tuple of base-2**32 digit arrays of
+    :func:`_digits`; over F_p, or where a digit would reach the guard, on
+    a numpy object array of exact Python ints.
     """
     flat = list(chain.from_iterable(groups))
     D = 1
@@ -98,21 +107,102 @@ def _plan(groups, work):
             flat = [v.numerator * (D // v.denominator) for v in flat]
     if work is not None and work <= _LIST_WORK:
         return flat, D
+    firsts = list(accumulate(map(len, groups[:-1]), initial=0))
+    nums = _fixed(flat if packed is None else packed, firsts)
+    if nums is None and work is None and not char:
+        nums = _digits(groups, flat, firsts)
+    if nums is None and work is None:
+        import numpy as np
+
+        nums = np.array(flat, dtype=object)
+    return (flat if nums is None else nums), D
+
+
+def _fixed(values, firsts):
+    """``values`` (ints, or an int64 ``array``) as a numpy array in the
+    narrowest width of the ladder that their group peak sum stays below,
+    groups starting at ``firsts``; None at or past the int64 guard."""
     import numpy as np
 
     try:
-        nums = np.frombuffer(array("q", flat) if packed is None else packed, dtype=np.int64)
+        nums = np.frombuffer(values if type(values) is array else array("q", values), dtype=np.int64)
     except OverflowError:  # a value past int64, so past the guard
-        total = _INT64_GUARD
-    else:
-        # the largest magnitude in each group (unsigned, so abs(-2**63) is right)
-        firsts = list(accumulate(map(len, groups[:-1]), initial=0))
-        total = sum(np.maximum.reduceat(np.abs(nums).view(np.uint64), firsts).tolist())
+        return None
+    # the largest magnitude in each group (unsigned, so abs(-2**63) is right)
+    total = sum(np.maximum.reduceat(np.abs(nums).view(np.uint64), firsts).tolist())
     if total < _INT64_GUARD:
         for bound, width in _WIDTHS:
             if total < bound:
-                return nums.astype(width, copy=False), D
-    return (flat if work is not None else np.array(flat, dtype=object)), D
+                return nums.astype(width, copy=False)
+    return None
+
+
+def _digits(groups, flat, firsts):
+    """The values ``flat`` of ``groups`` as a tuple of K >= 2 digit arrays,
+    value = sum of digit i * 2**(32 i), each digit in the narrowest width
+    :func:`_fixed` gives it; None when a digit reaches the guard.
+
+    Only the value of a group of one (a class weight, or a constant table)
+    is split: while it is past 2**32 in magnitude, its digit is the
+    residue in [-2**31, 2**31) and the rest moves up, so every digit is at
+    most 2**32 in magnitude.  A group of more values (a periodic table) goes
+    whole into digit 0.  Scans are linear, so each digit runs the kernels
+    on its own and :func:`_carry` recombines their sums; splitting a table
+    would cost more than its object array (about 100 ns a value).
+    """
+    split = {}
+    for f, g in zip(firsts, groups):
+        if len(g) == 1 and not -(2**32) <= flat[f] <= 2**32:
+            v, split[f] = flat[f], []
+            while not -(2**32) <= v <= 2**32:
+                d = ((v + 2**31) & 0xFFFFFFFF) - 2**31
+                split[f].append(d)
+                v = (v - d) >> 32
+            split[f].append(v)
+    if not split:
+        return None  # digit 0 would hold every value whole
+    K = max(map(len, split.values()))
+    rows = [list(flat)] + [[0] * len(flat) for _ in range(K - 1)]
+    for f, parts in split.items():
+        for row, d in zip(rows, parts):
+            row[f] = d
+    digits = []
+    for row in rows:
+        digits.append(_fixed(row, firsts))
+        if digits[-1] is None:
+            return None
+    return tuple(digits)
+
+
+def _digit_list(nums) -> tuple:
+    """The digit arrays of a full-period plan (one when it is not split)."""
+    return nums if type(nums) is tuple else (nums,)
+
+
+def _carry(sums):
+    """(digits, top): digit sums S_i, value sum of S_i * 2**(32 i), with the
+    carries passed up in int64, as K - 1 digits in [0, 2**32) and a signed
+    top; the value is zero exactly where every digit and the top are."""
+    import numpy as np
+
+    digits, carry = [], 0
+    for s in sums[:-1]:
+        # |S_i| < 2**62 and |carry| < 2**31, so no step wraps
+        t = s.astype(np.int64, copy=False) + carry
+        digits.append(t & 0xFFFFFFFF)
+        carry = t >> 32
+    return digits, sums[-1] + carry
+
+
+def _nonzero(sums):
+    """An array that is nonzero exactly where the value of the digit sums
+    ``sums`` (:func:`_carry`) is: the sums themselves for one digit."""
+    if len(sums) == 1:
+        return sums[0]
+    digits, top = _carry(sums)
+    for d in digits:
+        top |= d
+    return top
 
 
 def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarray:
@@ -268,7 +358,8 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
     table is one period of values, and D is the common denominator.  On
     numpy the table sums are reduced mod char when char > 0; on lists the
     values are not reduced.  A window check runs on the path :func:`_plan`
-    picks from its work; a full-period scan always runs numpy."""
+    picks from its work; a full-period scan always runs numpy, and past
+    the guard gives the tuple of each digit's sums when its plan splits."""
     residues, moduli, weights = classes
     periods = list(map(len, tables))
     offsets = list(accumulate(periods, initial=len(weights)))
@@ -278,12 +369,15 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
         hits = len(moduli) + sum(map(length.__floordiv__, moduli))
         nums, D = _plan(groups, length * (1 + len(set(periods))) + hits + sum(periods))
     else:
-        nums, D = _plan(groups, None)
+        nums, D = _plan(groups, None, char)
     if type(nums) is not list:
-        out = cover_counts(residues, moduli, nums[: len(weights)], start, length)
-        if tables:
-            out -= table_sums(nums, offsets, periods, start, length, char)
-        return out, D
+        sums = []
+        for digit in _digit_list(nums):
+            out = cover_counts(residues, moduli, digit[: len(weights)], start, length)
+            if tables:
+                out -= table_sums(digit, offsets, periods, start, length, char)
+            sums.append(out)
+        return (sums[0] if len(sums) == 1 else tuple(sums)), D
     out = [0] * length
     for a, n, w in zip(residues, moduli, nums):
         j = (a - start) % n
@@ -300,7 +394,9 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
 
 def scan(classes, tables, start: int, length: int, char: int = 0):
     """(D * (w - sum of the tables) over [start, start+length), D) as an
-    array (:func:`_values` of a full-period scan)."""
+    array, or as a tuple of digit sums past the guard (:func:`_values` of a
+    full-period scan); :func:`exact_sum` and :func:`exact_values` read
+    both."""
     return _values(classes, tables, start, length, char, False)
 
 
@@ -317,10 +413,10 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
     return start + int(bad.argmax()) if bad.any() else None
 
 
-def _fold(classes, tables):
-    """(values, offsets, periods): the input of a full-period scan, planned
-    once by :func:`_plan` (always numpy), folded for a chunked search by
-    :func:`table_sums`.
+def _fold(classes, periods, nums):
+    """(values, offsets, periods): the input of a full-period scan, as
+    planned by :func:`_plan` (one array, or one digit of it), folded for a
+    chunked search by :func:`table_sums`.
 
     There is one row per maximal period of the tables and the moduli: the
     sum of every table whose period divides it, tiled into it, minus the
@@ -332,10 +428,8 @@ def _fold(classes, tables):
     """
     import numpy as np
 
-    residues, moduli, weights = classes
-    k = len(weights)
-    periods = list(map(len, tables))
-    nums, _ = _plan([*zip(weights), *tables], None)
+    residues, moduli, _ = classes
+    k = len(moduli)
     # period -> the first maximal period, from the top, that it divides
     maximal, home = [], {}
     for n in sorted({*periods, *moduli}, reverse=True):
@@ -357,17 +451,19 @@ def _fold(classes, tables):
 def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     """First x where :func:`scan` is nonzero, or None; always on numpy.
 
-    The search folds its input once (:func:`_fold`) and scans it in chunks
-    of _CHUNK points, doubling up to _CHUNK_MAX, each one :func:`table_sums`
-    call, so a search of at most _CHUNK points is one chunk; it returns at
-    the first chunk with a nonzero point, so a scan that fails early
-    touches few points.
+    The search plans once, folds each digit of its input once
+    (:func:`_fold`) and scans them in chunks of _CHUNK points, doubling up
+    to _CHUNK_MAX, each one :func:`table_sums` call per digit, so a search
+    of at most _CHUNK points is one chunk; it returns at the first chunk
+    with a nonzero point, so a scan that fails early touches few points.
     """
-    rows = _fold(classes, tables)
+    periods = list(map(len, tables))
+    nums, _ = _plan([*zip(classes[2]), *tables], None, char)
+    folded = [_fold(classes, periods, digit) for digit in _digit_list(nums)]
     pos, chunk = 0, _CHUNK
     while pos < length:
         chunk = min(chunk, length - pos)
-        out = table_sums(*rows, start + pos, chunk, char)
+        out = _nonzero([table_sums(*rows, start + pos, chunk, char) for rows in folded])
         if out.any():
             return start + pos + int((out != 0).argmax())
         pos += chunk
@@ -388,8 +484,26 @@ def first_below(tables, least: int, start: int, length: int):
 
 
 def exact_sum(arr) -> int:
-    """Exact sum of an array: native where no int64 total can wrap (at most
-    2**32 values of 32 bits or fewer), else in Python ints."""
-    if arr.dtype.kind == "i" and arr.itemsize <= 4 and arr.size <= 2**32:
-        return int(arr.sum(dtype="int64"))
+    """Exact sum of a scan's values: digit by digit, shifted into place,
+    for digit sums; natively for an int array where no int64 total can
+    wrap (its size times its largest magnitude, or the dtype's bound on it
+    below 64 bits, is below 2**63); else in Python ints."""
+    if type(arr) is tuple:
+        return sum(exact_sum(s) << 32 * i for i, s in enumerate(arr))
+    if arr.dtype.kind == "i" and arr.size:
+        peak = 1 << 8 * arr.itemsize - 1 if arr.itemsize < 8 else max(-int(arr.min()), int(arr.max()))
+        if arr.size * peak < 2**63:
+            return int(arr.sum(dtype="int64"))
     return sum(arr.tolist())
+
+
+def exact_values(arr) -> list:
+    """A scan's values as Python ints: the digit sums carried
+    (:func:`_carry`) and joined from the top down."""
+    if type(arr) is not tuple:
+        return arr.tolist()
+    digits, top = _carry(arr)
+    out = top.tolist()
+    for d in reversed(digits):
+        out = [v << 32 | x for v, x in zip(out, d.tolist())]
+    return out

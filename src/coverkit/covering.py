@@ -28,7 +28,10 @@ tables, with weights and table values put over one common denominator D by
 :mod:`coverkit._kernels`.  One plan there picks the path: the narrowest
 fixed integer width that the scaled sums provably fit, or lists of exact
 Python ints for a window too short for numpy to pay off or past the widest
-width, where a full-period scan runs on numpy object arrays instead.
+width.  Past it a full-period scan runs on base-2**32 digits of its class
+weights, each in a fixed width, or on numpy object arrays where a periodic
+table is past it too; :func:`_kernels.exact_sum` and
+:func:`_kernels.exact_values` read either.
 """
 
 from __future__ import annotations
@@ -239,10 +242,10 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
     Integers when the weights' common denominator is 1, Fractions otherwise.
     """
-    arr, D = _kernels.scan(*_scan_input(system.seqs, (), start, length))
+    values, D = _kernels.scan(*_scan_input(system.seqs, (), start, length))
     if D == 1:
-        return tuple(arr.tolist())
-    return tuple(Fraction(v, D) for v in arr.tolist())
+        return tuple(_kernels.exact_values(values))
+    return tuple(Fraction(v, D) for v in _kernels.exact_values(values))
 
 
 def _oracle_points(points: int, what: str = "period") -> int:
@@ -515,8 +518,9 @@ def weighted_average_check(system: System) -> bool:
     The scan of D * w over the period is summed exactly (its points fit
     the scan's width, their sum over N points need not), and the mean is
     one Fraction."""
-    arr, D = _kernels.scan(*_scan_input(system.seqs, (), 0, _oracle_points(system.lcm())))
-    lhs = Fraction(_kernels.exact_sum(arr), D * len(arr))
+    N = _oracle_points(system.lcm())
+    values, D = _kernels.scan(*_scan_input(system.seqs, (), 0, N))
+    lhs = Fraction(_kernels.exact_sum(values), D * N)
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs
 

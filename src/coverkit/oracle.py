@@ -6,9 +6,11 @@ exhaustive scan here.  The scans search one full period for its first
 nonzero point with the chunked :func:`coverkit._kernels.first_nonzero`,
 which no window check calls (or compare slices of one full period box, for
 periodicity mod a vector), always on the numpy kernels (in the narrowest
-fixed integer width that the scaled sums fit, or on numpy object arrays of
-exact Python ints past the widest), so a window check, which runs on lists
-of Python ints when it is short or past the widest width, is checked by a
+fixed integer width that the scaled sums fit; past the widest on
+base-2**32 digits of the weights, each in a fixed width, recombined by one
+carry pass, or on numpy object arrays of exact Python ints where a
+periodic table is past it too), so a window check, which runs on lists of
+Python ints when it is short or past the widest width, is checked by a
 second implementation; they never consult the window theorems themselves.
 """
 
@@ -68,9 +70,10 @@ def brute_least_period(table: PeriodicValueTable) -> int:
     the cycle), so each d compares two slices of one array, without a copy.
     """
     arr = _kernels._plan([table.values], None)[0]
-    N = len(arr)
-    # d = period always matches (two empty slices)
-    return next(d for d in divisors_of(N) if (arr[d:] == arr[: N - d]).all())
+    N = table.period
+    # d = N always matches (two empty slices), so it is not compared: at
+    # N = 1, the one table whose plan may split into digits, none is
+    return next((d for d in divisors_of(N)[:-1] if (arr[d:] == arr[: N - d]).all()), N)
 
 
 def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:
@@ -89,12 +92,15 @@ def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verd
         raise ValueError(f"period components must be positive, got {n0}")
     dims = tuple(math.lcm(c, *(s.modulus[t] for s in seqs)) for t, c in enumerate(n0))
     points = _oracle_points(math.prod(dims), "box")
-    # D * w over the box, D the weights' common denominator
+    # D * w over the box, D the weights' common denominator, one box per
+    # digit past the guard
     nums, _ = _kernels._plan([(s.weight,) for s in seqs], None)
-    box = _kernels._box_counts([s.residue for s in seqs], [s.modulus for s in seqs], nums, dims)
+    residues, moduli = [s.residue for s in seqs], [s.modulus for s in seqs]
+    boxes = [_kernels._box_counts(residues, moduli, digit, dims) for digit in _kernels._digit_list(nums)]
     for t in range(l):
         head = (slice(None),) * t
-        bad = box[head + (slice(0, dims[t] - n0[t]),)] != box[head + (slice(n0[t], None),)]
+        ahead, behind = head + (slice(n0[t], None),), head + (slice(0, dims[t] - n0[t]),)
+        bad = _kernels._nonzero([box[behind] - box[ahead] for box in boxes]) != 0
         if bad.any():
             x = _kernels._unravel(int(bad.argmax()), bad.shape)
             y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))

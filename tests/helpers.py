@@ -218,9 +218,11 @@ NO_LISTS = {"_LIST_WORK": -1}  # every window check below the guard on numpy
 
 WIDTH_SETTINGS = {
     # as shipped: short windows and windows past the guard on lists, the
-    # rest in the narrowest width; full-period scans on object arrays past it
+    # rest in the narrowest width; full-period scans past it on digits in
+    # the narrowest widths, or on object arrays
     "narrowest": {},
-    # every numpy scan in int64 up to the guard; windows past it on lists
+    # every numpy scan (and digit) in int64 up to the guard; windows past it
+    # on lists
     "int64-guard": {"_WIDTHS": ((_kernels._INT64_GUARD, "int64"),), **NO_LISTS},
     # every window check with a nonzero value on lists of exact Python ints,
     # every full-period scan with one on numpy object arrays of them
@@ -274,6 +276,12 @@ def indexed_values(classes, tables, start: int, length: int, dtype=np.int64) -> 
     for t in tables:
         values -= np.array(t, dtype=dtype)[(start % len(t) + offsets) % len(t)]
     return values
+
+
+def digit_values(digits) -> list:
+    """The values a full-period plan's tuple of digit arrays stands for:
+    the sum of digit i times 2**(32 i) at each position, in Python ints."""
+    return [sum(int(d) << 32 * i for i, d in enumerate(point)) for point in zip(*digits)]
 
 
 def first_nonzero_reference(values: np.ndarray, start: int, char: int = 0):

@@ -591,9 +591,9 @@ def test_only_kernels_import_numpy():
 def test_only_kernels_name_integer_widths():
     """_kernels._plan alone picks the path and the width a scan runs in:
     no other module names a width, the ladder, the guard or the list
-    work."""
+    work, or builds an object array."""
     package = Path(coverkit.__file__).parent
-    for pattern in (r"\bint(8|16|32|64)\b", r"\b(_LIST_WORK|_INT64_GUARD|_WIDTHS)\b"):
+    for pattern in (r"\bint(8|16|32|64)\b", r"\b(_LIST_WORK|_INT64_GUARD|_WIDTHS)\b", r"dtype=object"):
         naming = sorted(p.name for p in package.rglob("*.py") if re.search(pattern, p.read_text()))
         assert naming == ["_kernels.py"], pattern
 

@@ -36,6 +36,7 @@ from coverkit.oracle import (
 from helpers import (
     SCAN_SETTINGS,
     WIDTH_SETTINGS,
+    digit_values,
     kernel_widths,
     mean_reference,
     random_distinct_moduli_instance,
@@ -74,8 +75,12 @@ def test_scaled_refuses_at_the_guard():
     assert (nums.tolist(), D) == ([3, 18, -2], 6)
     assert dtype([(g - 2, -5), (1,)]) == np.int64
     assert dtype([(g - 2, -5), (2,)]) == object  # the group peaks sum to g
-    assert dtype([(-(2**63),)]) == object
-    assert dtype([(2**63,)]) == object
+    # a lone value at or past int64 is split into exact base-2**32 digits,
+    # each in a fixed width
+    for v in (-(2**63), 2**63):
+        digits, D = _kernels._plan([(v,)], None)
+        assert type(digits) is tuple and len(digits) == 2 and D == 1
+        assert [d.dtype.kind for d in digits] == ["i", "i"] and digit_values(digits) == [v]
     assert dtype([(Fraction(g - 2, 3),)]) == np.int64
     assert dtype([(Fraction(g - 2, 3), Fraction(1, 2))]) == object  # D = 6
     # past the guard the numerators stay exact
@@ -96,16 +101,23 @@ def test_scaled_picks_the_narrowest_width():
     ]  # fmt: skip
     for peak, width in edges:
         half = peak // 2
-        for groups in (
-            [(peak,)],
-            [(-peak, 1, 0)],
-            [(half, -3), (peak - half,)],
-            [(peak - 1, 0), (-1,), (0, 0)],
-            [(Fraction(peak, 3), Fraction(-1, 3))],
+        for groups, lone in (
+            ([(peak,)], True),
+            ([(-peak, 1, 0)], False),
+            ([(half, -3), (peak - half,)], True),
+            ([(peak - 1, 0), (-1,), (0, 0)], False),
+            ([(Fraction(peak, 3), Fraction(-1, 3))], False),
         ):
             nums, D = _kernels._plan(groups, None)
-            assert nums.dtype == width, (peak, groups)
             flat = [v for g in groups for v in g]
+            if width is object and lone:
+                # at the guard a lone value past 2**32 splits into digits,
+                # and the group of two goes whole into digit 0, whose peak
+                # sum stays below the guard
+                assert type(nums) is tuple and [d.dtype.kind for d in nums] == ["i", "i"]
+                assert [Fraction(v, D) for v in digit_values(nums)] == flat
+                continue
+            assert nums.dtype == width, (peak, groups)
             assert [Fraction(v, D) for v in nums.tolist()] == flat
 
 
@@ -369,7 +381,8 @@ def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
     """A 720720-point full-period scan whose first nonzero point is its
     start hands the numpy kernels one chunk of at most 2**13 points, on
     classes with a table and on tables alone, and returns that start;
-    classes on object arrays fold too, so they make no cover_counts call."""
+    classes past the guard fold too, digit by digit, so they make no
+    cover_counts call."""
     lengths = []
     for name in ("cover_counts", "table_sums"):
         kernel = getattr(_kernels, name)
@@ -386,13 +399,47 @@ def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
         lengths.clear()
         assert _kernels.first_nonzero(*_scan_input((), tables, start, 720720)) == start
         assert 0 < sum(lengths) <= 2**13
-    # the classes above at weight 2**62 + 1 put the scan on object arrays,
-    # where they fold too: one table_sums call of 2**13 points
+    # the classes above at weight 2**62 + 1 = 2**30 * 2**32 + 1 put the scan
+    # on two digits, which fold too: one table_sums call of 2**13 points each
     monkeypatch.setattr(_kernels, "cover_counts", lambda *a: pytest.fail("cover_counts called"))
     lengths.clear()
     system = System.of(*((0, n, 2**62 + 1) for n in (16, 9, 5, 7, 11, 13)))
     assert brute_cover_verdict(system, zero) == Verdict(False, 0)
-    assert lengths == [2**13]
+    assert lengths == [2**13, 2**13]
+
+
+def test_cover_past_the_guard_scans_on_digits(monkeypatch):
+    """A refined cover of 60 classes at weight 2**63 + 1 (lcm 90090), less
+    one class, against the constant 2**63 + 1: the full-period scan plans
+    digits in fixed widths and no object array, and returns the least
+    point of the class left out, which lies in the first chunk; the whole
+    cover passes."""
+    seqs = [(0, 1)]
+    # each step replaces the class at index i, a mod n, by a + j*n mod p*n
+    # for j < p: the last one added, or the first class mod 13
+    steps = [(-1, 13), (-1, 11), (-1, 7), (-1, 5), (-1, 3), (-1, 3), (-1, 2), (0, 11), (-1, 7), (-1, 5), (-1, 3)]
+    for i, p in steps:
+        a, n = seqs.pop(i)
+        seqs += [(a + j * n, p * n) for j in range(p)]
+    w = 2**63 + 1
+    target = PeriodicValueTable.constant(w)
+    cover = System.of(*((a, n, w) for a, n in seqs))
+    assert (cover.k, cover.lcm()) == (60, 90090)
+    plans = []
+    plan = _kernels._plan
+
+    def recording(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(_kernels, "_plan", recording)
+    left_out = (559, 1001)
+    broken = System.of(*((a, n, w) for a, n in seqs if (a, n) != left_out))
+    assert brute_cover_verdict(broken, target) == Verdict(False, 559)
+    assert cover_count(broken, 559) == 0 and all(cover_count(broken, x) == w for x in range(559))
+    assert brute_cover_verdict(cover, target) == Verdict(True)
+    assert len(plans) == 2 and all(type(nums) is tuple for nums, _ in plans)
+    assert {d.dtype.kind for nums, _ in plans for d in nums} == {"i"}
 
 
 def test_exact_sum_native_only_where_exact():
@@ -402,6 +449,20 @@ def test_exact_sum_native_only_where_exact():
         assert _kernels.exact_sum(np.array(values, dtype=dtype)) == sum(values)
     wide = np.array([2**62, 2**62, 2**62], dtype=np.int64)
     assert _kernels.exact_sum(wide) == 3 * 2**62 != int(wide.sum())
+
+    class NoList(np.ndarray):
+        def tolist(self):
+            raise AssertionError("summed in Python ints")
+
+    # an int64 array sums natively while its size times its largest
+    # magnitude is below 2**63, and in Python ints from there
+    inside = np.array([2**62 - 1, -(2**62 - 1), 2**62 - 1], dtype=np.int64)
+    assert _kernels.exact_sum(inside[:2].view(NoList)) == 0
+    assert _kernels.exact_sum(inside[::2].view(NoList)) == 2**63 - 2
+    at = np.array([2**62, 2**62], dtype=np.int64)
+    assert _kernels.exact_sum(at) == 2**63 != int(at.sum())
+    with pytest.raises(AssertionError, match="Python ints"):
+        _kernels.exact_sum(at.view(NoList))
     assert _kernels.exact_sum(np.array([2**70, -1], dtype=object)) == 2**70 - 1
 
 
@@ -450,18 +511,23 @@ def test_full_period_answers_independent_of_width(monkeypatch):
     answers = {}
     for setting in WIDTH_SETTINGS:
 
-        def recording(groups, work):
-            nums, D = plan(groups, work)
-            if work is None:  # a full-period plan
-                chosen[setting].add(nums.dtype)
+        def recording(groups, work, char=0):
+            nums, D = plan(groups, work, char)
+            if work is None:  # a full-period plan: one array, or its digits
+                chosen[setting].add(tuple(d.dtype for d in nums) if type(nums) is tuple else nums.dtype)
             return nums, D
 
         with kernel_widths(setting):
             monkeypatch.setattr(_kernels, "_plan", recording)
             answers[setting] = _full_period_answers(496)
+    int64, digits = np.dtype("int64"), (np.dtype("int64"),) * 2
     assert chosen == {
-        "narrowest": {np.dtype(t) for t in ("int8", "int16", "int32", "int64", object)},
-        "int64-guard": {np.dtype("int64"), np.dtype(object)},
+        "narrowest": {
+            *(np.dtype(t) for t in ("int8", "int16", "int32", "int64", object)),
+            (np.dtype("int8"), int64),
+            digits,
+        },
+        "int64-guard": {int64, np.dtype(object), digits},
         "guard-1": {np.dtype(object)},
     }
     assert answers["narrowest"] == answers["int64-guard"] == answers["guard-1"]

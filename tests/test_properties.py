@@ -33,6 +33,7 @@ from coverkit import (
     MultiSequence,
     PeriodicValueTable,
     System,
+    Verdict,
     WeightedSequence,
     cover_count,
     cover_table,
@@ -51,6 +52,7 @@ from coverkit import (
     subset_sum_set,
     sumset_mod1,
     verify_covering_function,
+    weighted_average_check,
     window_bound,
     window_zero_check,
     zero_system_coefficients,
@@ -73,6 +75,7 @@ from helpers import (
     indexed_values,
     kernel_widths,
     prime_sieve,
+    rolled_periodicity,
     sequence_table,
     subset_sum_set_reference,
     sumset_reference,
@@ -632,6 +635,108 @@ def test_chunked_scan_finds_witnesses_at_chunk_edges(seed, char, huge, start):
         for setting in SCAN_SETTINGS:
             with kernel_widths(setting):
                 assert _kernels.first_nonzero(*scan, start, length, char) == expected, (setting, offset)
+
+
+# --- full-period scans past the int64 guard, on digits -------------------------
+
+# weights on the base-2**32 digit edges, Fractions whose scaled numerators
+# pass 2**62, and small weights
+digit_weights = st.one_of(
+    st.sampled_from([2**32 - 1, -(2**32 - 1), 2**32, -(2**32), 2**63, -(2**63), -(2**95)]),
+    st.builds(lambda sign, c: sign * (2**62 + c), st.sampled_from([1, -1]), st.integers(-3, 3)),
+    st.builds(lambda c, d: Fraction(2**62 + c, d), st.integers(-3, 3), st.sampled_from([3, 5])),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def digit_cases(draw):
+    """(system, c, cancels, seqs, n0): the n classes mod n (n in 1..6) at
+    weight c, an exact cover of Z, with 1 to 4 more classes of moduli up to
+    8, which are also added negated when ``cancels``, so that w = c
+    exactly then; and a 2-D instance (seqs, n0) of periodicity mod n0 in
+    boxes of at most 12 by 12 points.  Every weight is a digit_weights
+    value."""
+    c, n = draw(digit_weights), draw(st.integers(1, 6))
+    classes = st.tuples(st.integers(0, 7), st.integers(1, 8), digit_weights)
+    extra = draw(st.lists(classes, min_size=1, max_size=4))
+    cancels = draw(st.booleans())
+    negated = [(a, m, -w) for a, m, w in extra] if cancels else []
+    system = System.of(*((a, n, c) for a in range(n)), *extra, *negated)
+    components = st.sampled_from([1, 2, 3, 4, 6])
+    pairs = st.tuples(st.integers(0, 11), st.integers(0, 11))
+    entries = st.tuples(pairs, st.tuples(components, components), digit_weights)
+    seqs = [MultiSequence(*e) for e in draw(st.lists(entries, min_size=1, max_size=4))]
+    return system, c, cancels, seqs, draw(st.tuples(components, components))
+
+
+def _scaled_peaks(groups) -> list:
+    """Each group's largest magnitude times D, the common denominator of
+    all the values of ``groups``."""
+    D = math.lcm(*(Fraction(v).denominator for g in groups for v in g))
+    return [D * max(abs(Fraction(v)) for v in g) for g in groups]
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+@settings(PROPERTY, max_examples=40)
+# w = c fails at x = 1 on three digits, and holds on three
+@example(
+    (
+        System.of((0, 2, 2**63), (1, 2, 2**63), (1, 4, -(2**95))),
+        2**63,
+        False,
+        [MultiSequence((0, 0), (2, 3), -(2**95))],
+        (1, 3),
+    )
+)
+@example(
+    (
+        System.of((0, 1, 2**63), (3, 8, -(2**95)), (3, 8, 2**95)),
+        2**63,
+        True,
+        [MultiSequence((1, 0), (2, 1), 2**63)],
+        (2, 2),
+    )
+)
+@given(digit_cases())
+def test_scans_past_the_guard_match_pointwise(setting, case):
+    """cover_table, weighted_average_check, brute_cover_verdict (against
+    the constant c and against w's own table) and brute_periodic_mod_vec,
+    under every scan setting, give what exact pointwise evaluation gives
+    (cover_count and multidim_value).  A plan of lone values (class
+    weights, and a constant) splits into fixed-width digits exactly when
+    their scaled magnitudes sum past the guard, unless the guard is 1; a
+    periodic table past the guard keeps its scan on an object array."""
+    system, c, cancels, seqs, n0 = case
+    N = system.lcm()
+    values = tuple(cover_count(system, x) for x in range(N))
+    witness = next((x for x, v in enumerate(values) if v != c), None)
+    assert witness is None or not cancels
+    plans = []
+    plan = _kernels._plan
+
+    def recording(groups, work, char=0):
+        nums, D = plan(groups, work, char)
+        plans.append((groups, nums))
+        return nums, D
+
+    with kernel_widths(setting), mock.patch.object(_kernels, "_plan", recording):
+        assert cover_table(system).values == values
+        assert weighted_average_check(system)
+        constant = brute_cover_verdict(system, PeriodicValueTable.constant(c))
+        assert constant == Verdict(witness is None, witness)
+        assert brute_cover_verdict(system, PeriodicValueTable(N, values)).ok
+        verdict = brute_periodic_mod_vec(seqs, n0)
+    assert (verdict.ok, verdict.witness) == rolled_periodicity(seqs, n0)
+    assert len(plans) == 5
+    for groups, nums in plans:
+        peaks = _scaled_peaks(groups)
+        if all(len(g) == 1 for g in groups):
+            split = setting != "guard-1" and sum(peaks) >= 2**62
+            assert (type(nums) is tuple) == split
+            assert not split or {d.dtype.kind for d in nums} == {"i"}
+        elif peaks[-1] >= 2**62:
+            assert type(nums) is not tuple and nums.dtype == object
 
 
 @st.composite
