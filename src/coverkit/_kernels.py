@@ -29,7 +29,7 @@ period, and the rows are summed chunk by chunk, from ``_CHUNK`` points
 doubling to ``_CHUNK_MAX``, by one :func:`table_sums` call per chunk.
 It returns at the first chunk with a nonzero point, so a falsified scan
 whose witness comes early touches a few thousand points, not the period.
-Window checks and :func:`scan` run whole and are not folded.
+Every other scan runs whole and is not folded.
 
 This is the only module that uses numpy, and it imports numpy inside each
 kernel entry point rather than at module load: a process that runs no
@@ -86,12 +86,12 @@ def _plan(groups, work, char: int = 0):
     _LIST_WORK, where numpy's call overhead outweighs its speed.  Otherwise
     the sum over groups of each group's largest scaled magnitude picks the
     narrowest width of the ladder whose bound it stays below, and the
-    values come back as an array in it; a sum of one value from each
-    group, or the difference of two such sums, then fits the width.  At or
-    past the int64 guard a window check runs on a list of exact Python ints
-    too, and a full-period scan on the tuple of base-2**32 digit arrays of
-    :func:`_digits`; over F_p, or where a digit would reach the guard, on
-    a numpy object array of exact Python ints.
+    values come back as a 1-tuple of an array in it; a sum of one value
+    from each group, or the difference of two such sums, then fits the
+    width.  At or past the int64 guard a window check runs on a list too,
+    and a full-period scan on the tuple of base-2**32 digit arrays of
+    :func:`_digits`, or over F_p, or where a digit would reach the guard,
+    on a 1-tuple of a numpy object array of exact Python ints.
     """
     flat = list(chain.from_iterable(groups))
     D = 1
@@ -109,13 +109,16 @@ def _plan(groups, work, char: int = 0):
         return flat, D
     firsts = list(accumulate(map(len, groups[:-1]), initial=0))
     nums = _fixed(flat if packed is None else packed, firsts)
-    if nums is None and work is None and not char:
-        nums = _digits(groups, flat, firsts)
-    if nums is None and work is None:
+    if nums is not None:
+        return (nums,), D
+    if work is not None:
+        return flat, D
+    digits = None if char else _digits(groups, flat, firsts)
+    if digits is None:
         import numpy as np
 
-        nums = np.array(flat, dtype=object)
-    return (flat if nums is None else nums), D
+        digits = (np.array(flat, dtype=object),)
+    return digits, D
 
 
 def _fixed(values, firsts):
@@ -172,11 +175,6 @@ def _digits(groups, flat, firsts):
         if digits[-1] is None:
             return None
     return tuple(digits)
-
-
-def _digit_list(nums) -> tuple:
-    """The digit arrays of a full-period plan (one when it is not split)."""
-    return nums if type(nums) is tuple else (nums,)
 
 
 def _carry(sums):
@@ -258,8 +256,9 @@ def box_first_nonzero(classes, dims):
     hits = len(moduli) + sum(math.prod(map(floordiv, dims, n)) for n in moduli)
     nums, _ = _plan([*zip(weights)], points + hits)
     if type(nums) is not list:
-        # argmax stops at the first True, and is 0 when there is none
-        bad = _box_counts(residues, moduli, nums, dims).ravel() != 0
+        # a window plan is one digit; argmax stops at the first True, and
+        # is 0 when there is none
+        bad = _box_counts(residues, moduli, nums[0], dims).ravel() != 0
         i = int(bad.argmax())
         return _unravel(i, dims) if bad[i] else None
     strides = list(accumulate(reversed(dims[1:]), mul, initial=1))[::-1]
@@ -358,8 +357,8 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
     table is one period of values, and D is the common denominator.  On
     numpy the table sums are reduced mod char when char > 0; on lists the
     values are not reduced.  A window check runs on the path :func:`_plan`
-    picks from its work; a full-period scan always runs numpy, and past
-    the guard gives the tuple of each digit's sums when its plan splits."""
+    picks from its work, a list or one digit; a full-period scan always
+    runs numpy, and gives the tuple of each digit's sums."""
     residues, moduli, weights = classes
     periods = list(map(len, tables))
     offsets = list(accumulate(periods, initial=len(weights)))
@@ -370,14 +369,14 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
         nums, D = _plan(groups, length * (1 + len(set(periods))) + hits + sum(periods))
     else:
         nums, D = _plan(groups, None, char)
-    if type(nums) is not list:
+    if type(nums) is tuple:
         sums = []
-        for digit in _digit_list(nums):
+        for digit in nums:
             out = cover_counts(residues, moduli, digit[: len(weights)], start, length)
             if tables:
                 out -= table_sums(digit, offsets, periods, start, length, char)
             sums.append(out)
-        return (sums[0] if len(sums) == 1 else tuple(sums)), D
+        return tuple(sums), D
     out = [0] * length
     for a, n, w in zip(residues, moduli, nums):
         j = (a - start) % n
@@ -392,14 +391,6 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
     return out, D
 
 
-def scan(classes, tables, start: int, length: int, char: int = 0):
-    """(D * (w - sum of the tables) over [start, start+length), D) as an
-    array, or as a tuple of digit sums past the guard (:func:`_values` of a
-    full-period scan); :func:`exact_sum` and :func:`exact_values` read
-    both."""
-    return _values(classes, tables, start, length, char, False)
-
-
 def _first_where(test, bound, classes, tables, start: int, length: int, char: int):
     """First x in [start, start+length) whose value v of a window check's
     :func:`_values`, reduced mod char when char > 0, has test(v, bound), or
@@ -409,14 +400,14 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
         if char:
             out = map(char.__rmod__, out)
         return next(compress(count(start), map(test, out, repeat(bound))), None)
-    bad = test(out, bound)
+    bad = test(out[0], bound)  # a window plan is one digit
     return start + int(bad.argmax()) if bad.any() else None
 
 
 def _fold(classes, periods, nums):
-    """(values, offsets, periods): the input of a full-period scan, as
-    planned by :func:`_plan` (one array, or one digit of it), folded for a
-    chunked search by :func:`table_sums`.
+    """(values, offsets, periods): one digit of the input of a full-period
+    scan, as planned by :func:`_plan`, folded for a chunked search by
+    :func:`table_sums`.
 
     There is one row per maximal period of the tables and the moduli: the
     sum of every table whose period divides it, tiled into it, minus the
@@ -449,7 +440,8 @@ def _fold(classes, periods, nums):
 
 
 def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
-    """First x where :func:`scan` is nonzero, or None; always on numpy.
+    """First x where :func:`exact_values` is nonzero, or None; always on
+    numpy.
 
     The search plans once, folds each digit of its input once
     (:func:`_fold`) and scans them in chunks of _CHUNK points, doubling up
@@ -459,7 +451,7 @@ def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     """
     periods = list(map(len, tables))
     nums, _ = _plan([*zip(classes[2]), *tables], None, char)
-    folded = [_fold(classes, periods, digit) for digit in _digit_list(nums)]
+    folded = [_fold(classes, periods, digit) for digit in nums]
     pos, chunk = 0, _CHUNK
     while pos < length:
         chunk = min(chunk, length - pos)
@@ -468,6 +460,32 @@ def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
             return start + pos + int((out != 0).argmax())
         pos += chunk
         chunk = min(2 * chunk, _CHUNK_MAX)
+    return None
+
+
+def first_period(values, periods):
+    """First d of ``periods`` with values[x] == values[x + d] for all
+    x < N - d, N = len(values), or None: for d dividing N, periodicity mod
+    d, since the wrapped pairs follow by going round the cycle."""
+    nums, _ = _plan([values], None)
+    N = len(values)
+    return next((d for d in periods if all((v[d:] == v[: N - d]).all() for v in nums)), None)
+
+
+def box_first_mismatch(classes, dims, shifts):
+    """(t, x): the first axis t, and the first x in C order on it, where w
+    of the classes differs at x and at x + shifts[t] * e_t, both in the box
+    [0, dims); or None.  Each digit's box of D * w compares its slice
+    [0, dims_t - shifts_t) with its slice [shifts_t, dims_t) on axis t."""
+    residues, moduli, weights = classes
+    nums, _ = _plan([*zip(weights)], None)
+    boxes = [_box_counts(residues, moduli, digit, dims) for digit in nums]
+    for t, h in enumerate(shifts):
+        head = (slice(None),) * t
+        ahead, behind = head + (slice(h, None),), head + (slice(0, dims[t] - h),)
+        bad = _nonzero([box[behind] - box[ahead] for box in boxes]) != 0
+        if bad.any():
+            return t, _unravel(int(bad.argmax()), bad.shape)
     return None
 
 
@@ -483,13 +501,10 @@ def first_below(tables, least: int, start: int, length: int):
     return _first_where(gt, -least, ((), (), ()), tables, start, length, 0)
 
 
-def exact_sum(arr) -> int:
-    """Exact sum of a scan's values: digit by digit, shifted into place,
-    for digit sums; natively for an int array where no int64 total can
-    wrap (its size times its largest magnitude, or the dtype's bound on it
-    below 64 bits, is below 2**63); else in Python ints."""
-    if type(arr) is tuple:
-        return sum(exact_sum(s) << 32 * i for i, s in enumerate(arr))
+def _sum(arr) -> int:
+    """Exact sum of an array: natively for an int array where no int64
+    total can wrap (its size times its largest magnitude, or the dtype's
+    bound on it below 64 bits, is below 2**63); else in Python ints."""
     if arr.dtype.kind == "i" and arr.size:
         peak = 1 << 8 * arr.itemsize - 1 if arr.itemsize < 8 else max(-int(arr.min()), int(arr.max()))
         if arr.size * peak < 2**63:
@@ -497,13 +512,19 @@ def exact_sum(arr) -> int:
     return sum(arr.tolist())
 
 
-def exact_values(arr) -> list:
-    """A scan's values as Python ints: the digit sums carried
-    (:func:`_carry`) and joined from the top down."""
-    if type(arr) is not tuple:
-        return arr.tolist()
-    digits, top = _carry(arr)
+def exact_sum(classes, tables, start: int, length: int, char: int = 0):
+    """(sum, D): the exact sum of :func:`exact_values`, each digit's sums
+    summed by :func:`_sum` and shifted into place."""
+    sums, D = _values(classes, tables, start, length, char, False)
+    return sum(_sum(s) << 32 * i for i, s in enumerate(sums)), D
+
+
+def exact_values(classes, tables, start: int, length: int, char: int = 0):
+    """The full-period scan of :func:`_values`, as (Python ints, D): the
+    digit sums carried (:func:`_carry`) and joined from the top down."""
+    sums, D = _values(classes, tables, start, length, char, False)
+    digits, top = _carry(sums)
     out = top.tolist()
     for d in reversed(digits):
         out = [v << 32 | x for v, x in zip(out, d.tolist())]
-    return out
+    return out, D

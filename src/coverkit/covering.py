@@ -23,15 +23,9 @@ coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
 exactly.  Only :func:`cover_table` and :func:`weighted_average_check` scan
 a full period, for its values; every search for a first nonzero point here
 runs on a window, and the full-period search is :mod:`coverkit.oracle`'s.
-Every scan is one evaluator: D times the covering function minus the
-tables, with weights and table values put over one common denominator D by
-:mod:`coverkit._kernels`.  One plan there picks the path: the narrowest
-fixed integer width that the scaled sums provably fit, or lists of exact
-Python ints for a window too short for numpy to pay off or past the widest
-width.  Past it a full-period scan runs on base-2**32 digits of its class
-weights, each in a fixed width, or on numpy object arrays where a periodic
-table is past it too; :func:`_kernels.exact_sum` and
-:func:`_kernels.exact_values` read either.
+Every scan is one evaluator, D times the covering function minus the
+tables over one common denominator D, and :mod:`coverkit._kernels` picks
+its path and hands back answers: a witness, Python values or their sum.
 """
 
 from __future__ import annotations
@@ -242,10 +236,10 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
     Integers when the weights' common denominator is 1, Fractions otherwise.
     """
-    values, D = _kernels.scan(*_scan_input(system.seqs, (), start, length))
+    values, D = _kernels.exact_values(*_scan_input(system.seqs, (), start, length))
     if D == 1:
-        return tuple(_kernels.exact_values(values))
-    return tuple(Fraction(v, D) for v in _kernels.exact_values(values))
+        return tuple(values)
+    return tuple(Fraction(v, D) for v in values)
 
 
 def _oracle_points(points: int, what: str = "period") -> int:
@@ -279,10 +273,10 @@ def _scan_input(
 ):
     """The kernel arguments (classes, tables, start, length, char) of
     w - sum_s psi_s over [start, start+length), where w is the covering
-    function of ``seqs``; ``_kernels.scan`` of them is (D times those
-    values, D), D the common denominator of the weights and table values,
-    with sums over F_p reduced mod p.  A window past the oracle cap is
-    refused before anything is allocated."""
+    function of ``seqs``; ``_kernels.exact_values`` of them is (D times
+    those values, D), D the common denominator of the weights and table
+    values, with sums over F_p reduced mod p.  A window past the oracle
+    cap is refused before anything is allocated."""
     _oracle_points(length, "window")
     char = _common_char(psis) if psis else 0
     if char and seqs:
@@ -467,12 +461,12 @@ def min_on_window(
     if l == system.k:  # every modulus is 1, so w = k everywhere: no window
         return 1, l, l
     R_sets = [fraction_set([0, Fraction(ms, s.modulus)]) for ms, s in zip(multipliers, system.seqs)]
-    values = _kernels.scan(*_scan_input(system.seqs, (), start, window_bound(R_sets, 1)))[0]
-    global_min = int(values.min())
+    values, _ = _kernels.exact_values(*_scan_input(system.seqs, (), start, window_bound(R_sets, 1)))
+    global_min = min(values)
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
     W_l = window_bound(R_sets, l + 1) if l else len(values)
-    return W_l, int(values[:W_l].min()), global_min
+    return W_l, min(values[:W_l]), global_min
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +513,8 @@ def weighted_average_check(system: System) -> bool:
     the scan's width, their sum over N points need not), and the mean is
     one Fraction."""
     N = _oracle_points(system.lcm())
-    values, D = _kernels.scan(*_scan_input(system.seqs, (), 0, N))
-    lhs = Fraction(_kernels.exact_sum(values), D * N)
+    total, D = _kernels.exact_sum(*_scan_input(system.seqs, (), 0, N))
+    lhs = Fraction(total, D * N)
     rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
     return lhs == rhs
 
@@ -541,7 +535,8 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
         q, p = alpha.denominator, alpha.numerator
         if q not in terms:
             terms[q] = _unit_terms(system, q)
-            assert _unit_coefficient_is_zero(q, terms[q]), f"c_(1/{q}) != 0 in a zero system"
+            if not _unit_coefficient_is_zero(q, terms[q]):
+                raise AssertionError(f"c_(1/{q}) != 0 in a zero system")
         out.append((alpha, CyclotomicElement.from_terms(q, ((p * a, w) for a, w in terms[q]))))
     return out
 

@@ -194,7 +194,8 @@ def divisibility_chain_report(
     lp = least_prime_factor(math.prod(d))
     chain = (len(indices), len(theta), bound, lp)
     verified = chain[0] >= chain[1] >= chain[2] >= chain[3]
-    assert verified, f"divisibility chain violated: {chain}"
+    if not verified:
+        raise AssertionError(f"divisibility chain violated: {chain}")
     return DivisibilityChainReport(True, "", indices, theta, csum, chain, verified)
 
 
@@ -225,5 +226,6 @@ def _divisibility_verdict(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdi
             raise ValueError(f"hypothesis not met: maximal modulus {n} duplicated")
     decision = all(vec_divides(n, n0) for n in moduli)
     verdict = is_periodic_mod_vec(seqs, n0)
-    assert decision == verdict.ok, "divisibility decision disagrees with the window test"
+    if decision != verdict.ok:
+        raise AssertionError("divisibility decision disagrees with the window test")
     return verdict

@@ -2,16 +2,10 @@
 benchmark.
 
 Every fast windowed criterion elsewhere in the package is anchored by an
-exhaustive scan here.  The scans search one full period for its first
-nonzero point with the chunked :func:`coverkit._kernels.first_nonzero`,
-which no window check calls (or compare slices of one full period box, for
-periodicity mod a vector), always on the numpy kernels (in the narrowest
-fixed integer width that the scaled sums fit; past the widest on
-base-2**32 digits of the weights, each in a fixed width, recombined by one
-carry pass, or on numpy object arrays of exact Python ints where a
-periodic table is past it too), so a window check, which runs on lists of
-Python ints when it is short or past the widest width, is checked by a
-second implementation; they never consult the window theorems themselves.
+exhaustive scan here, of one full period or period box, searched or
+compared by :mod:`coverkit._kernels`, whose plan picks the path: always
+numpy, so a window check, which may run on lists, is checked by a second
+implementation.  The scans never consult the window theorems themselves.
 """
 
 from __future__ import annotations
@@ -26,6 +20,7 @@ from .covering import (
     System,
     Verdict,
     WeightedSequence,
+    _kernel_weights,
     _oracle_points,
     _scan_input,
     verify_covering_function,
@@ -63,49 +58,31 @@ def brute_tables_zero_verdict(psis: list[PeriodicValueTable]) -> Verdict:
 
 
 def brute_least_period(table: PeriodicValueTable) -> int:
-    """Smallest divisor d of the period with table(x) = table(x+d) for all x.
-
-    For d dividing N = period, the cyclic condition is equivalent to
-    arr[x] == arr[x+d] for x < N-d (the wrapped pairs follow by going round
-    the cycle), so each d compares two slices of one array, without a copy.
-    """
-    arr = _kernels._plan([table.values], None)[0]
-    N = table.period
-    # d = N always matches (two empty slices), so it is not compared: at
-    # N = 1, the one table whose plan may split into digits, none is
-    return next((d for d in divisors_of(N)[:-1] if (arr[d:] == arr[: N - d]).all()), N)
+    """Smallest divisor d of the period with table(x) = table(x+d) for all
+    x; d = N, the period, always is."""
+    return _kernels.first_period(table.values, divisors_of(table.period))
 
 
 def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:
     """Exhaustively decide whether w is periodic modulo n0.
 
-    Scans one full period box (componentwise lcm of n0 and all moduli) and
-    compares w(x) with w(x + n0_t * e_t) for every coordinate t.  Along
-    axis t that is the slice [0, dims_t - n0_t) against the slice
-    [n0_t, dims_t): dims_t is a multiple of n0_t, so the pairs that wrap
-    round the box follow from these by going round the cycle, and the
-    first mismatch in C order (the witness x) never wraps.  The box may not
-    exceed the oracle cap.
+    Compares w(x) with w(x + n0_t * e_t) for every coordinate t on one full
+    period box (componentwise lcm of n0 and all moduli), at most the oracle
+    cap.  dims_t is a multiple of n0_t, so the pairs that wrap round the
+    box follow from those inside it by going round the cycle, and the
+    first mismatch in C order (the witness x) never wraps.
     """
-    l = _check_dims(seqs, n0)
+    _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
         raise ValueError(f"period components must be positive, got {n0}")
     dims = tuple(math.lcm(c, *(s.modulus[t] for s in seqs)) for t, c in enumerate(n0))
     points = _oracle_points(math.prod(dims), "box")
-    # D * w over the box, D the weights' common denominator, one box per
-    # digit past the guard
-    nums, _ = _kernels._plan([(s.weight,) for s in seqs], None)
-    residues, moduli = [s.residue for s in seqs], [s.modulus for s in seqs]
-    boxes = [_kernels._box_counts(residues, moduli, digit, dims) for digit in _kernels._digit_list(nums)]
-    for t in range(l):
-        head = (slice(None),) * t
-        ahead, behind = head + (slice(n0[t], None),), head + (slice(0, dims[t] - n0[t]),)
-        bad = _kernels._nonzero([box[behind] - box[ahead] for box in boxes]) != 0
-        if bad.any():
-            x = _kernels._unravel(int(bad.argmax()), bad.shape)
-            y = tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))
-            return Verdict(False, (x, y), points)
-    return Verdict(True, None, points)
+    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], _kernel_weights(seqs))
+    found = _kernels.box_first_mismatch(classes, dims, n0)
+    if found is None:
+        return Verdict(True, None, points)
+    t, x = found
+    return Verdict(False, (x, tuple(c + (n0[t] if u == t else 0) for u, c in enumerate(x))), points)
 
 
 class BenchReport(NamedTuple):
@@ -154,7 +131,8 @@ def bench_window_vs_full(system: System, target: PeriodicValueTable) -> BenchRep
     t_full = _best_ns(brute_cover_verdict, system, target)
 
     agree = wv.ok == fv.ok
-    assert agree, f"window verdict {wv} disagrees with full-period verdict {fv}"
+    if not agree:
+        raise AssertionError(f"window verdict {wv} disagrees with full-period verdict {fv}")
     return BenchReport(
         tuple(system.moduli), wv.points, fv.points, t_window, t_full, agree, wv, fv
     )

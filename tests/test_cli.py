@@ -14,11 +14,19 @@ import pytest
 import coverkit
 from coverkit import MultiSequence, multidim_value
 from coverkit.cli import ParseError, parse_coefficient_file, parse_system, run_command
+from coverkit.covering import Verdict
 from coverkit.cyclotomic import CyclotomicElement
 
 B_TEXT = "1 2\n2 4\n0 4\n"
 BP_TEXT = "1 2\n2 4\n4 6\n"
 ZERO_TEXT = "0 2\n1 2\n0 1 -1\n"
+
+# periodic mod (2, 2), with the thm14 chain 16 >= 4 >= 2 >= 2 for d = (4, 4)
+CHAIN_TEXT = "\n".join(
+    ["0,0 2,2"]
+    + [f"{a},{b} 4,4" for a in range(4) for b in range(4)]
+    + [f"{a},{b} 2,4 -1/2" for a in range(2) for b in range(4)]
+) + "\n"
 
 COEFF_B = """\
 level 4
@@ -264,10 +272,7 @@ def test_multidim_commands(tmp_path, capsys):
     code, out = run(capsys, "multidim-period", "--n0", "1,1", f)
     assert code == 1 and "verdict=not-periodic" in out
 
-    lines = ["0,0 2,2"]
-    lines += [f"{a},{b} 4,4" for a in range(4) for b in range(4)]
-    lines += [f"{a},{b} 2,4 -1/2" for a in range(2) for b in range(4)]
-    g = write(tmp_path, "chain.txt", "\n".join(lines) + "\n")
+    g = write(tmp_path, "chain.txt", CHAIN_TEXT)
     code, out = run(capsys, "thm14", "--n0", "2,2", "--d", "4,4", g)
     assert code == 0 and "chain: 16 >= 4 >= 2 >= 2" in out
     code, out = run(capsys, "thm14", "--n0", "2,2", "--d", "2,2", g)
@@ -347,6 +352,61 @@ def test_bench_command(tmp_path, capsys):
     code, out = run(capsys, "bench", b)
     assert code == 0
     assert re.search(r"^bench\|moduli=2,4,4\|S=4\|N=4\|", out, re.M)
+
+
+def _disagreeing(check):
+    return lambda *a: Verdict(not check(*a).ok)
+
+
+@pytest.mark.parametrize(
+    "module,name,fake,argv,text,message",
+    [
+        (
+            "oracle", "brute_cover_verdict", lambda *a: Verdict(False, 0),
+            ["bench"], B_TEXT, "window verdict .* disagrees with full-period verdict",
+        ),
+        (
+            "multidim", "least_prime_factor", lambda n: 10**9,
+            ["thm14", "--n0", "2,2", "--d", "4,4"], CHAIN_TEXT, "divisibility chain violated",
+        ),
+        (
+            "multidim", "is_periodic_mod_vec", _disagreeing(coverkit.multidim.is_periodic_mod_vec),
+            ["cor14", "--n0", "2,2"], "0,0 2,2\n", "divisibility decision disagrees",
+        ),
+        (
+            "covering", "_unit_coefficient_is_zero", lambda q, terms: False,
+            ["zero-coeffs"], ZERO_TEXT, r"c_\(1/1\) != 0 in a zero system",
+        ),
+    ],
+    ids=["bench", "thm14", "cor14", "zero-coeffs"],
+)  # fmt: skip
+def test_a_failed_cross_check_exits_3(
+    tmp_path, capsys, monkeypatch, module, name, fake, argv, text, message
+):
+    """Each verdict's cross-check raises AssertionError when it fails, and
+    the CLI reports that as an internal failure, exit 3."""
+    monkeypatch.setattr(getattr(coverkit, module), name, fake)
+    code, out = run(capsys, *argv, write(tmp_path, "in.txt", text))
+    assert code == 3 and re.search(f"error: AssertionError: {message}", out), out
+
+
+def test_optimized_interpreter_keeps_the_bench_cross_check(tmp_path):
+    """``python -O`` strips assert statements; the bench cross-check is a
+    raise, so a disagreeing full-period verdict still exits 3."""
+    b = write(tmp_path, "B.txt", B_TEXT)
+    code = (
+        "import sys\n"
+        "if __debug__:\n    sys.exit('not optimized')\n"
+        "import coverkit.oracle\n"
+        "from coverkit.covering import Verdict\n"
+        "coverkit.oracle.brute_cover_verdict = lambda *a: Verdict(False, 0)\n"
+        "from coverkit.cli import run_command\n"
+        f"sys.exit(run_command(['bench', {b!r}]))\n"
+    )
+    cmd = [sys.executable, "-O", "-c", code]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "result|cmd=bench|verdict=error|witness=none"
 
 
 def test_window_size_command(tmp_path, capsys):

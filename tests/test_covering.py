@@ -561,7 +561,7 @@ def test_min_window_l_equals_k(monkeypatch):
         raise AssertionError("l >= k needs no window")
 
     monkeypatch.setattr(coverkit.covering, "window_bound", no_window)
-    monkeypatch.setattr(coverkit._kernels, "scan", no_window)
+    monkeypatch.setattr(coverkit._kernels, "exact_values", no_window)
     # all index subsets of size k-l are empty, so a single integer suffices
     double = System.of((0, 1), (0, 1))
     for start in (-3, 0, 17):

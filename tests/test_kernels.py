@@ -65,13 +65,16 @@ def test_cover_counts_matches_pointwise_definition():
             assert out[j] == expected
 
 
+def plan_dtype(groups):
+    """The dtype of a full-period plan of ``groups`` that is one digit."""
+    (nums,), _ = _kernels._plan(groups, None)
+    return nums.dtype
+
+
 def test_scaled_refuses_at_the_guard():
     g = _kernels._INT64_GUARD
-
-    def dtype(groups):
-        return _kernels._plan(groups, None)[0].dtype
-
-    nums, D = _kernels._plan([(Fraction(1, 2), 3), (Fraction(-1, 3),)], None)
+    dtype = plan_dtype
+    (nums,), D = _kernels._plan([(Fraction(1, 2), 3), (Fraction(-1, 3),)], None)
     assert (nums.tolist(), D) == ([3, 18, -2], 6)
     assert dtype([(g - 2, -5), (1,)]) == np.int64
     assert dtype([(g - 2, -5), (2,)]) == object  # the group peaks sum to g
@@ -84,11 +87,11 @@ def test_scaled_refuses_at_the_guard():
     assert dtype([(Fraction(g - 2, 3),)]) == np.int64
     assert dtype([(Fraction(g - 2, 3), Fraction(1, 2))]) == object  # D = 6
     # past the guard the numerators stay exact
-    nums, D = _kernels._plan([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)], None)
+    (nums,), D = _kernels._plan([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)], None)
     assert (nums.tolist(), D) == ([2 * (g - 2), 3, -6 * 2**63], 6)
     # a denominator past int64 stays off the object path when only zeros
     # need scaling by it
-    nums, D = _kernels._plan([(Fraction(1, 2**70),), (0, 0)], None)
+    (nums,), D = _kernels._plan([(Fraction(1, 2**70),), (0, 0)], None)
     assert (nums.dtype, nums.tolist(), D) == (np.int8, [1, 0, 0], 2**70)
 
 
@@ -108,15 +111,17 @@ def test_scaled_picks_the_narrowest_width():
             ([(peak - 1, 0), (-1,), (0, 0)], False),
             ([(Fraction(peak, 3), Fraction(-1, 3))], False),
         ):
-            nums, D = _kernels._plan(groups, None)
+            digits, D = _kernels._plan(groups, None)
             flat = [v for g in groups for v in g]
+            assert type(digits) is tuple
             if width is object and lone:
                 # at the guard a lone value past 2**32 splits into digits,
                 # and the group of two goes whole into digit 0, whose peak
                 # sum stays below the guard
-                assert type(nums) is tuple and [d.dtype.kind for d in nums] == ["i", "i"]
-                assert [Fraction(v, D) for v in digit_values(nums)] == flat
+                assert [d.dtype.kind for d in digits] == ["i", "i"]
+                assert [Fraction(v, D) for v in digit_values(digits)] == flat
                 continue
+            (nums,) = digits
             assert nums.dtype == width, (peak, groups)
             assert [Fraction(v, D) for v in nums.tolist()] == flat
 
@@ -136,8 +141,8 @@ def test_prime_field_tables_in_narrow_widths(p):
             for n in periods
         ]
         negated = [PeriodicValueTable(t.period, tuple(-v for v in t.values), p) for t in tables]
-        assert _kernels._plan([t.values for t in tables], None)[0].dtype == np.int8
-        assert _kernels._plan([t.values for t in tables + negated], None)[0].dtype == (
+        assert plan_dtype([t.values for t in tables]) == np.int8
+        assert plan_dtype([t.values for t in tables + negated]) == (
             np.int16 if p < 2**14 else np.int64
         )
         start = rng.choice((0, 2**64 + rng.randrange(99)))
@@ -279,7 +284,7 @@ def test_int64_guard_changes_speed_never_answers(setting):
         exact = _answers(8128)
     with kernel_widths(setting):
         width = {"int64-guard": np.int64, "guard-1": object}.get(setting, np.int8)
-        assert _kernels._plan([(Fraction(1),), (1, 0)], None)[0].dtype == width
+        assert plan_dtype([(Fraction(1),), (1, 0)]) == width
         assert _answers(8128) == exact
 
 
@@ -372,7 +377,7 @@ def test_list_boundary_keeps_answers(monkeypatch):
             numpy_calls.clear()
             assert _kernels.first_below(rows, least, start, length) == expected
             assert bool(numpy_calls) == on_numpy
-            oracle = _kernels.scan(((), (), ()), rows, start, length)[0].tolist()
+            oracle, _ = _kernels.exact_values(((), (), ()), rows, start, length)
             assert next((start + j for j, v in enumerate(oracle) if v > -least), None) == expected
     assert 3 < failing < 10
 
@@ -442,28 +447,41 @@ def test_cover_past_the_guard_scans_on_digits(monkeypatch):
     assert {d.dtype.kind for nums, _ in plans for d in nums} == {"i"}
 
 
-def test_exact_sum_native_only_where_exact():
-    rng = random.Random(32)
-    for dtype, bound in (("int8", 2**6), ("int16", 2**14), ("int32", 2**30)):
-        values = [rng.randrange(-bound, bound) for _ in range(1000)]
-        assert _kernels.exact_sum(np.array(values, dtype=dtype)) == sum(values)
-    wide = np.array([2**62, 2**62, 2**62], dtype=np.int64)
-    assert _kernels.exact_sum(wide) == 3 * 2**62 != int(wide.sum())
+def test_exact_sum_native_only_where_exact(monkeypatch):
+    """exact_sum sums each digit of a full-period scan natively where no
+    int64 total can wrap, and in Python ints from there: every digit's
+    sums come back as an array whose tolist raises, so a native sum is one
+    that does not raise."""
 
     class NoList(np.ndarray):
         def tolist(self):
             raise AssertionError("summed in Python ints")
 
-    # an int64 array sums natively while its size times its largest
+    cover_counts = _kernels.cover_counts
+    monkeypatch.setattr(_kernels, "cover_counts", lambda *a: cover_counts(*a).view(NoList))
+    none = ((), (), ())
+    rng = random.Random(32)
+    for width, bound in ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30)):
+        values = [rng.randrange(1 - bound, bound) for _ in range(1000)]
+        assert plan_dtype([values]) == width
+        assert _kernels.exact_sum(none, [values], 0, 1000) == (-sum(values), 1)
+    # an int64 scan sums natively while its size times its largest
     # magnitude is below 2**63, and in Python ints from there
-    inside = np.array([2**62 - 1, -(2**62 - 1), 2**62 - 1], dtype=np.int64)
-    assert _kernels.exact_sum(inside[:2].view(NoList)) == 0
-    assert _kernels.exact_sum(inside[::2].view(NoList)) == 2**63 - 2
-    at = np.array([2**62, 2**62], dtype=np.int64)
-    assert _kernels.exact_sum(at) == 2**63 != int(at.sum())
+    peak = 2**62 - 1
+    assert plan_dtype([(peak, -peak)]) == np.int64
+    assert _kernels.exact_sum(none, [(peak, -peak)], 0, 2) == (0, 1)
+    assert _kernels.exact_sum(none, [(peak,)], 0, 2) == (-(2**63 - 2), 1)
     with pytest.raises(AssertionError, match="Python ints"):
-        _kernels.exact_sum(at.view(NoList))
-    assert _kernels.exact_sum(np.array([2**70, -1], dtype=object)) == 2**70 - 1
+        _kernels.exact_sum(none, [(peak,)], 0, 3)
+    # each digit of a lone value past the guard sums natively, and shifts
+    # into place
+    assert _kernels.exact_sum(([0], [1], [2**63]), [], 0, 3) == (3 * 2**63, 1)
+    monkeypatch.setattr(_kernels, "cover_counts", cover_counts)
+    assert _kernels.exact_sum(none, [(peak,)], 0, 3) == (-3 * peak, 1)
+    assert int(np.full(3, -peak).sum()) != -3 * peak  # an int64 total wraps
+    # a periodic table past the guard sums as an object array
+    assert plan_dtype([(2**70, -1)]) == object
+    assert _kernels.exact_sum(none, [(2**70, -1)], 0, 2) == (1 - 2**70, 1)
 
 
 # weight scales that put a system's scaled peak sum in each width
@@ -513,22 +531,19 @@ def test_full_period_answers_independent_of_width(monkeypatch):
 
         def recording(groups, work, char=0):
             nums, D = plan(groups, work, char)
-            if work is None:  # a full-period plan: one array, or its digits
-                chosen[setting].add(tuple(d.dtype for d in nums) if type(nums) is tuple else nums.dtype)
+            if work is None:  # a full-period plan: a tuple of digits
+                chosen[setting].add(tuple(d.dtype for d in nums))
             return nums, D
 
         with kernel_widths(setting):
             monkeypatch.setattr(_kernels, "_plan", recording)
             answers[setting] = _full_period_answers(496)
     int64, digits = np.dtype("int64"), (np.dtype("int64"),) * 2
+    one = {t: (np.dtype(t),) for t in ("int8", "int16", "int32", "int64", object)}
     assert chosen == {
-        "narrowest": {
-            *(np.dtype(t) for t in ("int8", "int16", "int32", "int64", object)),
-            (np.dtype("int8"), int64),
-            digits,
-        },
-        "int64-guard": {int64, np.dtype(object), digits},
-        "guard-1": {np.dtype(object)},
+        "narrowest": {*one.values(), (np.dtype("int8"), int64), digits},
+        "int64-guard": {one["int64"], one[object], digits},
+        "guard-1": {one[object]},
     }
     assert answers["narrowest"] == answers["int64-guard"] == answers["guard-1"]
     # the sweep is not vacuous: some checks fail, with witnesses
@@ -574,10 +589,13 @@ def test_table_sums_blocks_match_pointwise_definition():
 
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     system = System.of((0, 2, 2**60), (1, 1009, 2**60))
-    arr, D = _kernels.scan(*_scan_input(system.seqs, (), 0, system.lcm()))
-    assert arr.dtype == np.int64 and D == 1
+    assert plan_dtype([(2**60,), (2**60,)]) == np.int64  # the scan's plan
+    values, D = _kernels.exact_values(*_scan_input(system.seqs, (), 0, system.lcm()))
+    assert D == 1 and max(values) < 2**62
     # every point fits in int64, the total over the period does not
-    assert sum(arr.tolist()) == 1011 * 2**60 != int(arr.sum())
+    total = _kernels.exact_sum(*_scan_input(system.seqs, (), 0, system.lcm()))
+    assert total == (sum(values), 1) == (1011 * 2**60, 1)
+    assert int(np.array(values, dtype=np.int64).sum()) != 1011 * 2**60
     rng = random.Random(2**60)
 
     def weight():
@@ -592,7 +610,7 @@ def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     for s in systems[1:]:
         assert mean_reference(s) == sum(Fraction(q.weight, q.modulus) for q in s.seqs)
     monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
-    assert _kernels.scan(*_scan_input(system.seqs, (), 0, system.lcm()))[0].dtype == object
+    assert plan_dtype([(2**60,), (2**60,)]) == object
     assert [weighted_average_check(s) for s in systems] == fast
 
 

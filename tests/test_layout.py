@@ -2,9 +2,11 @@
 reads or builds the Q(zeta) coefficient vector, only `_kernels` imports
 numpy, names an integer width or reads a dtype, and only
 `cli.run_command` prints a report.  Each scan has one route: only `oracle`
-calls the full-period search `_kernels.first_nonzero`, so `covering`
-searches windows alone.  No module memoizes,
-so every zero test and count is computed afresh."""
+calls the full-period search `_kernels.first_nonzero` and the full-period
+compares, so `covering` searches windows alone, and no other module names
+a private `_kernels` attribute.  No module memoizes, so every zero test
+and count is computed afresh, and no module checks with an `assert`
+statement, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -107,17 +109,33 @@ def test_no_module_memoizes():
     assert users(uses_functools_cache) == set()
 
 
-def names_full_period_search(node) -> bool:
+def names_kernel(node, found) -> bool:
+    # _kernels.<name> with found(name), or from ._kernels import <name>
+    if isinstance(node, ast.ImportFrom) and node.module == "_kernels":
+        return any(found(alias.name) for alias in node.names)
     return (
         isinstance(node, ast.Attribute)
-        and node.attr == "first_nonzero"
+        and found(node.attr)
         and isinstance(node.value, ast.Name)
         and node.value.id == "_kernels"
     )
 
 
+FULL_PERIOD_SCANS = {"first_nonzero", "first_period", "box_first_mismatch"}
+
+
 def test_only_the_oracle_searches_full_periods():
-    assert users(names_full_period_search) == {"oracle.py"}
+    for name in FULL_PERIOD_SCANS:
+        assert users(lambda node: names_kernel(node, name.__eq__)) == {"oracle.py"}, name
+
+
+def test_only_kernels_names_its_private_attributes():
+    private = users(lambda node: names_kernel(node, lambda name: name.startswith("_")))
+    assert private <= {"_kernels.py"}
+
+
+def test_no_module_asserts():
+    assert users(lambda node: isinstance(node, ast.Assert)) == set()
 
 
 def calls_print(node) -> bool:

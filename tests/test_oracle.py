@@ -37,6 +37,8 @@ def test_brute_least_period_examples():
     assert brute_least_period(PeriodicValueTable(4, (1, 0, 0, 0))) == 4
     assert brute_least_period(cover_table(system_B())) == 1
     assert brute_least_period(PeriodicValueTable(6, (1, 0, 1, 0, 1, 0))) == 2
+    # a table of period 1 past the guard plans as three digits
+    assert brute_least_period(PeriodicValueTable.constant(2**70)) == 1
 
 
 def test_brute_least_period_fractions():
