@@ -12,6 +12,11 @@ and a vector witness pair x, y (``multidim-period``, ``cor14``) is
 written ``witness=<x1,x2,...>:<y1,y2,...>``.  The bench subcommand
 additionally emits its own ``bench|...`` line.  A subcommand returns what
 it found as a :class:`Report`; only :func:`run_command` prints.
+
+Loading this module imports no other coverkit module: each subcommand
+imports what it calls, so a request compiles only the modules it runs
+(``window-size``, for one, only :mod:`coverkit.fracsets` and
+:mod:`coverkit.numtheory`).
 """
 
 from __future__ import annotations
@@ -20,32 +25,10 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .covering import (
-    DEFAULT_ORACLE_CAP,
-    ExpSumSequence,
-    PeriodicValueTable,
-    System,
-    WeightedSequence,
-    equal_cover_superset_check,
-    expsum_cover_check,
-    least_period,
-    min_on_window,
-    non_exact_witness,
-    verify_covering_function,
-    weighted_average_check,
-    zero_system_coefficients,
-)
-from .cyclotomic import CyclotomicElement
-from .fracsets import phi_sum_cardinality
-from .multidim import (
-    MultiSequence,
-    _divisibility_verdict,
-    divisibility_chain_report,
-    is_periodic_mod_vec,
-)
-from .oracle import bench_window_vs_full
+if TYPE_CHECKING:
+    from .covering import ExpSumSequence, PeriodicValueTable, System
 
 __all__ = ["SystemFile", "parse_system", "parse_coefficient_file", "run_command", "main"]
 
@@ -54,21 +37,33 @@ class ParseError(ValueError):
     pass
 
 
+class Entry(NamedTuple):
+    """One line of a system file: residue and modulus vectors, each residue
+    component reduced mod its modulus, and an exact weight."""
+
+    residue: tuple[int, ...]
+    modulus: tuple[int, ...]
+    weight: Fraction
+
+
 class SystemFile(NamedTuple):
     """Parsed system description plus the source text it came from."""
 
-    entries: tuple[MultiSequence, ...]
+    entries: tuple[Entry, ...]
     dim: int
     source: str
 
-    def as_system(self) -> System:
+    def moduli(self) -> list[int]:
+        """The moduli of a one-dimensional system; any other is refused."""
         if self.dim != 1:
             raise ParseError(f"expected a one-dimensional system, got dimension {self.dim}")
-        return System(
-            tuple(
-                WeightedSequence(e.residue[0], e.modulus[0], e.weight) for e in self.entries
-            )
-        )
+        return [e.modulus[0] for e in self.entries]
+
+    def as_system(self) -> System:
+        from .covering import System, WeightedSequence
+
+        moduli = self.moduli()
+        return System(tuple(WeightedSequence(e.residue[0], n, e.weight) for e, n in zip(self.entries, moduli)))
 
     def serialize(self) -> str:
         lines = []
@@ -116,7 +111,7 @@ def parse_system(text: str) -> SystemFile:
     """Parse a system file: one entry per line, ``<a> <n> [<weight>]`` with
     comma-separated components in the multidimensional case.  Blank lines
     and ``#`` comments are ignored; every entry must share one dimension."""
-    entries: list[MultiSequence] = []
+    entries: list[Entry] = []
     dim = None
     for lineno, line in _lines(text):
         parts = line.split()
@@ -133,7 +128,7 @@ def parse_system(text: str) -> SystemFile:
         if any(c < 1 for c in n):
             raise ParseError(f"line {lineno}: moduli must be positive, got {parts[1]}")
         weight = _parse_number(parts[2], "weight", lineno) if len(parts) == 3 else Fraction(1)
-        entries.append(MultiSequence(a, n, weight))
+        entries.append(Entry(tuple(at % nt for at, nt in zip(a, n)), n, weight))
     if not entries:
         raise ParseError("no sequences in input")
     return SystemFile(tuple(entries), dim, text)
@@ -145,7 +140,8 @@ def parse_system(text: str) -> SystemFile:
 _TERM_RE = re.compile(r"([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(?:\*\s*z\^(-?\d+))?|z\^(-?\d+))\s*")
 
 
-def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
+def _coefficient_terms(expr: str, lineno: int) -> list[tuple[int, Fraction]]:
+    """The (exponent, rational) terms of one coefficient expression."""
     terms: list[tuple[int, Fraction]] = []
     pos = 0
     while pos < len(expr):
@@ -164,10 +160,13 @@ def _parse_coefficient(expr: str, level: int, lineno: int) -> CyclotomicElement:
         exp = exp1 if exp1 is not None else exp2
         terms.append((int(exp) if exp is not None else 0, coeff))
         pos = m.end()
-    return CyclotomicElement.from_terms(level, terms)
+    return terms
 
 
 def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
+    from .covering import DEFAULT_ORACLE_CAP, ExpSumSequence
+    from .cyclotomic import CyclotomicElement
+
     level = None
     # (line, modulus, terms) of each `modulus` block, in file order
     blocks: list[tuple[int, int, list[tuple[int, CyclotomicElement]]]] = []
@@ -197,7 +196,8 @@ def parse_coefficient_file(text: str) -> list[ExpSumSequence]:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 't <coefficient>'")
             t = _parse_number(parts[0], "term index", lineno, int)
-            blocks[-1][2].append((t, _parse_coefficient(parts[1], level, lineno)))
+            coeff = CyclotomicElement.from_terms(level, _coefficient_terms(parts[1], lineno))
+            blocks[-1][2].append((t, coeff))
     for lineno, modulus, terms in blocks:
         if not terms:
             raise ParseError(f"line {lineno}: modulus {modulus} has no terms")
@@ -217,6 +217,8 @@ def _read(path: str) -> str:
 
 
 def _read_target(args) -> PeriodicValueTable:
+    from .covering import PeriodicValueTable
+
     if args.target_file is not None:
         lines = _lines(_read(args.target_file))
         values = [_parse_number(line, "target value", lineno) for lineno, line in lines]
@@ -321,10 +323,13 @@ def _checked(found, holds: tuple[str, str], fails: tuple[str, ...], head=()) -> 
 
 
 def _run(args) -> Report:
-    """Execute one subcommand and report what it found; prints nothing."""
+    """Execute one subcommand and report what it found; prints nothing.
+    Each branch imports what it calls."""
     cmd = args.cmd
 
     if cmd == "expsum-cover":
+        from .covering import expsum_cover_check
+
         exp_seqs = parse_coefficient_file(_read(args.file))
         return _checked(
             expsum_cover_check(exp_seqs, args.m, args.start),
@@ -335,31 +340,41 @@ def _run(args) -> Report:
 
     sf = parse_system(_read(args.file))
 
-    if cmd in ("multidim-period", "cor14"):
+    if cmd in ("multidim-period", "cor14", "thm14"):
+        from .multidim import MultiSequence, _divisibility_verdict, divisibility_chain_report, is_periodic_mod_vec
+
+        seqs = [MultiSequence(*e) for e in sf.entries]
         n0 = _vector(args, "n0")
+        if cmd == "thm14":
+            report = divisibility_chain_report(seqs, n0, _vector(args, "d"))
+            if not report.applicable:
+                return Report(2, "not-applicable", None, (f"not applicable: {report.reason}",))
+            ni, nt, bound, lp = report.chain
+            return Report(0, "chain-verified", None, (
+                f"indices: {list(report.indices)}",
+                f"coefficient sum: {report.coefficient_sum}",
+                f"theta: {[str(t) for t in report.theta]}",
+                f"chain: {ni} >= {nt} >= {bound} >= {lp}",
+            ))
         if cmd == "cor14":
-            verdict = _divisibility_verdict(sf.entries, n0)
+            verdict = _divisibility_verdict(seqs, n0)
             holds, fails = "all moduli divide n0: periodic", "some modulus does not divide n0: not periodic, "
         else:
-            verdict = is_periodic_mod_vec(sf.entries, n0)
+            verdict = is_periodic_mod_vec(seqs, n0)
             holds, fails = "periodic", "not periodic: "
         return _checked(verdict, ("periodic", holds), ("not-periodic", fails))
 
-    if cmd == "thm14":
-        report = divisibility_chain_report(sf.entries, _vector(args, "n0"), _vector(args, "d"))
-        if not report.applicable:
-            return Report(2, "not-applicable", None, (f"not applicable: {report.reason}",))
-        ni, nt, bound, lp = report.chain
-        return Report(0, "chain-verified", None, (
-            f"indices: {list(report.indices)}",
-            f"coefficient sum: {report.coefficient_sum}",
-            f"theta: {[str(t) for t in report.theta]}",
-            f"chain: {ni} >= {nt} >= {bound} >= {lp}",
-        ))
+    if cmd == "window-size":
+        from .fracsets import phi_sum_cardinality
+
+        size = phi_sum_cardinality(sf.moduli())
+        return Report(0, str(size), None, (str(size),))
 
     system = sf.as_system()
 
     if cmd == "verify":
+        from .covering import verify_covering_function
+
         verdict = verify_covering_function(system, _read_target(args), args.start)
         return _checked(
             verdict,
@@ -369,6 +384,8 @@ def _run(args) -> Report:
         )
 
     if cmd == "exact-cover":
+        from .covering import PeriodicValueTable, verify_covering_function
+
         if args.m < 1:
             raise ParseError(f"m must be positive, got {args.m}")
         return _checked(
@@ -378,23 +395,33 @@ def _run(args) -> Report:
         )
 
     if cmd == "least-period":
+        from .covering import least_period
+
         n0 = least_period(system)
         return Report(0, str(n0), None, (f"least period: {n0}",))
 
     if cmd == "min-window":
+        from .covering import min_on_window
+
         W_l, wmin, gmin = min_on_window(system, _vector(args, "multipliers"), args.l, args.start)
         lines = f"window length: {W_l}", f"window minimum: {wmin}", f"global minimum: {gmin}"
         return Report(0, "ok", None, lines)
 
     if cmd == "witness":
+        from .covering import non_exact_witness
+
         x = non_exact_witness(system, args.m)
         return Report(0, "witness-found", x, (f"witness: x = {x} has covering count != {args.m}",))
 
     if cmd == "zero-coeffs":
+        from .covering import zero_system_coefficients
+
         pairs = zero_system_coefficients(system)
         return Report(0, "all-zero", None, tuple(f"alpha={alpha}: coefficient is zero" for alpha, _ in pairs))
 
     if cmd == "average":
+        from .covering import weighted_average_check
+
         return _checked(
             weighted_average_check(system),
             ("identity-holds", "mean value equals the weight/modulus sum"),
@@ -402,6 +429,8 @@ def _run(args) -> Report:
         )
 
     if cmd == "su6-check":
+        from .covering import equal_cover_superset_check
+
         return _checked(
             equal_cover_superset_check(system),
             ("superset-holds", "subset sums contain every fraction r/n"),
@@ -409,18 +438,18 @@ def _run(args) -> Report:
         )
 
     if cmd == "bench":
+        from .covering import PeriodicValueTable
+        from .oracle import bench_window_vs_full
+
+        # bench_window_vs_full raises when the two verdicts disagree
         report = bench_window_vs_full(system, PeriodicValueTable.constant(args.target_const))
-        return Report(0, "agree" if report.agree else "disagree", None, (
+        return Report(0, "agree", None, (
             f"window points: {report.window_points}",
             f"full period:   {report.full_points}",
             f"window time:   {report.t_window_ns} ns",
             f"full time:     {report.t_full_ns} ns",
             report.machine_line(),
         ))
-
-    if cmd == "window-size":
-        size = phi_sum_cardinality(system.moduli)
-        return Report(0, str(size), None, (str(size),))
 
     raise AssertionError(f"unhandled command {cmd}")
 

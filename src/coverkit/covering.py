@@ -26,6 +26,8 @@ runs on a window, and the full-period search is :mod:`coverkit.oracle`'s.
 Every scan is one evaluator, D times the covering function minus the
 tables over one common denominator D, and :mod:`coverkit._kernels` picks
 its path and hands back answers: a witness, Python values or their sum.
+Only the zero-set and coefficient functions use :mod:`coverkit.cyclotomic`;
+they import it once per call, so a window check never loads it.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ import math
 import numbers
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _kernels
-from .cyclotomic import CyclotomicElement, zero_set_table
 from .fracsets import (
     FractionSet,
     divisor_union_phis,
@@ -48,6 +49,9 @@ from .fracsets import (
     window_bound,
 )
 from .numtheory import _is_prime, factorize, lcm_all
+
+if TYPE_CHECKING:
+    from .cyclotomic import CyclotomicElement
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -391,6 +395,8 @@ class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
         """Two-term instance whose zero set is exactly the residue class of
         ``seq``: coefficients 1 and -zeta_n^(-a*multiplier) at term indices 0
         and ``multiplier``.  Requires gcd(multiplier, modulus) = 1."""
+        from .cyclotomic import CyclotomicElement
+
         n = seq.modulus
         if math.gcd(multiplier, n) != 1:
             raise ValueError(f"multiplier {multiplier} not coprime to modulus {n}")
@@ -403,6 +409,8 @@ class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
 
     def membership_table(self) -> tuple[bool, ...]:
         """Zero-set indicator over one period (x enters only via x mod n)."""
+        from .cyclotomic import zero_set_table
+
         return zero_set_table(self.modulus, self.terms)
 
 
@@ -415,6 +423,8 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     is one kernel call over the 0/1 zero-set indicators; a window or tables
     past the oracle cap are refused before any table is built.
     """
+    from .cyclotomic import zero_set_table
+
     k = len(exp_seqs)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
@@ -422,7 +432,7 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     # a table is n zero tests at the lcm of n and its coefficient levels
     tables = sum(es.modulus * math.lcm(es.modulus, *(c.level for _, c in es.terms)) for es in exp_seqs)
     _oracle_points(tables, "zero-set table")
-    indicators = [[int(v) for v in es.membership_table()] for es in exp_seqs]
+    indicators = [[int(v) for v in zero_set_table(es.modulus, es.terms)] for es in exp_seqs]
     x = _kernels.first_below(indicators, m, start, W)
     return Verdict(x is None, x, W)
 
@@ -479,11 +489,6 @@ def _unit_terms(system: System, q: int) -> list[tuple[int, Fraction]]:
     return [(s.residue, s.weight / s.modulus) for s in system.seqs if s.modulus % q == 0]
 
 
-def _unit_coefficient_is_zero(q: int, terms: list[tuple[int, Fraction]]) -> bool:
-    """Whether c_{1/q}, given by its :func:`_unit_terms`, is zero in Q(zeta_q)."""
-    return CyclotomicElement.from_terms(q, terms).is_zero()
-
-
 def least_period(system: System) -> int:
     """Smallest positive period of the weighted covering function.
 
@@ -495,12 +500,14 @@ def least_period(system: System) -> int:
     in descending order and a q already dividing the running lcm is skipped,
     since it cannot change the answer.
     """
+    from .cyclotomic import CyclotomicElement
+
     # each test builds a dense element of level q, and the largest q is the
     # largest modulus
     _oracle_points(max(system.moduli), "cyclotomic level")
     result = 1
     for q in sorted(divisor_union_phis(system.moduli), reverse=True):
-        if result % q and not _unit_coefficient_is_zero(q, _unit_terms(system, q)):
+        if result % q and not CyclotomicElement.from_terms(q, _unit_terms(system, q)).is_zero():
             result = math.lcm(result, q)
     return result
 
@@ -527,6 +534,8 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
     zeta_q -> zeta_q^p, so c_{1/q} is asserted to vanish once per
     denominator q, and c_{p/q} is built from its terms with exponents p*a_s.
     """
+    from .cyclotomic import CyclotomicElement
+
     if not verify_covering_function(system, PeriodicValueTable.constant(0)):
         raise ValueError("covering function is not identically zero")
     terms: dict[int, list] = {}
@@ -535,7 +544,7 @@ def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicE
         q, p = alpha.denominator, alpha.numerator
         if q not in terms:
             terms[q] = _unit_terms(system, q)
-            if not _unit_coefficient_is_zero(q, terms[q]):
+            if not CyclotomicElement.from_terms(q, terms[q]).is_zero():
                 raise AssertionError(f"c_(1/{q}) != 0 in a zero system")
         out.append((alpha, CyclotomicElement.from_terms(q, ((p * a, w) for a, w in terms[q]))))
     return out

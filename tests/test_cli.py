@@ -300,7 +300,7 @@ def test_vector_witness_in_machine_line(tmp_path, capsys, cmd, n0):
     assert f"w{x} != w{y}" in out
     a, b = map(int, n0.split(","))
     assert tuple(v - u for u, v in zip(x, y)) in [(a, 0), (0, b)]
-    entries = parse_system(text).entries
+    entries = [MultiSequence(*e) for e in parse_system(text).entries]
     assert multidim_value(entries, x) != multidim_value(entries, y)
     assert run(capsys, cmd, "--n0", "2,6", f)[1].strip().endswith("|witness=none")
 
@@ -310,8 +310,7 @@ def test_cor14_checks_periodicity_once(tmp_path, capsys, monkeypatch):
     that also confirms the divisibility decision."""
     calls = []
     check = coverkit.multidim.is_periodic_mod_vec
-    for module in (coverkit.multidim, coverkit.cli):
-        monkeypatch.setattr(module, "is_periodic_mod_vec", lambda *a: calls.append(a) or check(*a))
+    monkeypatch.setattr(coverkit.multidim, "is_periodic_mod_vec", lambda *a: calls.append(a) or check(*a))
     f = write(tmp_path, "m.txt", "0,0 2,2\n1,0 2,3 -1/2\n")
     for n0, code in (("1,2", 1), ("2,6", 0)):
         calls.clear()
@@ -323,7 +322,7 @@ def test_verify_computes_its_window_once(tmp_path, capsys, monkeypatch):
     """The window length that verify prints is the one its check scanned."""
     calls = []
     size = coverkit.covering.phi_sum_cardinality
-    for module in (coverkit.covering, coverkit.cli):
+    for module in (coverkit.covering, coverkit.fracsets):
         monkeypatch.setattr(module, "phi_sum_cardinality", lambda m: calls.append(m) or size(m))
     bp = write(tmp_path, "Bp.txt", BP_TEXT)
     code, out = run(capsys, "verify", "--target-const", "1", "--start", "1", bp)
@@ -374,7 +373,7 @@ def _disagreeing(check):
             ["cor14", "--n0", "2,2"], "0,0 2,2\n", "divisibility decision disagrees",
         ),
         (
-            "covering", "_unit_coefficient_is_zero", lambda q, terms: False,
+            "covering", "_unit_terms", lambda system, q: [(0, Fraction(1))],
             ["zero-coeffs"], ZERO_TEXT, r"c_\(1/1\) != 0 in a zero system",
         ),
     ],
@@ -632,6 +631,44 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
         assert not loaded_after(RUN_CLI.format(argv, 1), "numpy"), argv
     assert loaded_after(RUN_CLI.format(["exact-cover", "--m", "1", long], 0), "numpy")
     assert loaded_after(RUN_CLI.format(["multidim-period", "--n0", "1,1", wide], 1), "numpy")
+
+
+SUBMODULES = {f"coverkit.{p.stem}" for p in Path(coverkit.__file__).parent.glob("*.py")} - {"coverkit.__init__"}
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    """The package and the CLI load no module until a subcommand calls it:
+    window-size runs on fracsets and numtheory alone, the window checks
+    load no zero test and no oracle, and periodicity mod a vector no zero
+    test either."""
+    b = write(tmp_path, "B.txt", B_TEXT)
+    box = write(tmp_path, "box.txt", "0,0 2,3\n1,1 4,1\n")
+
+    def loaded(code):
+        return {name.removeprefix("coverkit.") for name in loaded_after(code, *SUBMODULES)}
+
+    assert loaded("import coverkit") == set()
+    assert loaded("import coverkit.cli") == {"cli"}
+    assert loaded(RUN_CLI.format(["window-size", b], 0)) == {"cli", "fracsets", "numtheory"}
+    for argv in (["exact-cover", "--m", "1", b], ["verify", "--target-const", "1", b], ["witness", "--m", "2", b]):
+        assert not loaded(RUN_CLI.format(argv, 0)) & {"cyclotomic", "multidim", "oracle"}, argv
+    assert not loaded(RUN_CLI.format(["multidim-period", "--n0", "2,3", box], 1)) & {"cyclotomic", "oracle"}
+    assert "oracle" in loaded(RUN_CLI.format(["bench", b], 0))
+
+
+def test_package_names_resolve_on_first_use():
+    """Every public name of the package is the object its home module
+    defines, ``dir`` and ``import *`` see all of them, and an unknown name
+    is an AttributeError that names it."""
+    for name in coverkit.__all__:
+        obj = getattr(coverkit, name)
+        assert obj.__module__ in SUBMODULES and obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(coverkit.__all__) <= set(dir(coverkit))
+    namespace = {}
+    exec("from coverkit import *", namespace)
+    assert all(namespace[name] is getattr(coverkit, name) for name in coverkit.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        coverkit.no_such_name
 
 
 def test_records_need_no_dataclasses(tmp_path):

@@ -506,10 +506,11 @@ def test_expsum_cover_refuses_a_window_past_the_cap(monkeypatch):
     one = CyclotomicElement.constant(1, 1)
     exp = [ExpSumSequence(n, tuple((t, one) for t in range(n))) for n in (1009, 1013)]
 
-    def unbuilt(self):
+    def unbuilt(*args):
         raise AssertionError("membership table built for a refused window")
 
     monkeypatch.setattr(ExpSumSequence, "membership_table", unbuilt)
+    monkeypatch.setattr(coverkit.cyclotomic, "zero_set_table", unbuilt)
     with pytest.raises(ValueError, match="window too large: 1022117 points"):
         expsum_cover_check(exp, 1)
 
@@ -518,12 +519,12 @@ def test_expsum_cover_refuses_zero_set_tables_past_the_cap(monkeypatch):
     """Each table point is one vector at the lcm of the modulus and the
     coefficient levels: sum_s n_s * lcm(n_s, levels) past the cap is refused
     before any coefficient is lifted or any table is built."""
-    from coverkit import covering
+    from coverkit import cyclotomic
 
     def unbuilt(*args):
         raise AssertionError("zero-set table built past the cap")
 
-    monkeypatch.setattr(covering, "zero_set_table", unbuilt)
+    monkeypatch.setattr(cyclotomic, "zero_set_table", unbuilt)
     monkeypatch.setattr(CyclotomicElement, "lift", unbuilt)
     one = CyclotomicElement.constant(1, 1)
     big = ExpSumSequence(997, ((0, one), (1, CyclotomicElement.constant(991, -1))))

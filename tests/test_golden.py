@@ -223,7 +223,7 @@ def test_transcript(files, capsys, argv, code, stdout):
 
 @pytest.mark.parametrize("name,replacement,argv,code,stdout", FORCED, ids=[f[2] for f in FORCED])
 def test_forced_transcript(files, capsys, monkeypatch, name, replacement, argv, code, stdout):
-    monkeypatch.setattr(f"coverkit.cli.{name}", replacement)
+    monkeypatch.setattr(f"coverkit.covering.{name}", replacement)
     assert run_command(argv.split()) == code
     assert capsys.readouterr().out == stdout
 
