@@ -13,7 +13,11 @@ speed, never answers.
 
 A window check runs on lists of Python ints instead when its work is at
 most ``_LIST_WORK``, too short for numpy to pay off, or when its values
-reach the int64 guard, where lists beat numpy object arrays.
+reach the int64 guard, where lists beat numpy object arrays.  Over Q
+numpy adds each table period's negated row into the class sums in place;
+over F_p the table sums are reduced, then subtracted.  On lists a table
+whose period divides a longer one is tiled into it first, so the window
+is walked once per maximal table period.
 Full-period scans always run numpy, so the oracle is a second
 implementation of every window check.  Past the guard a full-period scan
 over Q splits each lone value (a class weight, a constant table) into
@@ -60,8 +64,8 @@ _INT64_GUARD = 2**62
 # guard, which is the ladder's top
 _WIDTHS = ((2**6, "int8"), (2**14, "int16"), (2**30, "int32"), (_INT64_GUARD, "int64"))
 
-# window checks of at most this work run on lists: numpy's call overhead
-# outweighs its speed below about 2000-2500 on the window benchmark's checks
+# window checks of at most this work run on lists, so short CLI checks never
+# load numpy; warm numpy catches up near 1000 (CLI multidim work reaches 1900)
 _LIST_WORK = 2048
 
 # a periodic row shorter than this is tiled up to it before it is added to
@@ -75,25 +79,25 @@ _CHUNK = 2**13
 _CHUNK_MAX = 2**17
 
 
-def _plan(groups, work, char: int = 0):
-    """(nums, D): the values of ``groups`` (ints or Fractions) as ints over
-    their common denominator D, in group order, laid out for the path the
-    scan takes, which is decided here and nowhere else.
+def _plan(weights, tables, work, char: int = 0):
+    """(nums, D): the class ``weights`` (one column), then the values of the
+    ``tables``, ints or Fractions, as ints over their common denominator D,
+    laid out for the path the scan takes, decided here and nowhere else.
 
     ``work`` is a window check's work estimate, or None for a full-period
     scan, whose sums are reduced mod ``char`` when it is positive.  A window
     check runs on a list of Python ints when its work is at most
     _LIST_WORK, where numpy's call overhead outweighs its speed.  Otherwise
-    the sum over groups of each group's largest scaled magnitude picks the
-    narrowest width of the ladder whose bound it stays below, and the
-    values come back as a 1-tuple of an array in it; a sum of one value
-    from each group, or the difference of two such sums, then fits the
-    width.  At or past the int64 guard a window check runs on a list too,
-    and a full-period scan on the tuple of base-2**32 digit arrays of
-    :func:`_digits`, or over F_p, or where a digit would reach the guard,
-    on a 1-tuple of a numpy object array of exact Python ints.
+    the sum of each weight's and each table's largest scaled magnitude
+    picks the narrowest width of the ladder whose bound it stays below, and
+    the values come back as a 1-tuple of an array in it; a sum of weights
+    and one value from each table, or the difference of two such sums,
+    then fits the width.  At or past the int64 guard a window check runs on
+    a list too, and a full-period scan on the tuple of base-2**32 digit
+    arrays of :func:`_digits`, or over F_p, or where a digit would reach
+    the guard, on a 1-tuple of a numpy object array of exact Python ints.
     """
-    flat = list(chain.from_iterable(groups))
+    flat = [*weights, *chain.from_iterable(tables)]
     D = 1
     try:
         # one C pass checks that every value is an int within int64 and
@@ -107,13 +111,14 @@ def _plan(groups, work, char: int = 0):
             flat = [v.numerator * (D // v.denominator) for v in flat]
     if work is not None and work <= _LIST_WORK:
         return flat, D
-    firsts = list(accumulate(map(len, groups[:-1]), initial=0))
-    nums = _fixed(flat if packed is None else packed, firsts)
+    k = len(weights)
+    firsts = list(accumulate(map(len, tables), initial=k))[:-1]
+    nums = _fixed(flat if packed is None else packed, k, firsts)
     if nums is not None:
         return (nums,), D
     if work is not None:
         return flat, D
-    digits = None if char else _digits(groups, flat, firsts)
+    digits = None if char else _digits(flat, k, firsts, tables)
     if digits is None:
         import numpy as np
 
@@ -121,18 +126,18 @@ def _plan(groups, work, char: int = 0):
     return digits, D
 
 
-def _fixed(values, firsts):
+def _fixed(values, k: int, firsts):
     """``values`` (ints, or an int64 ``array``) as a numpy array in the
-    narrowest width of the ladder that their group peak sum stays below,
-    groups starting at ``firsts``; None at or past the int64 guard."""
+    narrowest width of the ladder that the magnitudes of the first k plus
+    the peak of each table from ``firsts`` stay below; None from the guard."""
     import numpy as np
 
     try:
         nums = np.frombuffer(values if type(values) is array else array("q", values), dtype=np.int64)
     except OverflowError:  # a value past int64, so past the guard
         return None
-    # the largest magnitude in each group (unsigned, so abs(-2**63) is right)
-    total = sum(np.maximum.reduceat(np.abs(nums).view(np.uint64), firsts).tolist())
+    mags = np.abs(nums).view(np.uint64)  # unsigned, so abs(-2**63) is right
+    total = sum(mags[:k].tolist()) + sum(np.maximum.reduceat(mags, firsts).tolist())
     if total < _INT64_GUARD:
         for bound, width in _WIDTHS:
             if total < bound:
@@ -140,22 +145,22 @@ def _fixed(values, firsts):
     return None
 
 
-def _digits(groups, flat, firsts):
-    """The values ``flat`` of ``groups`` as a tuple of K >= 2 digit arrays,
-    value = sum of digit i * 2**(32 i), each digit in the narrowest width
-    :func:`_fixed` gives it; None when a digit reaches the guard.
+def _digits(flat, k: int, firsts, tables):
+    """The values ``flat`` of k weights and ``tables`` as a tuple of K >= 2
+    digit arrays, value = sum of digit i * 2**(32 i), each digit in the
+    width :func:`_fixed` gives it; None when a digit reaches the guard.
 
-    Only the value of a group of one (a class weight, or a constant table)
-    is split: while it is past 2**32 in magnitude, its digit is the
-    residue in [-2**31, 2**31) and the rest moves up, so every digit is at
-    most 2**32 in magnitude.  A group of more values (a periodic table) goes
-    whole into digit 0.  Scans are linear, so each digit runs the kernels
-    on its own and :func:`_carry` recombines their sums; splitting a table
-    would cost more than its object array (about 100 ns a value).
+    Only a lone value (a class weight, or a constant table) is split:
+    while it is past 2**32 in magnitude, its digit is the residue in
+    [-2**31, 2**31) and the rest moves up, so every digit is at most 2**32
+    in magnitude.  A table of more values (a periodic table) goes whole
+    into digit 0.  Scans are linear, so each digit runs the kernels on its
+    own and :func:`_carry` recombines their sums; splitting a table would
+    cost more than its object array (about 100 ns a value).
     """
     split = {}
-    for f, g in zip(firsts, groups):
-        if len(g) == 1 and not -(2**32) <= flat[f] <= 2**32:
+    for f in chain(range(k), (f for f, t in zip(firsts, tables) if len(t) == 1)):
+        if not -(2**32) <= flat[f] <= 2**32:
             v, split[f] = flat[f], []
             while not -(2**32) <= v <= 2**32:
                 d = ((v + 2**31) & 0xFFFFFFFF) - 2**31
@@ -171,7 +176,7 @@ def _digits(groups, flat, firsts):
             row[f] = d
     digits = []
     for row in rows:
-        digits.append(_fixed(row, firsts))
+        digits.append(_fixed(row, k, firsts))
         if digits[-1] is None:
             return None
     return tuple(digits)
@@ -210,8 +215,10 @@ def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarr
 
     weights = np.asarray(weights)
     out = np.zeros(length, dtype=weights.dtype)
-    for a, n, w in zip(residues, moduli, weights):
-        out[(int(a) - start) % int(n) :: int(n)] += w
+    # a view adds in place with no write back, a Python int weight in its width
+    for a, n, w in zip(residues, moduli, weights.tolist()):
+        view = out[(a - start) % n :: n]
+        view += w
     return out
 
 
@@ -254,7 +261,7 @@ def box_first_nonzero(classes, dims):
     residues, moduli, weights = classes
     points = math.prod(dims)
     hits = len(moduli) + sum(math.prod(map(floordiv, dims, n)) for n in moduli)
-    nums, _ = _plan([*zip(weights)], points + hits)
+    nums, _ = _plan(weights, (), points + hits)
     if type(nums) is not list:
         # a window plan is one digit; argmax stops at the first True, and
         # is 0 when there is none
@@ -279,6 +286,16 @@ def _by_period(vals, offsets, periods) -> dict:
         row = vals[off : off + n]
         rows[n] = rows[n] + row if n in rows else row
     return rows
+
+
+def _homes(periods) -> dict:
+    """period -> the first maximal period, from the top, that it divides."""
+    maximal, home = [], {}
+    for n in sorted(set(periods), reverse=True):
+        home[n] = next((M for M in maximal if M % n == 0), n)
+        if home[n] == n:
+            maximal.append(n)
+    return home
 
 
 def _tiled_length(n: int) -> int:
@@ -360,31 +377,37 @@ def _values(classes, tables, start: int, length: int, char: int, window: bool):
     picks from its work, a list or one digit; a full-period scan always
     runs numpy, and gives the tuple of each digit's sums."""
     residues, moduli, weights = classes
+    k = len(weights)
     periods = list(map(len, tables))
-    offsets = list(accumulate(periods, initial=len(weights)))
-    groups = [*zip(weights), *tables]
+    offsets = list(accumulate(periods, initial=k))
     if window:
         # points + class hits + points per distinct table period + table values
         hits = len(moduli) + sum(map(length.__floordiv__, moduli))
-        nums, D = _plan(groups, length * (1 + len(set(periods))) + hits + sum(periods))
+        nums, D = _plan(weights, tables, length * (1 + len(set(periods))) + hits + sum(periods))
     else:
-        nums, D = _plan(groups, None, char)
+        nums, D = _plan(weights, tables, None, char)
     if type(nums) is tuple:
         sums = []
         for digit in nums:
-            out = cover_counts(residues, moduli, digit[: len(weights)], start, length)
-            if tables:
+            out = cover_counts(residues, moduli, digit[:k], start, length)
+            if char:
                 out -= table_sums(digit, offsets, periods, start, length, char)
+            elif tables:
+                rows = _by_period(digit, offsets, periods)
+                _add_periodic(out, {n: -row for n, row in rows.items()}, start)
             sums.append(out)
         return tuple(sums), D
     out = [0] * length
     for a, n, w in zip(residues, moduli, nums):
         j = (a - start) % n
         out[j::n] = map(w.__add__, out[j::n])
+    # each table tiled into its home maximal period: one walk per home
+    home = _homes(periods)
     folded = {}
     for off, n in zip(offsets, periods):
-        row = nums[off : off + n]
-        folded[n] = list(map(add, folded[n], row)) if n in folded else row
+        M = home[n]
+        row = nums[off : off + n] * (M // n)
+        folded[M] = list(map(add, folded[M], row)) if M in folded else row
     for n, row in folded.items():
         s = start % n
         out = list(map(sub, out, (row[s:] + row[:s]) * (length // n + 1)))
@@ -401,7 +424,8 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
             out = map(char.__rmod__, out)
         return next(compress(count(start), map(test, out, repeat(bound))), None)
     bad = test(out[0], bound)  # a window plan is one digit
-    return start + int(bad.argmax()) if bad.any() else None
+    i = int(bad.argmax())  # the first True, or 0 when there is none
+    return start + i if bad[i] else None
 
 
 def _fold(classes, periods, nums):
@@ -421,12 +445,8 @@ def _fold(classes, periods, nums):
 
     residues, moduli, _ = classes
     k = len(moduli)
-    # period -> the first maximal period, from the top, that it divides
-    maximal, home = [], {}
-    for n in sorted({*periods, *moduli}, reverse=True):
-        home[n] = next((M for M in maximal if M % n == 0), n)
-        if home[n] == n:
-            maximal.append(n)
+    home = _homes([*periods, *moduli])
+    maximal = [n for n, M in home.items() if n == M]
     lengths = list(map(_tiled_length, maximal))
     offsets = list(accumulate(lengths[:-1], initial=0))
     # maximal period -> its row, a view of one flat array
@@ -450,7 +470,7 @@ def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     with a nonzero point, so a scan that fails early touches few points.
     """
     periods = list(map(len, tables))
-    nums, _ = _plan([*zip(classes[2]), *tables], None, char)
+    nums, _ = _plan(classes[2], tables, None, char)
     folded = [_fold(classes, periods, digit) for digit in nums]
     pos, chunk = 0, _CHUNK
     while pos < length:
@@ -467,7 +487,7 @@ def first_period(values, periods):
     """First d of ``periods`` with values[x] == values[x + d] for all
     x < N - d, N = len(values), or None: for d dividing N, periodicity mod
     d, since the wrapped pairs follow by going round the cycle."""
-    nums, _ = _plan([values], None)
+    nums, _ = _plan((), [values], None)
     N = len(values)
     return next((d for d in periods if all((v[d:] == v[: N - d]).all() for v in nums)), None)
 
@@ -478,7 +498,7 @@ def box_first_mismatch(classes, dims, shifts):
     [0, dims); or None.  Each digit's box of D * w compares its slice
     [0, dims_t - shifts_t) with its slice [shifts_t, dims_t) on axis t."""
     residues, moduli, weights = classes
-    nums, _ = _plan([*zip(weights)], None)
+    nums, _ = _plan(weights, (), None)
     boxes = [_box_counts(residues, moduli, digit, dims) for digit in nums]
     for t, h in enumerate(shifts):
         head = (slice(None),) * t

@@ -104,11 +104,15 @@ def _exact(v):
     return int(v) if isinstance(v, numbers.Integral) else _rational(v)
 
 
-def _kernel_weights(seqs: Sequence) -> list:
-    """The weights of ``seqs`` as the kernels take them: integral weights
+def _columns(seqs: Sequence) -> tuple:
+    """(residues, moduli, weights): the class columns of ``seqs`` as the
+    kernels take them, from one transpose of the records; integral weights
     travel as ints, so all-integer input skips the kernels' per-value
     Fraction scaling."""
-    return [w.numerator if w.denominator == 1 else w for w in (s.weight for s in seqs)]
+    if not seqs:
+        return (), (), ()
+    residues, moduli, weights = zip(*seqs)
+    return residues, moduli, [w.numerator if w.denominator == 1 else w for w in weights]
 
 
 def _record(name: str, fields: str) -> type:
@@ -285,8 +289,7 @@ def _scan_input(
     char = _common_char(psis) if psis else 0
     if char and seqs:
         raise ValueError("tables compared with weighted classes must be rational-valued")
-    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], _kernel_weights(seqs))
-    return classes, [t.values for t in psis], start, length, char
+    return _columns(seqs), [t.values for t in psis], start, length, char
 
 
 def _first_nonzero(

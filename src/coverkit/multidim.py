@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .covering import Verdict, _integers, _kernel_weights, _oracle_points, _rational, _record
+from .covering import Verdict, _columns, _integers, _oracle_points, _rational, _record
 from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
@@ -108,17 +108,16 @@ def is_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict
     _check_dims(seqs, n0)
     if any(c < 1 for c in n0):
         raise ValueError(f"period components must be positive, got {n0}")
-    moduli = [s.modulus for s in seqs]
+    residues, moduli, weights = _columns(seqs)
     periods = [math.lcm(*col) for col in zip(*moduli)]
     shifts = [c % N for c, N in zip(n0, periods)]
     if not any(shifts):
         return Verdict(True)
     window = [phi_sum_cardinality(col) for col in zip(*moduli)]
     points = _oracle_points(math.prod(window), "box")
-    weights = _kernel_weights(seqs)
     for t, h in enumerate(shifts):
         if h:
-            kept = [(s.residue, n, w) for s, n, w in zip(seqs, moduli, weights) if h % n[t]]
+            kept = [(a, n, w) for a, n, w in zip(residues, moduli, weights) if h % n[t]]
             moved = [(a[:t] + ((a[t] - h) % n[t],) + a[t + 1 :], n, -w) for a, n, w in kept]
             x = _kernels.box_first_nonzero([*zip(*kept, *moved)], window)
             if x is not None:

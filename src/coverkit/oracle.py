@@ -20,7 +20,7 @@ from .covering import (
     System,
     Verdict,
     WeightedSequence,
-    _kernel_weights,
+    _columns,
     _oracle_points,
     _scan_input,
     verify_covering_function,
@@ -77,8 +77,7 @@ def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verd
         raise ValueError(f"period components must be positive, got {n0}")
     dims = tuple(math.lcm(c, *(s.modulus[t] for s in seqs)) for t, c in enumerate(n0))
     points = _oracle_points(math.prod(dims), "box")
-    classes = ([s.residue for s in seqs], [s.modulus for s in seqs], _kernel_weights(seqs))
-    found = _kernels.box_first_mismatch(classes, dims, n0)
+    found = _kernels.box_first_mismatch(_columns(seqs), dims, n0)
     if found is None:
         return Verdict(True, None, points)
     t, x = found

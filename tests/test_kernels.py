@@ -37,6 +37,7 @@ from helpers import (
     SCAN_SETTINGS,
     WIDTH_SETTINGS,
     digit_values,
+    indexed_values,
     kernel_widths,
     mean_reference,
     random_distinct_moduli_instance,
@@ -65,39 +66,45 @@ def test_cover_counts_matches_pointwise_definition():
             assert out[j] == expected
 
 
-def plan_dtype(groups):
-    """The dtype of a full-period plan of ``groups`` that is one digit."""
-    (nums,), _ = _kernels._plan(groups, None)
+def plan_dtype(tables):
+    """The dtype of a full-period plan of ``tables`` that is one digit."""
+    (nums,), _ = _kernels._plan((), tables, None)
     return nums.dtype
 
 
 def test_scaled_refuses_at_the_guard():
     g = _kernels._INT64_GUARD
     dtype = plan_dtype
-    (nums,), D = _kernels._plan([(Fraction(1, 2), 3), (Fraction(-1, 3),)], None)
+    (nums,), D = _kernels._plan((), [(Fraction(1, 2), 3), (Fraction(-1, 3),)], None)
     assert (nums.tolist(), D) == ([3, 18, -2], 6)
+    # a weight column goes first, and each weight counts alone
+    (nums,), D = _kernels._plan([Fraction(-1, 3)], [(Fraction(1, 2), 3)], None)
+    assert (nums.tolist(), D) == ([-2, 3, 18], 6)
     assert dtype([(g - 2, -5), (1,)]) == np.int64
     assert dtype([(g - 2, -5), (2,)]) == object  # the group peaks sum to g
     # a lone value at or past int64 is split into exact base-2**32 digits,
     # each in a fixed width
     for v in (-(2**63), 2**63):
-        digits, D = _kernels._plan([(v,)], None)
-        assert type(digits) is tuple and len(digits) == 2 and D == 1
-        assert [d.dtype.kind for d in digits] == ["i", "i"] and digit_values(digits) == [v]
+        for weights, tables in (((), [(v,)]), ([v], ())):
+            digits, D = _kernels._plan(weights, tables, None)
+            assert type(digits) is tuple and len(digits) == 2 and D == 1
+            assert [d.dtype.kind for d in digits] == ["i", "i"] and digit_values(digits) == [v]
     assert dtype([(Fraction(g - 2, 3),)]) == np.int64
     assert dtype([(Fraction(g - 2, 3), Fraction(1, 2))]) == object  # D = 6
     # past the guard the numerators stay exact
-    (nums,), D = _kernels._plan([(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)], None)
+    (nums,), D = _kernels._plan((), [(Fraction(g - 2, 3), Fraction(1, 2)), (-(2**63),)], None)
     assert (nums.tolist(), D) == ([2 * (g - 2), 3, -6 * 2**63], 6)
     # a denominator past int64 stays off the object path when only zeros
     # need scaling by it
-    (nums,), D = _kernels._plan([(Fraction(1, 2**70),), (0, 0)], None)
+    (nums,), D = _kernels._plan((), [(Fraction(1, 2**70),), (0, 0)], None)
     assert (nums.dtype, nums.tolist(), D) == (np.int8, [1, 0, 0], 2**70)
 
 
 def test_scaled_picks_the_narrowest_width():
     """Each width holds group peak sums up to a quarter of its range, for
-    one group and for peaks summed across groups; the values stay exact."""
+    one group and for peaks summed across groups; the values stay exact.
+    Every plan is made twice: with each group as a table, and with the
+    groups of one value as a weight column ahead of the others."""
     edges = [
         (63, np.int8), (64, np.int16), (2**14 - 1, np.int16), (2**14, np.int32),
         (2**30 - 1, np.int32), (2**30, np.int64), (2**62 - 1, np.int64), (2**62, object),
@@ -111,19 +118,22 @@ def test_scaled_picks_the_narrowest_width():
             ([(peak - 1, 0), (-1,), (0, 0)], False),
             ([(Fraction(peak, 3), Fraction(-1, 3))], False),
         ):
-            digits, D = _kernels._plan(groups, None)
-            flat = [v for g in groups for v in g]
-            assert type(digits) is tuple
-            if width is object and lone:
-                # at the guard a lone value past 2**32 splits into digits,
-                # and the group of two goes whole into digit 0, whose peak
-                # sum stays below the guard
-                assert [d.dtype.kind for d in digits] == ["i", "i"]
-                assert [Fraction(v, D) for v in digit_values(digits)] == flat
-                continue
-            (nums,) = digits
-            assert nums.dtype == width, (peak, groups)
-            assert [Fraction(v, D) for v in nums.tolist()] == flat
+            weights = [g[0] for g in groups if len(g) == 1]
+            tables = [g for g in groups if len(g) > 1]
+            for args in (((), groups), (weights, tables)):
+                digits, D = _kernels._plan(*args, None)
+                flat = [*args[0], *(v for g in args[1] for v in g)]
+                assert type(digits) is tuple
+                if width is object and lone:
+                    # at the guard a lone value past 2**32 splits into
+                    # digits, and the group of two goes whole into digit 0,
+                    # whose peak sum stays below the guard
+                    assert [d.dtype.kind for d in digits] == ["i", "i"]
+                    assert [Fraction(v, D) for v in digit_values(digits)] == flat
+                    continue
+                (nums,) = digits
+                assert nums.dtype == width, (peak, groups)
+                assert [Fraction(v, D) for v in nums.tolist()] == flat
 
 
 @pytest.mark.parametrize("p", [1009, 2**31 - 1])
@@ -529,8 +539,8 @@ def test_full_period_answers_independent_of_width(monkeypatch):
     answers = {}
     for setting in WIDTH_SETTINGS:
 
-        def recording(groups, work, char=0):
-            nums, D = plan(groups, work, char)
+        def recording(weights, tables, work, char=0):
+            nums, D = plan(weights, tables, work, char)
             if work is None:  # a full-period plan: a tuple of digits
                 chosen[setting].add(tuple(d.dtype for d in nums))
             return nums, D
@@ -585,6 +595,96 @@ def test_table_sums_blocks_match_pointwise_definition():
                 assert out.tolist() == table_sums_reference(
                     vals.tolist(), offsets, periods, start, length, char
                 )
+
+
+def _window_values(classes, tables, start: int, length: int, char: int = 0) -> list:
+    """A window check's values from ``_kernels._values``, as Python ints,
+    reduced mod char when char > 0 (the list path does not reduce)."""
+    out, D = _kernels._values(classes, tables, start, length, char, True)
+    assert D == 1
+    values = out if type(out) is list else out[0].tolist()
+    return [v % char for v in values] if char else values
+
+
+# width edges: the peak sum, the width the narrowest plan picks for it, and
+# a prime past each table's peak for the same sums over F_p
+EDGES = (
+    (2**6 - 1, np.int8, 17),
+    (2**14 - 1, np.int16, 4099),
+    (2**30 - 1, np.int32, 2**31 - 1),
+    (2**62 - 1, np.int64, 2**61 - 1),
+)
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+def test_in_place_subtraction_exact_at_width_edges(setting):
+    """Tables subtracted in place from the class sums stay exact when the
+    peak sum is one below a width's bound: at x0 = 0 mod 30030 every class
+    holds and every table sits at its negated peak, so w - the tables
+    reaches P there, and -P on the negated input; with classes, without
+    them, and over F_p, on the window path and the full-period scan, equal
+    to pointwise sums."""
+    rng = random.Random(30030)
+    x0 = 30030 * 2**60
+    start, length = x0 - 300, 600
+    periods = (2, 6, 5, 7)
+    for peak, width, p in EDGES:
+        cases = []
+        for moduli in ((11, 13), ()):
+            parts = [peak // 6] * (len(moduli) + 3)
+            parts.append(peak - sum(parts))
+            weights, maxima = parts[: len(moduli)], parts[len(moduli) :]
+            tables = [
+                [-m, *(rng.randint(-m, m) for _ in range(n - 1))] for m, n in zip(maxima, periods)
+            ]
+            classes = ([0] * len(moduli), list(moduli), weights)
+            cases.append((classes, tables, peak))
+            negated = (classes[0], classes[1], [-w for w in weights])
+            cases.append((negated, [[-v for v in t] for t in tables], -peak))
+        with kernel_widths(setting):
+            for classes, tables, extreme in cases:
+                ref = indexed_values(classes, tables, start, length, dtype=object).tolist()
+                assert ref[x0 - start] == extreme and max(map(abs, ref)) == peak
+                assert _window_values(classes, tables, start, length) == ref
+                assert _kernels.exact_values(classes, tables, start, length) == (ref, 1)
+                out, _ = _kernels._values(classes, tables, start, length, 0, True)
+                if type(out) is tuple and setting in ("narrowest", "no-lists"):
+                    assert out[0].dtype == width
+            # over F_p: values in [0, p), each table peaking at x0
+            maxima = [-(-peak // 4)] * 3
+            maxima.append(peak - sum(maxima))
+            tables = [[m, *(rng.randrange(m) for _ in range(n - 1))] for m, n in zip(maxima, periods)]
+            none = ((), (), ())
+            ref = [v % p for v in indexed_values(none, tables, start, length, dtype=object).tolist()]
+            assert ref[x0 - start] == -peak % p
+            assert _window_values(none, tables, start, length, p) == ref
+            exact, D = _kernels.exact_values(none, tables, start, length, p)
+            assert ([v % p for v in exact], D) == (ref, 1)
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+def test_list_fold_tiles_each_period_into_one_maximal_period(setting):
+    """Tables of periods n, 2n, 3n and 6n fold into the one of period 6n
+    and a coprime period stays its own; a period dividing two maximal
+    periods (2 of 6 and 10) folds into exactly one of them.  Windows from
+    past 2**62, with and without classes, equal pointwise sums on every
+    path, and so does the full-period search."""
+    assert _kernels._homes([5, 10, 15, 30, 7]) == {30: 30, 15: 30, 10: 30, 7: 7, 5: 30}
+    assert _kernels._homes([6, 2, 10]) == {10: 10, 6: 6, 2: 10}
+    rng = random.Random(6)
+    start = 2**62 + rng.randrange(10**6)
+    with kernel_widths(setting):
+        for periods in ((5, 10, 15, 30, 7), (6, 2, 10, 2)):
+            for k in (0, 3):
+                classes = ([rng.randrange(9) for _ in range(k)], [9] * k, [rng.randint(-5, 5) for _ in range(k)])
+                for length in (29, 211, 3000):
+                    tables = [[rng.randint(-9, 9) for _ in range(n)] for n in periods]
+                    ref = indexed_values(classes, tables, start, length, dtype=object).tolist()
+                    assert _window_values(classes, tables, start, length) == ref
+                    # a point that cancels is nonzero nowhere else
+                    first = next((start + j for j, v in enumerate(ref) if v), None)
+                    assert _kernels.window_first_nonzero(classes, tables, start, length) == first
+                    assert _kernels.first_nonzero(classes, tables, start, length) == first
 
 
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):

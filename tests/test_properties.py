@@ -715,9 +715,9 @@ def test_scans_past_the_guard_match_pointwise(setting, case):
     plans = []
     plan = _kernels._plan
 
-    def recording(groups, work, char=0):
-        nums, D = plan(groups, work, char)
-        plans.append((groups, nums))
+    def recording(weights, tables, work, char=0):
+        nums, D = plan(weights, tables, work, char)
+        plans.append(([*zip(weights), *tables], nums))
         return nums, D
 
     with kernel_widths(setting), mock.patch.object(_kernels, "_plan", recording):
