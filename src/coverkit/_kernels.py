@@ -4,12 +4,18 @@ The kernels (window covering counts, periodic-table sums, and the first
 nonzero of a covering function over a box in Z^l) are the only loops in
 the package that touch millions of points.  Every scan first puts its
 exact values over a common denominator with :func:`_plan`, which also
-decides, once, the path the scan runs on.  A numpy scan gets the narrowest
-of int8, int16, int32 and int64 that no kernel sum can leave.  A scan's
-cost is memory traffic, so an exact cover whose counts stay below 64 scans
-bytes, not words.  The kernels take their dtype from the values they are
-given, so every width runs the same code and the ladder and guard change
-speed, never answers.
+decides, once, the path the scan runs on.  One ``struct.pack`` as int64
+packs them and checks that each is an int within int64 (a Fraction or a
+larger int fails it, and they go over D as exact Python ints); from about
+20 values it beats ``array("q")``: 67 against 150 us for 6000 values in
+[-9, 9] on a 2-core Xeon VM.  A full-period sum comes back over the same
+D (:func:`exact_sum`), so callers compare ints, not Fractions.  A numpy
+scan gets the narrowest of int8, int16, int32 and int64 that no kernel
+sum can leave.
+A scan's cost is memory traffic, so an exact cover whose counts stay
+below 64 scans bytes, not words.  The kernels take their dtype from the
+values they are given, so every width runs the same code and the ladder
+and guard change speed, never answers.
 
 A window check runs on lists of Python ints instead when its work is at
 most ``_LIST_WORK``, too short for numpy to pay off, or when its values
@@ -45,7 +51,7 @@ statement is a dictionary lookup.
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, floordiv, gt, mul, ne, sub
 from typing import TYPE_CHECKING
@@ -101,9 +107,9 @@ def _plan(weights, tables, work, char: int = 0):
     D = 1
     try:
         # one C pass checks that every value is an int within int64 and
-        # packs it: a Fraction raises TypeError, a larger int OverflowError
-        packed = array("q", flat)
-    except (TypeError, OverflowError):
+        # packs it: a Fraction or a larger int raises struct.error
+        packed = struct.pack(f"{len(flat)}q", *flat)
+    except struct.error:
         # Fractions, or ints past int64: exact Python ints over D
         packed = None
         if not {int}.issuperset(map(type, flat)):
@@ -127,15 +133,16 @@ def _plan(weights, tables, work, char: int = 0):
 
 
 def _fixed(values, k: int, firsts):
-    """``values`` (ints, or an int64 ``array``) as a numpy array in the
+    """``values`` (ints, or their packed int64 bytes) as a numpy array in the
     narrowest width of the ladder that the magnitudes of the first k plus
     the peak of each table from ``firsts`` stay below; None from the guard."""
     import numpy as np
 
     try:
-        nums = np.frombuffer(values if type(values) is array else array("q", values), dtype=np.int64)
-    except OverflowError:  # a value past int64, so past the guard
+        packed = values if type(values) is bytes else struct.pack(f"{len(values)}q", *values)
+    except struct.error:  # a value past int64, so past the guard
         return None
+    nums = np.frombuffer(packed, dtype=np.int64)
     mags = np.abs(nums).view(np.uint64)  # unsigned, so abs(-2**63) is right
     total = sum(mags[:k].tolist()) + sum(np.maximum.reduceat(mags, firsts).tolist())
     if total < _INT64_GUARD:
@@ -469,6 +476,8 @@ def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     of at most _CHUNK points is one chunk; it returns at the first chunk
     with a nonzero point, so a scan that fails early touches few points.
     """
+    import numpy as np
+
     periods = list(map(len, tables))
     nums, _ = _plan(classes[2], tables, None, char)
     folded = [_fold(classes, periods, digit) for digit in nums]
@@ -476,7 +485,8 @@ def first_nonzero(classes, tables, start: int, length: int, char: int = 0):
     while pos < length:
         chunk = min(chunk, length - pos)
         out = _nonzero([table_sums(*rows, start + pos, chunk, char) for rows in folded])
-        if out.any():
+        # one count beats any() on object arrays (57 against 126 us at 8192)
+        if np.count_nonzero(out):
             return start + pos + int((out != 0).argmax())
         pos += chunk
         chunk = min(2 * chunk, _CHUNK_MAX)

@@ -473,7 +473,8 @@ def min_on_window(
         raise ValueError(f"l={l} exceeds the minimum coverage, which is at most {top}")
     if l == system.k:  # every modulus is 1, so w = k everywhere: no window
         return 1, l, l
-    R_sets = [fraction_set([0, Fraction(ms, s.modulus)]) for ms, s in zip(multipliers, system.seqs)]
+    # {0, m_s/n_s} mod 1, sorted: m_s is coprime to n_s, so m_s/n_s is 0 mod 1 only when n_s = 1
+    R_sets = [(0, Fraction(ms % n, n)) if n > 1 else (0,) for ms, n in zip(multipliers, system.moduli)]
     values, _ = _kernels.exact_values(*_scan_input(system.seqs, (), start, window_bound(R_sets, 1)))
     global_min = min(values)
     if l > global_min:
@@ -520,13 +521,12 @@ def weighted_average_check(system: System) -> bool:
     weight/modulus.
 
     The scan of D * w over the period is summed exactly (its points fit
-    the scan's width, their sum over N points need not), and the mean is
-    one Fraction."""
+    the scan's width, their sum over N points need not), and the identity
+    is compared times D * N, in ints: D is a multiple of every weight's
+    denominator and N of every modulus, so no Fraction is built."""
     N = _oracle_points(system.lcm())
     total, D = _kernels.exact_sum(*_scan_input(system.seqs, (), 0, N))
-    lhs = Fraction(total, D * N)
-    rhs = sum((Fraction(s.weight, s.modulus) for s in system.seqs), Fraction(0))
-    return lhs == rhs
+    return total == sum(w.numerator * (D // w.denominator) * (N // n) for _, n, w in system.seqs)
 
 
 def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicElement]]:

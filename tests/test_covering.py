@@ -38,6 +38,7 @@ from coverkit import (
 )
 from coverkit.cli import Report, SystemFile
 from coverkit.covering import DEFAULT_ORACLE_CAP
+from coverkit.fracsets import fraction_set
 from coverkit.multidim import DivisibilityChainReport
 from helpers import (
     erdos_cover,
@@ -50,6 +51,7 @@ from helpers import (
     sequence_table,
     system_B,
     system_B_prime,
+    window_bound_reference,
 )
 
 F = Fraction
@@ -591,6 +593,34 @@ def test_min_window_random_starts():
         ]
         W, wmin, gmin = min_on_window(system, mults, 0, rng.randint(-30, 30))
         assert wmin == gmin
+
+
+def test_min_window_matches_the_fraction_reference():
+    """W_0 and W_l are the Fraction sumset reference's on each set
+    {0, m_s/n_s} mod 1, for multipliers that are negative or past their
+    modulus (so m_s/n_s is 0 mod 1 only for n_s = 1), and both minima are
+    the pointwise minimum of w over one period."""
+    rng = random.Random(2917)
+    for i in range(40):
+        k = rng.randint(1, 5)
+        seqs = [(rng.randrange(12), rng.randint(1, 12)) for _ in range(k)]
+        if i % 3 == 0:
+            seqs[rng.randrange(k)] = (0, 1)
+        if i % 2:  # every residue mod a small n, so the minimum is at least 1
+            n = rng.randint(2, 3)
+            seqs += [(a, n) for a in range(n)]
+        system = System.of(*seqs)
+        mults = [
+            rng.choice([m for m in (*range(-2 * n, 0), *range(n + 1, 3 * n)) if math.gcd(m, n) == 1])
+            for n in system.moduli
+        ]
+        R_sets = [fraction_set([0, F(m, n)]) for m, n in zip(mults, system.moduli)]
+        least = min(cover_count(system, x) for x in range(system.lcm()))
+        start = rng.randint(-40, 40)
+        for l in range(int(least) + 1):
+            W, wmin, gmin = min_on_window(system, mults, l, start)
+            assert W == window_bound_reference(R_sets, l + 1), (seqs, mults, l)
+            assert wmin == gmin == least
 
 
 def test_min_window_rejections():

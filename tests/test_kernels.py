@@ -100,6 +100,57 @@ def test_scaled_refuses_at_the_guard():
     assert (nums.dtype, nums.tolist(), D) == (np.int8, [1, 0, 0], 2**70)
 
 
+def plan_summary(weights, tables, work, char=0):
+    """(path, dtypes, values, D) of a plan: a list keeps its values' types,
+    a numpy plan gives its digits' dtypes and the values they stand for."""
+    nums, D = _kernels._plan(weights, tables, work, char)
+    if type(nums) is list:
+        return "list", [type(v) for v in nums], nums, D
+    return "numpy", [d.dtype.name for d in nums], digit_values(nums), D
+
+
+E = 2**63
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        # at and one step past each int64 edge a lone value splits into
+        # digits, a weight or a constant table alike; over F_p, and on a
+        # window, it stays whole
+        *(
+            case
+            for v in (E - 1, -E, E, -E - 1)
+            for case in (
+                (([v], (), None), ("numpy", ["int8", "int64"], [v], 1)),
+                (((), [(v,)], None), ("numpy", ["int8", "int64"], [v], 1)),
+                (([1], [(v,)], None, 5), ("numpy", ["object"], [1, v], 1)),
+                (([v], [(v,)], 10**6), ("list", [int, int], [v, v], 1)),
+            )
+        ),
+        # numpy integers and True pack as ints; a short window keeps them
+        (
+            ([np.int8(5), np.int64(-7), True], [(np.int8(3), 1), (True,)], None),
+            ("numpy", ["int8"], [5, -7, 1, 3, 1, 1], 1),
+        ),
+        (
+            ([np.int8(5), np.int64(-7), True], [(np.int8(3), 1), (True,)], 3),
+            ("list", [np.int8, np.int64, bool, np.int8, int, bool], [5, -7, 1, 3, 1, 1], 1),
+        ),
+        # an integral Fraction among ints is scaled by D = 1
+        (([1, Fraction(2, 1), 3], [(Fraction(2, 1), 4)], None), ("numpy", ["int8"], [1, 2, 3, 2, 4], 1)),
+        (([1, Fraction(2, 1), 3], [(Fraction(2, 1), 4)], 3), ("list", [int] * 5, [1, 2, 3, 2, 4], 1)),
+        (((), (), None), ("numpy", ["int8"], [], 1)),
+        (([1, 2], [(3,)], 3), ("list", [int] * 3, [1, 2, 3], 1)),
+    ],
+)
+def test_plan_packing_contract(args, expected):
+    """Where the one pack of a plan's values fails (a Fraction, an int past
+    int64) the plan falls back to exact ints; every path, dtype, value and
+    D is the same as with any other packing."""
+    assert plan_summary(*args) == expected
+
+
 def test_scaled_picks_the_narrowest_width():
     """Each width holds group peak sums up to a quarter of its range, for
     one group and for peaks summed across groups; the values stay exact.
@@ -712,6 +763,30 @@ def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     monkeypatch.setattr(_kernels, "_INT64_GUARD", 1)  # force the big-int path
     assert plan_dtype([(2**60,), (2**60,)]) == object
     assert [weighted_average_check(s) for s in systems] == fast
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+def test_weighted_average_integer_identity(setting, monkeypatch):
+    """The mean identity, compared in ints over the scan's D, holds where
+    the pointwise mean says it does, for weight denominators 1 to 4 and
+    weights past the guard; a scan sum off by one fails it."""
+    rng = random.Random(4096)
+    F = Fraction
+    systems = [System.of((0, 2), (1, 3, F(-1, 2)), (2, 4, F(2**64 + 1, 3)), (5, 12, F(3, 4)))]
+    for _ in range(8):
+        nums = [rng.choice((1, -2, 2**63 + 5, -(2**62))) * rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        systems.append(System.of(*((rng.randrange(8), rng.randint(1, 8), F(v, rng.randint(1, 4))) for v in nums)))
+    assert all(mean_reference(s) == sum(F(q.weight, q.modulus) for q in s.seqs) for s in systems)
+    exact_sum = _kernels.exact_sum
+
+    def off_by_one(*args):
+        total, D = exact_sum(*args)
+        return total + 1, D
+
+    with kernel_widths(setting):
+        assert all(weighted_average_check(s) for s in systems)
+        monkeypatch.setattr(_kernels, "exact_sum", off_by_one)
+        assert not any(weighted_average_check(s) for s in systems)
 
 
 def test_numpy_integers_become_exact():

@@ -156,3 +156,31 @@ def test_one_renderer_prints_the_cli_report():
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     assert "_run" in {f.name for f in functions}
     assert {f.name for f in functions if any(calls_print(node) for node in ast.walk(f))} == {"run_command"}
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names bound by an import in ``tree`` (bar ``from __future__``) that
+    no name, attribute base or ``__all__`` entry of the module reads."""
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant)
+    }
+    return imported - read - exported
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every CLI request compiles each module it imports, so a dead import
+    costs start-up time as well as a reader's."""
+    assert {name: unused for name, tree in modules().items() if (unused := unused_imports(tree))} == {}
