@@ -11,11 +11,10 @@ larger int fails it, and they go over D as exact Python ints); from about
 [-9, 9] on a 2-core Xeon VM.  A full-period sum comes back over the same
 D (:func:`exact_sum`), so callers compare ints, not Fractions.  A numpy
 scan gets the narrowest of int8, int16, int32 and int64 that no kernel
-sum can leave.
-A scan's cost is memory traffic, so an exact cover whose counts stay
-below 64 scans bytes, not words.  The kernels take their dtype from the
-values they are given, so every width runs the same code and the ladder
-and guard change speed, never answers.
+sum can leave.  A scan's cost is memory traffic, so an exact cover whose
+counts stay below 64 scans bytes, not words.  The kernels take their
+dtype from the values they are given, so every width runs the same code
+and the ladder and guard change speed, never answers.
 
 A window check runs on lists of Python ints instead when its work is at
 most ``_LIST_WORK``, too short for numpy to pay off, or when its values
