@@ -5,16 +5,18 @@ nonzero of a covering function over a box in Z^l) are the only loops in
 the package that touch millions of points.  Every scan first puts its
 exact values over a common denominator with :func:`_plan`, which also
 decides, once, the path the scan runs on.  One ``struct.pack`` as int64
-packs them and checks that each is an int within int64 (a Fraction or a
-larger int fails it, and they go over D as exact Python ints); from about
-20 values it beats ``array("q")``: 67 against 150 us for 6000 values in
-[-9, 9] on a 2-core Xeon VM.  A full-period sum comes back over the same
-D (:func:`exact_sum`), so callers compare ints, not Fractions.  A numpy
-scan gets the narrowest of int8, int16, int32 and int64 that no kernel
-sum can leave.  A scan's cost is memory traffic, so an exact cover whose
-counts stay below 64 scans bytes, not words.  The kernels take their
-dtype from the values they are given, so every width runs the same code
-and the ladder and guard change speed, never answers.
+per group of values (the weights, each table) packs them and checks that
+each is an int within int64 (a Fraction or a larger int fails it, and
+they go over D as exact Python ints; ints past int64 are not packed
+again); the bytes are joined, with no flat list of the values.  From
+about 20 values it beats ``array("q")``: 67 against 150 us for 6000
+values in [-9, 9] on a 2-core Xeon VM.  A full-period sum comes back
+over the same D (:func:`exact_sum`), so callers compare ints, not
+Fractions.  A numpy scan gets the narrowest of int8, int16, int32 and
+int64 that no kernel sum can leave.  A scan's cost is memory traffic, so
+an exact cover whose counts stay below 64 scans bytes, not words.  The
+kernels take their dtype from the values they are given, so every width
+runs the same code and the ladder and guard change speed, never answers.
 
 A window check runs on lists of Python ints instead when its work is at
 most ``_LIST_WORK``, too short for numpy to pay off, or when its values
@@ -101,26 +103,33 @@ def _plan(weights, tables, work, char: int = 0):
     a list too, and a full-period scan on the tuple of base-2**32 digit
     arrays of :func:`_digits`, or over F_p, or where a digit would reach
     the guard, on a 1-tuple of a numpy object array of exact Python ints.
+    A list of the values is built only for a list, digits or an object
+    array, or when a group fails to pack.
     """
-    flat = [*weights, *chain.from_iterable(tables)]
     D = 1
+    flat = None
     try:
-        # one C pass checks that every value is an int within int64 and
-        # packs it: a Fraction or a larger int raises struct.error
-        packed = struct.pack(f"{len(flat)}q", *flat)
+        # one C pass per group of values, the weights and then each table,
+        # checks that every value is an int within int64 and packs it (a
+        # Fraction or a larger int raises struct.error); the bytes are
+        # joined, so a numpy plan builds no flat list of the values
+        packed = b"".join([struct.pack(f"{len(g)}q", *g) for g in (weights, *tables)])
     except struct.error:
-        # Fractions, or ints past int64: exact Python ints over D
-        packed = None
-        if not {int}.issuperset(map(type, flat)):
+        flat = [*weights, *chain.from_iterable(tables)]
+        if {int}.issuperset(map(type, flat)):
+            packed = None  # an int past int64 is past the guard: not packed again
+        else:
+            # Fractions: exact Python ints over D, which may fit now
             D = math.lcm(*{v.denominator for v in flat})
-            flat = [v.numerator * (D // v.denominator) for v in flat]
-    if work is not None and work <= _LIST_WORK:
-        return flat, D
+            packed = flat = [v.numerator * (D // v.denominator) for v in flat]
     k = len(weights)
-    firsts = list(accumulate(map(len, tables), initial=k))[:-1]
-    nums = _fixed(flat if packed is None else packed, k, firsts)
-    if nums is not None:
-        return (nums,), D
+    if work is None or work > _LIST_WORK:
+        firsts = list(accumulate(map(len, tables), initial=k))[:-1]
+        nums = None if packed is None else _fixed(packed, k, firsts)
+        if nums is not None:
+            return (nums,), D
+    if flat is None:
+        flat = [*weights, *chain.from_iterable(tables)]
     if work is not None:
         return flat, D
     digits = None if char else _digits(flat, k, firsts, tables)
@@ -221,8 +230,9 @@ def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarr
 
     weights = np.asarray(weights)
     out = np.zeros(length, dtype=weights.dtype)
-    # a view adds in place with no write back, a Python int weight in its width
-    for a, n, w in zip(residues, moduli, weights.tolist()):
+    # a view adds in place with no write back, and a weight as a scalar of
+    # the array's own dtype adds with no conversion of a Python int
+    for a, n, w in zip(residues, moduli, weights):
         view = out[(a - start) % n :: n]
         view += w
     return out
@@ -323,14 +333,18 @@ def _add_periodic(out, rows, start: int) -> None:
     tiled up to _BLOCK values (:func:`_tiled_length`): a broadcast over
     blocks of a few values costs 5 to 50 times one over blocks of
     thousands, while over fewer blocks the tiling costs more than it
-    saves.  No index array is built.
+    saves.  A row of period 1 is added as one scalar.  No index array is
+    built.
     """
     import numpy as np
 
     length = len(out)
     for n, row in rows.items():
+        if n == 1:
+            out += row[0]
+            continue
         s = start % n
-        if 1 < n and n * _BLOCK < length:
+        if n * _BLOCK < length:
             # still periodic with n, so s stays its rotation
             tiled = _tiled_length(n)
             row = np.tile(row, tiled // n)

@@ -42,7 +42,6 @@ from . import _kernels
 from .fracsets import (
     FractionSet,
     divisor_union_phis,
-    fraction_set,
     multiples_set,
     phi_sum_cardinality,
     subset_sum_set,
@@ -87,12 +86,12 @@ def _rational(v) -> Fraction:
     return Fraction(int(f.numerator), int(f.denominator))
 
 
-def _integers(*values) -> list[int]:
-    """Residues or moduli as Python ints; any value that is not an integer
-    of some type (1.5, a Fraction, a string) is refused."""
+def _integers(*values, what: str = "residues and moduli") -> list[int]:
+    """Residues, moduli or term indices as Python ints; any value that is
+    not an integer of some type (1.5, a Fraction, a string) is refused."""
     for v in values:
         if not isinstance(v, numbers.Integral):
-            raise ValueError(f"residues and moduli must be integers, got {v!r}")
+            raise ValueError(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
 
 
@@ -389,9 +388,12 @@ class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
     __slots__ = ()
 
     def __new__(cls, modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]):
+        terms = tuple(terms)
+        # e^(2*pi*i*t*x/n) has period n in x only for an integral t
+        modulus, *indices = _integers(modulus, *(t for t, _ in terms), what="moduli and term indices")
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        return super().__new__(cls, modulus, tuple(terms))
+        return super().__new__(cls, modulus, tuple(zip(indices, (c for _, c in terms))))
 
     @classmethod
     def from_arith_sequence(cls, seq: WeightedSequence, multiplier: int = 1) -> ExpSumSequence:
@@ -408,7 +410,8 @@ class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
         return cls(n, ((0, c0), (multiplier % n, c1)))
 
     def term_fractions(self) -> FractionSet:
-        return fraction_set(Fraction(t, self.modulus) for t, _ in self.terms)
+        n = self.modulus
+        return tuple(sorted({Fraction(t % n, n) for t, _ in self.terms}))
 
     def membership_table(self) -> tuple[bool, ...]:
         """Zero-set indicator over one period (x enters only via x mod n)."""
@@ -435,7 +438,7 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     # a table is n zero tests at the lcm of n and its coefficient levels
     tables = sum(es.modulus * math.lcm(es.modulus, *(c.level for _, c in es.terms)) for es in exp_seqs)
     _oracle_points(tables, "zero-set table")
-    indicators = [[int(v) for v in zero_set_table(es.modulus, es.terms)] for es in exp_seqs]
+    indicators = [list(map(int, zero_set_table(es.modulus, es.terms))) for es in exp_seqs]
     x = _kernels.first_below(indicators, m, start, W)
     return Verdict(x is None, x, W)
 

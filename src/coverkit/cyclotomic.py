@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .numtheory import factorize
@@ -160,10 +162,18 @@ def _vanishes(level: int, primes: list[int], terms: dict[int, int]) -> bool:
       1, ..., zeta_p^(p-2) is a basis over Q(zeta_m), so it vanishes iff
       all p groups A_i are equal.
     By induction on these steps, fewer nonzero terms than the least prime
-    of q never vanish.
+    of q never vanish.  Two terms are answered directly: c * zeta^i +
+    d * zeta^j with c, d nonzero and i != j vanishes exactly when
+    zeta^(i-j) = -d/c, a rational root of unity other than 1, so -1: when
+    c = d and i - j = level/2 mod level.
     """
     if level == 1 or len(terms) < primes[-1]:
         return not any(terms.values())
+    if len(terms) == 2:
+        (i, c), (j, d) = terms.items()
+        if c and d:
+            return c == d and 2 * ((i - j) % level) == level
+        return not (c or d)
     p, rest = primes[0], primes[1:]
     m = level // p
     if m % p == 0:
@@ -270,10 +280,11 @@ def zero_set_table(modulus: int, terms: Sequence[tuple[int, CyclotomicElement]])
     pairs (t may repeat), for x in [0, modulus): one zero test per point at
     the lcm of the modulus and the coefficient levels."""
     level = math.lcm(modulus, *(c.level for _, c in terms))
-    step = level // modulus
+    # term t moves by level/modulus * t per unit of x
+    steps = [level // modulus * t % level for t, _ in terms]
     _, lifted = _lifted_entries([c for _, c in terms], level)
     primes = _primes(level)
     return tuple(
-        _vanishes(level, primes, _shifted_sum(level, zip((step * t * x for t, _ in terms), lifted)))
+        _vanishes(level, primes, _shifted_sum(level, zip(map(mul, steps, repeat(x)), lifted)))
         for x in range(modulus)
     )

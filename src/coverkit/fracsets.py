@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from typing import Iterable
 
 from .numtheory import divisor_phis
@@ -169,6 +169,16 @@ def window_bound(R_sets: list[FractionSet], m: int) -> int:
     This is the number of consecutive integers that certify an m-fold cover
     by the associated zero sets.  Enumeration is exponential in k, so k
     above SUBSET_ENUMERATION_CAP is rejected outright.
+
+    The subsets are walked depth-first, largest sets first, and each
+    prefix sumset is built once and shared by every subset that extends
+    it.  A sumset has at most D elements (D the common denominator) and at
+    most |acc| times the sizes of the sets still to be added, so a branch
+    whose bound min(D, |acc| * the product of the next sizes) is at most
+    the best so far is cut, which stops the walk once best = D.  Equal sets
+    are tried once at each depth, and a branch left with one subset takes
+    it with no further bound.  The cost follows the nodes visited: a
+    saturating family is answered at the first leaf.
     """
     k = len(R_sets)
     if not 1 <= m <= k:
@@ -176,10 +186,26 @@ def window_bound(R_sets: list[FractionSet], m: int) -> int:
     if k > SUBSET_ENUMERATION_CAP:
         raise ValueError(f"too many subsets: k={k} exceeds cap {SUBSET_ENUMERATION_CAP}")
     D, residues = _over_one_denominator(R_sets)
+    # descending by size, equal sets side by side
+    sets = sorted(sorted(residues, reverse=True), key=len, reverse=True)
+    sizes = list(map(len, sets))
     best = 0
-    for I in combinations(residues, k - m + 1):
-        acc: Iterable[int] = (0,)
-        for R in I:
-            acc = _sumset(acc, R, D)
-        best = max(best, len(acc))
+
+    def visit(acc, i: int, need: int) -> None:
+        nonlocal best
+        if not need or i + need == k:
+            # one subset left: take the sets in order
+            for R in sets[i : i + need]:
+                acc = _sumset(acc, R, D)
+            best = max(best, len(acc))
+            return
+        for j in range(i, k - need + 1):
+            # sizes descend, so no later j has a larger bound than this one;
+            # no bound passes D, so once best = D every branch is cut
+            if min(D, len(acc) * math.prod(sizes[j : j + need])) <= best:
+                return
+            if j == i or sets[j] != sets[j - 1]:
+                visit(_sumset(acc, sets[j], D), j + 1, need - 1)
+
+    visit((0,), 0, k - m + 1)
     return best

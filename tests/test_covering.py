@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import coverkit.covering
@@ -533,6 +534,22 @@ def test_expsum_cover_refuses_zero_set_tables_past_the_cap(monkeypatch):
     small = ExpSumSequence.from_arith_sequence(WeightedSequence(0, 2))
     with pytest.raises(ValueError, match=f"zero-set table too large: {997 * 997 * 991 + 2 * 2} points"):
         expsum_cover_check([big, small], 1)
+
+
+def test_expsum_refuses_non_integer_term_indices():
+    """e^(pi*i*x) - 1 written with the term index 1/2 at modulus 1 once had
+    the table (True,) and passed as a cover of Z, while it vanishes only on
+    the even integers; written at modulus 2 it is right.  A term index that
+    is not an integer of some type is refused at construction."""
+    c = CyclotomicElement.constant(1, 1)
+    assert expsum_cover_check([ExpSumSequence(2, [(1, c), (0, -c)])], 1) == Verdict(False, 1)
+    for t in (F(1, 2), 1.5, "1"):
+        with pytest.raises(ValueError, match="term indices must be integers"):
+            ExpSumSequence(1, [(t, c), (0, -c)])
+    # integers of any type are kept as Python ints
+    es = ExpSumSequence(np.int64(4), [(np.int8(3), c), (True, c)])
+    assert es.modulus == 4 and [t for t, _ in es.terms] == [3, 1]
+    assert all(type(t) is int for t, _ in es.terms) and type(es.modulus) is int
 
 
 def test_expsum_from_arith_requires_coprime_multiplier():

@@ -18,7 +18,7 @@ from coverkit.fracsets import (
     window_bound,
 )
 
-from helpers import sequence_table
+from helpers import sequence_table, sumset_reference, window_bound_reference
 
 F = Fraction
 
@@ -134,6 +134,68 @@ def test_window_bound_examples():
     sets111 = [fraction_set([0, t]) for t in (F(1, 3), F(1, 5), F(1, 15))]
     assert window_bound(sets112, 1) == 7
     assert window_bound(sets111, 1) == 8
+
+
+def sevens_and_elevens(k: int) -> list:
+    """k sets {0, a/7, b/11}, with a and b running through their nonzero
+    residues at different rates; every sum lies in (1/77)Z/Z."""
+    return [fraction_set([0, F(1 + s % 6, 7), F(1 + 3 * s % 10, 11)]) for s in range(k)]
+
+
+def counted_sumsets(monkeypatch) -> list:
+    """Wrap coverkit.fracsets._sumset so each call appends to the returned list."""
+    calls = []
+    sumset = coverkit.fracsets._sumset
+    monkeypatch.setattr(coverkit.fracsets, "_sumset", lambda *a: calls.append(1) or sumset(*a))
+    return calls
+
+
+def test_window_bound_saturated_worst_case(monkeypatch):
+    """On {0, a/7, b/11} the first subset walked, the k - m + 1 largest
+    sets, already reaches all D = 77 sums, so the walk stops there: k - m + 1
+    sumsets, against C(k, k - m + 1) * (k - m + 1) when every subset is
+    rebuilt (102960 at k = 16, m = 8, 1847560 at k = 20, m = 10)."""
+    small = sevens_and_elevens(10)
+    assert window_bound(small, 5) == window_bound_reference(small, 5) == 77
+    # no set of sums in (1/77)Z/Z has more than 77 elements, and the Fraction
+    # reference reaches 77 on the first 9 sets alone, so 77 is the answer
+    sets = sevens_and_elevens(16)
+    acc = (F(0),)
+    for R in sets[:9]:
+        acc = sumset_reference(acc, R)
+    assert len(acc) == 77
+    calls = counted_sumsets(monkeypatch)
+    assert window_bound(sets, 8) == 77
+    assert len(calls) == 9
+    calls.clear()
+    assert window_bound(sevens_and_elevens(20), 10) == 77
+    assert len(calls) == 11
+
+
+def test_window_bound_tries_equal_sets_once(monkeypatch):
+    """Twenty copies of {0, 1/7, 1/11} have one subset of each size up to
+    order, so the walk takes one sumset per depth; the answer is the
+    Fraction sumset of 11 copies."""
+    R = fraction_set([0, F(1, 7), F(1, 11)])
+    acc = (F(0),)
+    for _ in range(11):
+        acc = sumset_reference(acc, R)
+    calls = counted_sumsets(monkeypatch)
+    assert window_bound([R] * 20, 10) == len(acc) == 62
+    assert len(calls) == 11
+
+
+def test_window_bound_prunes_an_unsaturated_family(monkeypatch):
+    """{0, s/1009}, s = 1..k, never reaches D = 1009: the walk visits every
+    branch its bound cannot cut, still far fewer than every subset.  The
+    answers were computed by enumerating every subset."""
+    def family(k):
+        return [fraction_set([0, F(s, 1009)]) for s in range(1, k + 1)]
+
+    assert window_bound(family(8), 4) == window_bound_reference(family(8), 4) == 25
+    calls = counted_sumsets(monkeypatch)
+    assert window_bound(family(16), 8) == 95
+    assert len(calls) == 24309  # 102960 sumsets when every subset is rebuilt
 
 
 def test_window_bound_m_range():

@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 from itertools import accumulate
 
@@ -142,6 +143,31 @@ E = 2**63
         (([1, Fraction(2, 1), 3], [(Fraction(2, 1), 4)], 3), ("list", [int] * 5, [1, 2, 3, 2, 4], 1)),
         (((), (), None), ("numpy", ["int8"], [], 1)),
         (([1, 2], [(3,)], 3), ("list", [int] * 3, [1, 2, 3], 1)),
+        # each table packs on its own: an int64 edge in the second of three
+        # tables sends the whole plan where one in a flat pack would
+        *(
+            case
+            for v in (E - 1, -E, E, -E - 1)
+            for case in (
+                (((), [(1, 2), (v, 3), (4,)], None), ("numpy", ["object"], [1, 2, v, 3, 4], 1)),
+                (((), [(1, 2), (v, 3), (4,)], 10**6), ("list", [int] * 5, [1, 2, v, 3, 4], 1)),
+                (((), [(1, 2), (v, 3), (4,)], None, 5), ("numpy", ["object"], [1, 2, v, 3, 4], 1)),
+                (([7], [(1, 2), (v,), (4,)], None), ("numpy", ["int8", "int64"], [7, 1, 2, v, 4], 1)),
+            )
+        ),
+        # a Fraction only in the last table scales every table by D
+        (([1, 2], [(1, 2), (3,), (Fraction(1, 2), 5)], None), ("numpy", ["int8"], [2, 4, 2, 4, 6, 1, 10], 2)),
+        (([1, 2], [(1, 2), (3,), (Fraction(1, 2), 5)], 3), ("list", [int] * 7, [2, 4, 2, 4, 6, 1, 10], 2)),
+        # numpy integers and True inside a table
+        (([1], [(np.int16(3), True, 2), (np.int64(-4),)], None), ("numpy", ["int8"], [1, 3, 1, 2, -4], 1)),
+        (
+            ([1], [(np.int16(3), True, 2), (np.int64(-4),)], 3),
+            ("list", [int, np.int16, bool, int, np.int64], [1, 3, 1, 2, -4], 1),
+        ),
+        # an empty table among others
+        (([1], [(1, 2), (), (3,)], None), ("numpy", ["int8"], [1, 1, 2, 3], 1)),
+        (([1], [(1, 2), (), (3,)], 10**6), ("numpy", ["int8"], [1, 1, 2, 3], 1)),
+        (([1], [(1, 2), (), (3,)], 3), ("list", [int] * 4, [1, 1, 2, 3], 1)),
     ],
 )
 def test_plan_packing_contract(args, expected):
@@ -149,6 +175,21 @@ def test_plan_packing_contract(args, expected):
     int64) the plan falls back to exact ints; every path, dtype, value and
     D is the same as with any other packing."""
     assert plan_summary(*args) == expected
+
+
+def test_plan_packs_ints_past_int64_once(monkeypatch):
+    """Python ints past int64 fail the pack of their group and are not
+    packed a second time: they are past the guard, so no width holds them."""
+    calls = []
+    pack = struct.pack
+    monkeypatch.setattr(struct, "pack", lambda *a: calls.append(a[0]) or pack(*a))
+    for args, expected in (
+        (([E, 1], [(2, 3)], 10**6), ("list", [int] * 4, [E, 1, 2, 3], 1)),
+        (([-E - 1], [(2, 3)], None, 5), ("numpy", ["object"], [-E - 1, 2, 3], 1)),
+    ):
+        calls.clear()
+        assert plan_summary(*args) == expected
+        assert len(calls) == 1
 
 
 def test_scaled_picks_the_narrowest_width():

@@ -325,6 +325,14 @@ FULL_PRIME = {j: 2 for j in range(10007)}
 @example((10007, {**FULL_PRIME, 5: 3}))
 @example((720, {0: 2, 360: 1, 240: 1, 480: 1}))  # (1 + zeta_2) + (1 + zeta_3 + zeta_3^2) = 0
 @example((15, {0: 1, 6: 1, 12: 1, 3: 1}))  # four of the five groups mod 5 equal, one empty
+# two terms: c * zeta^i + d * zeta^j vanishes iff c = d and i - j = level/2
+@example((8, {0: 3, 4: 3}))
+@example((8, {0: 3, 4: -3}))
+@example((8, {1: 2, 5: 3}))
+@example((8, {2: 0, 6: 3}))  # a zero coefficient: one term left, which does not vanish
+@example((8, {2: 0, 6: 0}))
+@example((9, {1: 2, 5: 2}))  # odd level: no exponent is level/2
+@example((12, {1: -2, 7: -2}))
 @given(cyclotomic_terms())
 def test_zero_test_matches_division_by_phi(case):
     level, terms = case
