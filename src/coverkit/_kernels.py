@@ -10,27 +10,33 @@ each is an int within int64 (a Fraction or a larger int fails it, and
 they go over D as exact Python ints; ints past int64 are not packed
 again); the bytes are joined, with no flat list of the values.  From
 about 20 values it beats ``array("q")``: 67 against 150 us for 6000
-values in [-9, 9] on a 2-core Xeon VM.  A full-period sum comes back
-over the same D (:func:`exact_sum`), so callers compare ints, not
-Fractions.  A numpy scan gets the narrowest of int8, int16, int32 and
-int64 that no kernel sum can leave.  A scan's cost is memory traffic, so
-an exact cover whose counts stay below 64 scans bytes, not words.  The
-kernels take their dtype from the values they are given, so every width
-runs the same code and the ladder and guard change speed, never answers.
+values in [-9, 9] on a 2-core Xeon VM.  Values and sums come back over
+the same D (:func:`exact_values`, :func:`exact_sum`), so callers compare
+ints, not Fractions.  A numpy scan gets the narrowest of int8, int16,
+int32 and int64 that no kernel sum can leave.  A scan's cost is memory
+traffic, so an exact cover whose counts stay below 64 scans bytes, not
+words.  The kernels take their dtype from the values they are given, so
+every width runs the same code and the ladder and guard change speed,
+never answers.
 
-A window check runs on lists of Python ints instead when its work is at
-most ``_LIST_WORK``, too short for numpy to pay off, or when its values
-reach the int64 guard, where lists beat numpy object arrays.  Over Q
+Each scan takes one of two routes, by the kind of answer it returns.  A
+window-route scan (every window check, and every read that hands values
+of w back to Python, :func:`exact_values`) runs on one fixed-width array,
+or on lists of Python ints when its work is at most ``_LIST_WORK``, too
+short for numpy to pay off, or when its values reach the int64 guard,
+where lists beat numpy object arrays and digits joined in Python.  Over Q
 numpy adds each table period's negated row into the class sums in place;
 over F_p the table sums are reduced, then subtracted.  On lists a table
 whose period divides a longer one is tiled into it first, so the window
 is walked once per maximal table period.
-Full-period scans always run numpy, so the oracle is a second
-implementation of every window check.  Past the guard a full-period scan
-over Q splits each lone value (a class weight, a constant table) into
+A full-period scan, whose answer stays in numpy (the oracle's searches
+and compares, and :func:`exact_sum`), always runs numpy, so the oracle is
+a second implementation of every window check.  Past the guard, over Q,
+it splits each lone value (a class weight, a constant table) into
 base-2**32 digits, runs every digit through the fixed-width kernels, and
-recombines the digit sums with one carry pass in int64 (a scan is
-linear: classical multiple precision, Knuth, TAOCP vol. 2, 4.3.1).  A
+recombines the digit sums, with one carry pass in int64 for a search or
+a compare and one shift of each digit's sum for :func:`exact_sum` (a scan
+is linear: classical multiple precision, Knuth, TAOCP vol. 2, 4.3.1).  A
 periodic table goes whole into digit 0; where that reaches the guard, and
 over F_p, the scan runs on object arrays of exact Python ints.
 
@@ -40,13 +46,13 @@ period, and the rows are summed chunk by chunk, from ``_CHUNK`` points
 doubling to ``_CHUNK_MAX``, by one :func:`table_sums` call per chunk.
 It returns at the first chunk with a nonzero point, so a falsified scan
 whose witness comes early touches a few thousand points, not the period.
-Every other scan runs whole and is not folded.
+Every other scan, on either route, runs whole and is not folded.
 
 This is the only module that uses numpy, and it imports numpy inside each
 kernel entry point rather than at module load: a process that runs no
-long scan (``least-period``, ``window-size``, a short ``exact-cover``, a
-small ``multidim-period``) never loads it, and once loaded the import
-statement is a dictionary lookup.
+long scan (``least-period``, ``window-size``, a short ``exact-cover`` or
+``min-window``, a small ``multidim-period``) never loads it, and once
+loaded the import statement is a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -91,18 +97,19 @@ def _plan(weights, tables, work, char: int = 0):
     ``tables``, ints or Fractions, as ints over their common denominator D,
     laid out for the path the scan takes, decided here and nowhere else.
 
-    ``work`` is a window check's work estimate, or None for a full-period
-    scan, whose sums are reduced mod ``char`` when it is positive.  A window
-    check runs on a list of Python ints when its work is at most
-    _LIST_WORK, where numpy's call overhead outweighs its speed.  Otherwise
-    the sum of each weight's and each table's largest scaled magnitude
-    picks the narrowest width of the ladder whose bound it stays below, and
-    the values come back as a 1-tuple of an array in it; a sum of weights
-    and one value from each table, or the difference of two such sums,
-    then fits the width.  At or past the int64 guard a window check runs on
-    a list too, and a full-period scan on the tuple of base-2**32 digit
-    arrays of :func:`_digits`, or over F_p, or where a digit would reach
-    the guard, on a 1-tuple of a numpy object array of exact Python ints.
+    ``work`` is a window-route scan's work estimate, or None for a
+    full-period scan, whose sums are reduced mod ``char`` when it is
+    positive.  A window-route scan runs on a list of Python ints when its
+    work is at most _LIST_WORK, where numpy's call overhead outweighs its
+    speed.  Otherwise the sum of each weight's and each table's largest
+    scaled magnitude picks the narrowest width of the ladder whose bound
+    it stays below, and the values come back as a 1-tuple of an array in
+    it; a sum of weights and one value from each table, or the difference
+    of two such sums, then fits the width.  At or past the int64 guard a
+    window-route scan runs on a list too, and a full-period scan on the
+    tuple of base-2**32 digit arrays of :func:`_digits`, or over F_p, or
+    where a digit would reach the guard, on a 1-tuple of a numpy object
+    array of exact Python ints.
     A list of the values is built only for a list, digits or an object
     array, or when a group fails to pack.
     """
@@ -170,8 +177,9 @@ def _digits(flat, k: int, firsts, tables):
     [-2**31, 2**31) and the rest moves up, so every digit is at most 2**32
     in magnitude.  A table of more values (a periodic table) goes whole
     into digit 0.  Scans are linear, so each digit runs the kernels on its
-    own and :func:`_carry` recombines their sums; splitting a table would
-    cost more than its object array (about 100 ns a value).
+    own and :func:`_nonzero` or :func:`exact_sum` recombines their sums;
+    splitting a table would cost more than its object array (about 100 ns a
+    value).
     """
     split = {}
     for f in chain(range(k), (f for f, t in zip(firsts, tables) if len(t) == 1)):
@@ -197,30 +205,22 @@ def _digits(flat, k: int, firsts, tables):
     return tuple(digits)
 
 
-def _carry(sums):
-    """(digits, top): digit sums S_i, value sum of S_i * 2**(32 i), with the
-    carries passed up in int64, as K - 1 digits in [0, 2**32) and a signed
-    top; the value is zero exactly where every digit and the top are."""
+def _nonzero(sums):
+    """An array that is nonzero exactly where the value sum S_i * 2**(32 i)
+    of the digit sums ``sums`` is (the sums themselves for one digit): the
+    carries pass up in int64, and the value is zero exactly where the K - 1
+    low digits, in [0, 2**32), and the signed top all are."""
+    if len(sums) == 1:
+        return sums[0]
     import numpy as np
 
-    digits, carry = [], 0
+    low, carry = 0, 0
     for s in sums[:-1]:
         # |S_i| < 2**62 and |carry| < 2**31, so no step wraps
         t = s.astype(np.int64, copy=False) + carry
-        digits.append(t & 0xFFFFFFFF)
+        low = low | t & 0xFFFFFFFF
         carry = t >> 32
-    return digits, sums[-1] + carry
-
-
-def _nonzero(sums):
-    """An array that is nonzero exactly where the value of the digit sums
-    ``sums`` (:func:`_carry`) is: the sums themselves for one digit."""
-    if len(sums) == 1:
-        return sums[0]
-    digits, top = _carry(sums)
-    for d in digits:
-        top |= d
-    return top
+    return (sums[-1] + carry) | low
 
 
 def cover_counts(residues, moduli, weights, start: int, length: int) -> np.ndarray:
@@ -388,35 +388,29 @@ def table_sums(values, offsets, periods, start: int, length: int, char: int = 0)
     return out
 
 
-def _values(classes, tables, start: int, length: int, char: int, window: bool):
+def _values(classes, tables, start: int, length: int, char: int):
     """(D * (w - sum of the tables) over [start, start+length), D): w sums
     the weights of the classes (residues, moduli, weights) containing x, a
-    table is one period of values, and D is the common denominator.  On
-    numpy the table sums are reduced mod char when char > 0; on lists the
-    values are not reduced.  A window check runs on the path :func:`_plan`
-    picks from its work, a list or one digit; a full-period scan always
-    runs numpy, and gives the tuple of each digit's sums."""
+    table is one period of values, and D is the common denominator.  The
+    scan takes the window route, on the path :func:`_plan` picks from its
+    work: a list of Python ints, not reduced, or one fixed-width array,
+    whose table sums are reduced mod char when char > 0."""
     residues, moduli, weights = classes
     k = len(weights)
     periods = list(map(len, tables))
     offsets = list(accumulate(periods, initial=k))
-    if window:
-        # points + class hits + points per distinct table period + table values
-        hits = len(moduli) + sum(map(length.__floordiv__, moduli))
-        nums, D = _plan(weights, tables, length * (1 + len(set(periods))) + hits + sum(periods))
-    else:
-        nums, D = _plan(weights, tables, None, char)
+    # points + class hits + points per distinct table period + table values
+    hits = len(moduli) + sum(map(length.__floordiv__, moduli))
+    nums, D = _plan(weights, tables, length * (1 + len(set(periods))) + hits + sum(periods))
     if type(nums) is tuple:
-        sums = []
-        for digit in nums:
-            out = cover_counts(residues, moduli, digit[:k], start, length)
-            if char:
-                out -= table_sums(digit, offsets, periods, start, length, char)
-            elif tables:
-                rows = _by_period(digit, offsets, periods)
-                _add_periodic(out, {n: -row for n, row in rows.items()}, start)
-            sums.append(out)
-        return tuple(sums), D
+        (nums,) = nums  # a window plan is one digit
+        out = cover_counts(residues, moduli, nums[:k], start, length)
+        if char:
+            out -= table_sums(nums, offsets, periods, start, length, char)
+        elif tables:
+            rows = _by_period(nums, offsets, periods)
+            _add_periodic(out, {n: -row for n, row in rows.items()}, start)
+        return out, D
     out = [0] * length
     for a, n, w in zip(residues, moduli, nums):
         j = (a - start) % n
@@ -438,12 +432,12 @@ def _first_where(test, bound, classes, tables, start: int, length: int, char: in
     """First x in [start, start+length) whose value v of a window check's
     :func:`_values`, reduced mod char when char > 0, has test(v, bound), or
     None: the one search of window checks."""
-    out, _ = _values(classes, tables, start, length, char, True)
+    out, _ = _values(classes, tables, start, length, char)
     if type(out) is list:
         if char:
             out = map(char.__rmod__, out)
         return next(compress(count(start), map(test, out, repeat(bound))), None)
-    bad = test(out[0], bound)  # a window plan is one digit
+    bad = test(out, bound)
     i = int(bad.argmax())  # the first True, or 0 when there is none
     return start + i if bad[i] else None
 
@@ -555,19 +549,18 @@ def _sum(arr) -> int:
     return sum(arr.tolist())
 
 
-def exact_sum(classes, tables, start: int, length: int, char: int = 0):
-    """(sum, D): the exact sum of :func:`exact_values`, each digit's sums
-    summed by :func:`_sum` and shifted into place."""
-    sums, D = _values(classes, tables, start, length, char, False)
+def exact_sum(classes, start: int, length: int):
+    """(sum, D): the exact sum of D * w over [start, start+length), on the
+    full-period plan: each digit's cover counts summed by :func:`_sum` and
+    shifted into place."""
+    residues, moduli, weights = classes
+    nums, D = _plan(weights, (), None)
+    sums = (cover_counts(residues, moduli, digit, start, length) for digit in nums)
     return sum(_sum(s) << 32 * i for i, s in enumerate(sums)), D
 
 
-def exact_values(classes, tables, start: int, length: int, char: int = 0):
-    """The full-period scan of :func:`_values`, as (Python ints, D): the
-    digit sums carried (:func:`_carry`) and joined from the top down."""
-    sums, D = _values(classes, tables, start, length, char, False)
-    digits, top = _carry(sums)
-    out = top.tolist()
-    for d in reversed(digits):
-        out = [v << 32 | x for v, x in zip(out, d.tolist())]
-    return out, D
+def exact_values(classes, start: int, length: int):
+    """(D * w over [start, start+length) as Python ints, D): the window
+    route of :func:`_values`, a list as it is or one array's ``tolist``."""
+    out, D = _values(classes, (), start, length, 0)
+    return (out if type(out) is list else out.tolist()), D

@@ -21,11 +21,13 @@ consecutive integers:
 Weights are exact rationals (not arbitrary complex numbers): every "is this
 coefficient zero" verdict then stays inside Q(zeta_N) where it is decidable
 exactly.  Only :func:`cover_table` and :func:`weighted_average_check` scan
-a full period, for its values; every search for a first nonzero point here
-runs on a window, and the full-period search is :mod:`coverkit.oracle`'s.
-Every scan is one evaluator, D times the covering function minus the
-tables over one common denominator D, and :mod:`coverkit._kernels` picks
-its path and hands back answers: a witness, Python values or their sum.
+a full period: the first reads values on the window route, as every read
+of values does, and the second sums them on the full-period route; every
+search for a first nonzero point here runs on a window, and the
+full-period search is :mod:`coverkit.oracle`'s.  Every scan is one
+evaluator, D times the covering function minus the tables over one
+common denominator D, and :mod:`coverkit._kernels` picks its path and
+hands back answers: a witness, Python values or their sum.
 Only the zero-set and coefficient functions use :mod:`coverkit.cyclotomic`;
 they import it once per call, so a window check never loads it.
 """
@@ -243,7 +245,7 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
     Integers when the weights' common denominator is 1, Fractions otherwise.
     """
-    values, D = _kernels.exact_values(*_scan_input(system.seqs, (), start, length))
+    values, D = _kernels.exact_values(_columns(system.seqs), start, _oracle_points(length, "window"))
     if D == 1:
         return tuple(values)
     return tuple(Fraction(v, D) for v in values)
@@ -251,8 +253,10 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
 def _oracle_points(points: int, what: str = "period") -> int:
     """``points``, once a scan of that many points (a full period, a box or
-    a window) is known to fit under DEFAULT_ORACLE_CAP; larger scans are
-    refused up front."""
+    a window) is known to be nonnegative and to fit under
+    DEFAULT_ORACLE_CAP; other scans are refused up front."""
+    if points < 0:
+        raise ValueError(f"negative {what} length: {points}")
     if points > DEFAULT_ORACLE_CAP:
         raise ValueError(f"{what} too large: {points} points exceed cap {DEFAULT_ORACLE_CAP}")
     return points
@@ -280,10 +284,10 @@ def _scan_input(
 ):
     """The kernel arguments (classes, tables, start, length, char) of
     w - sum_s psi_s over [start, start+length), where w is the covering
-    function of ``seqs``; ``_kernels.exact_values`` of them is (D times
-    those values, D), D the common denominator of the weights and table
-    values, with sums over F_p reduced mod p.  A window past the oracle
-    cap is refused before anything is allocated."""
+    function of ``seqs``, for the searches of ``_kernels``, which find the
+    first x where D times those values is nonzero, D the common denominator
+    of the weights and table values, with sums over F_p reduced mod p.  A
+    window past the oracle cap is refused before anything is allocated."""
     _oracle_points(length, "window")
     char = _common_char(psis) if psis else 0
     if char and seqs:
@@ -478,11 +482,12 @@ def min_on_window(
         return 1, l, l
     # {0, m_s/n_s} mod 1, sorted: m_s is coprime to n_s, so m_s/n_s is 0 mod 1 only when n_s = 1
     R_sets = [(0, Fraction(ms % n, n)) if n > 1 else (0,) for ms, n in zip(multipliers, system.moduli)]
-    values, _ = _kernels.exact_values(*_scan_input(system.seqs, (), start, window_bound(R_sets, 1)))
+    W_0 = _oracle_points(window_bound(R_sets, 1), "window")
+    values, _ = _kernels.exact_values(_columns(system.seqs), start, W_0)
     global_min = min(values)
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
-    W_l = window_bound(R_sets, l + 1) if l else len(values)
+    W_l = window_bound(R_sets, l + 1) if l else W_0
     return W_l, min(values[:W_l]), global_min
 
 
@@ -528,7 +533,7 @@ def weighted_average_check(system: System) -> bool:
     is compared times D * N, in ints: D is a multiple of every weight's
     denominator and N of every modulus, so no Fraction is built."""
     N = _oracle_points(system.lcm())
-    total, D = _kernels.exact_sum(*_scan_input(system.seqs, (), 0, N))
+    total, D = _kernels.exact_sum(_columns(system.seqs), 0, N)
     return total == sum(w.numerator * (D // w.denominator) * (N // n) for _, n, w in system.seqs)
 
 

@@ -604,10 +604,11 @@ RUN_CLI = "from coverkit.cli import run_command\nassert run_command({!r}) == {}"
 
 def test_numpy_loads_only_for_a_scan(tmp_path):
     """Importing the package and the CLI, the subcommands that scan no
-    array, and short window checks, also periodicity mod a vector on a
-    small box, leave numpy unloaded; a window or a box past the kernels'
-    list work loads it."""
+    array, short window checks and short reads of w (min-window), also
+    periodicity mod a vector on a small box, leave numpy unloaded; a
+    window or a box past the kernels' list work loads it."""
     b = write(tmp_path, "B.txt", B_TEXT)
+    quarters = write(tmp_path, "quarters.txt", "0 2\n1 4\n3 4\n")
     big = write(tmp_path, "big.txt", "0 6000000000054\n1 10000000000000061\n")
     coeffs = write(tmp_path, "c.txt", COEFF_B)
     # w = 1 everywhere, on a window of 2003 points
@@ -625,6 +626,7 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
         ["verify", "--target-const", "1", b],
         ["witness", "--m", "2", b],
         ["expsum-cover", "--m", "1", coeffs],
+        ["min-window", "--l", "1", "--multipliers", "1,1,3", quarters],
     ):
         assert not loaded_after(RUN_CLI.format(argv, 0), "numpy"), argv
     for argv in (["multidim-period", "--n0", "2,3", box], ["cor14", "--n0", "2,3", box]):

@@ -13,6 +13,7 @@ from coverkit.covering import (
     System,
     Verdict,
     WeightedSequence,
+    _columns,
     _first_nonzero,
     _scan_input,
     cover_count,
@@ -479,8 +480,8 @@ def test_list_boundary_keeps_answers(monkeypatch):
             numpy_calls.clear()
             assert _kernels.first_below(rows, least, start, length) == expected
             assert bool(numpy_calls) == on_numpy
-            oracle, _ = _kernels.exact_values(((), (), ()), rows, start, length)
-            assert next((start + j for j, v in enumerate(oracle) if v > -least), None) == expected
+            pointwise = indexed_values(((), (), ()), rows, start, length, dtype=object).tolist()
+            assert next((start + j for j, v in enumerate(pointwise) if v > -least), None) == expected
     assert 3 < failing < 10
 
 
@@ -549,41 +550,62 @@ def test_cover_past_the_guard_scans_on_digits(monkeypatch):
     assert {d.dtype.kind for nums, _ in plans for d in nums} == {"i"}
 
 
+def test_digit_carries_cancel_across_digits():
+    """w = 0 everywhere, yet at even x its digit sums are 2**33 in digit 0
+    and -2 in digit 1: the weights 2**62 and -2**62 put the full-period
+    plans on digits, four classes of 2**31 stay whole in digit 0, and
+    -2**33 splits into the digits (0, -2).  The full-period search and the
+    periodicity compare both carry digit 0 into digit 1 and see zero."""
+    big = [(0, 1, 2**62), (0, 1, -(2**62))]
+    parts = [(0, 2, 2**31)] * 4 + [(0, 2, -(2**33))]
+    system = System.of(*big, *parts)
+    assert [cover_count(system, x) for x in range(2)] == [0, 0]
+    nums, _ = _kernels._plan(_columns(system.seqs)[2], (), None)
+    assert len(nums) == 2 and nums[1].tolist()[2:] == [0, 0, 0, 0, -2]
+    assert sum(nums[0].tolist()) == 2**33
+    assert brute_cover_verdict(system, PeriodicValueTable.constant(0)) == Verdict(True)
+    seqs = [MultiSequence((a, 0), (n, 1), w) for a, n, w in big + parts]
+    assert brute_periodic_mod_vec(seqs, (1, 1)).ok
+
+
 def test_exact_sum_native_only_where_exact(monkeypatch):
-    """exact_sum sums each digit of a full-period scan natively where no
-    int64 total can wrap, and in Python ints from there: every digit's
-    sums come back as an array whose tolist raises, so a native sum is one
-    that does not raise."""
+    """_sum sums an array natively where no int64 total can wrap, and in
+    Python ints from there, and exact_sum sums each digit of a full-period
+    scan with it: an array whose tolist raises is summed natively exactly
+    where it does not raise."""
 
     class NoList(np.ndarray):
         def tolist(self):
             raise AssertionError("summed in Python ints")
 
-    cover_counts = _kernels.cover_counts
-    monkeypatch.setattr(_kernels, "cover_counts", lambda *a: cover_counts(*a).view(NoList))
-    none = ((), (), ())
     rng = random.Random(32)
     for width, bound in ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30)):
         values = [rng.randrange(1 - bound, bound) for _ in range(1000)]
-        assert plan_dtype([values]) == width
-        assert _kernels.exact_sum(none, [values], 0, 1000) == (-sum(values), 1)
+        (nums,), _ = _kernels._plan((), [values], None)
+        assert nums.dtype == width
+        assert _kernels._sum(nums.view(NoList)) == sum(values)
+    cover_counts = _kernels.cover_counts
+    monkeypatch.setattr(_kernels, "cover_counts", lambda *a: cover_counts(*a).view(NoList))
     # an int64 scan sums natively while its size times its largest
     # magnitude is below 2**63, and in Python ints from there
     peak = 2**62 - 1
-    assert plan_dtype([(peak, -peak)]) == np.int64
-    assert _kernels.exact_sum(none, [(peak, -peak)], 0, 2) == (0, 1)
-    assert _kernels.exact_sum(none, [(peak,)], 0, 2) == (-(2**63 - 2), 1)
+    (nums,), _ = _kernels._plan([peak], (), None)
+    assert nums.dtype == np.int64
+    assert _kernels.exact_sum(([0], [2], [peak]), 0, 2) == (peak, 1)
+    assert _kernels.exact_sum(([0], [1], [peak]), 0, 2) == (2**63 - 2, 1)
     with pytest.raises(AssertionError, match="Python ints"):
-        _kernels.exact_sum(none, [(peak,)], 0, 3)
+        _kernels.exact_sum(([0], [1], [peak]), 0, 3)
     # each digit of a lone value past the guard sums natively, and shifts
     # into place
-    assert _kernels.exact_sum(([0], [1], [2**63]), [], 0, 3) == (3 * 2**63, 1)
+    assert _kernels.exact_sum(([0], [1], [2**63]), 0, 3) == (3 * 2**63, 1)
     monkeypatch.setattr(_kernels, "cover_counts", cover_counts)
-    assert _kernels.exact_sum(none, [(peak,)], 0, 3) == (-3 * peak, 1)
+    assert _kernels.exact_sum(([0], [1], [-peak]), 0, 3) == (-3 * peak, 1)
     assert int(np.full(3, -peak).sum()) != -3 * peak  # an int64 total wraps
-    # a periodic table past the guard sums as an object array
-    assert plan_dtype([(2**70, -1)]) == object
-    assert _kernels.exact_sum(none, [(2**70, -1)], 0, 2) == (1 - 2**70, 1)
+    # classes on an object array sum in Python ints
+    with kernel_widths("guard-1"):
+        (nums,), _ = _kernels._plan([2**70, -1], (), None)
+        assert nums.dtype == object
+        assert _kernels.exact_sum(([0, 1], [2, 2], [2**70, -1]), 0, 2) == (2**70 - 1, 1)
 
 
 # weight scales that put a system's scaled peak sum in each width
@@ -652,15 +674,29 @@ def test_full_period_answers_independent_of_width(monkeypatch):
     assert any(not v for v in answers["narrowest"] if hasattr(v, "ok"))
 
 
-def test_cover_values_is_pointwise_cover_count():
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+def test_cover_values_is_pointwise_cover_count(setting):
+    """cover_values and cover_table, on the window route under every scan
+    setting, equal cover_count point by point: for integer, Fraction and
+    past-2**63 weights, on windows of 0 and 50 points and past
+    _LIST_WORK."""
     rng = random.Random(616)
-    for _ in range(20):
-        k = rng.randint(1, 5)
-        system = System.of(*((rng.randrange(10), rng.randint(1, 10)) for _ in range(k)))
-        start = rng.randint(-30, 30)
-        vals = cover_values(system, start, 50)
-        for j, v in enumerate(vals):
-            assert v == cover_count(system, start + j)
+    kinds = (
+        lambda: 1,
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        lambda: rng.choice((1, -1)) * (2**63 + rng.randrange(99)),
+    )
+    long = _kernels._LIST_WORK + 1
+    with kernel_widths(setting):
+        for weight in kinds:
+            for length, count in ((0, 1), (50, 10), (long, 2)):
+                for _ in range(count):
+                    k = rng.randint(1, 5)
+                    system = System.of(*((rng.randrange(10), rng.randint(1, 10), weight()) for _ in range(k)))
+                    start = rng.randint(-30, 30)
+                    vals = cover_values(system, start, length)
+                    assert vals == tuple(cover_count(system, start + j) for j in range(length))
+            assert cover_table(system).values == tuple(cover_count(system, x) for x in range(system.lcm()))
 
 
 def test_table_sums_blocks_match_pointwise_definition():
@@ -692,9 +728,9 @@ def test_table_sums_blocks_match_pointwise_definition():
 def _window_values(classes, tables, start: int, length: int, char: int = 0) -> list:
     """A window check's values from ``_kernels._values``, as Python ints,
     reduced mod char when char > 0 (the list path does not reduce)."""
-    out, D = _kernels._values(classes, tables, start, length, char, True)
+    out, D = _kernels._values(classes, tables, start, length, char)
     assert D == 1
-    values = out if type(out) is list else out[0].tolist()
+    values = out if type(out) is list else out.tolist()
     return [v % char for v in values] if char else values
 
 
@@ -714,8 +750,7 @@ def test_in_place_subtraction_exact_at_width_edges(setting):
     peak sum is one below a width's bound: at x0 = 0 mod 30030 every class
     holds and every table sits at its negated peak, so w - the tables
     reaches P there, and -P on the negated input; with classes, without
-    them, and over F_p, on the window path and the full-period scan, equal
-    to pointwise sums."""
+    them, and over F_p, on the window path, equal to pointwise sums."""
     rng = random.Random(30030)
     x0 = 30030 * 2**60
     start, length = x0 - 300, 600
@@ -738,10 +773,9 @@ def test_in_place_subtraction_exact_at_width_edges(setting):
                 ref = indexed_values(classes, tables, start, length, dtype=object).tolist()
                 assert ref[x0 - start] == extreme and max(map(abs, ref)) == peak
                 assert _window_values(classes, tables, start, length) == ref
-                assert _kernels.exact_values(classes, tables, start, length) == (ref, 1)
-                out, _ = _kernels._values(classes, tables, start, length, 0, True)
-                if type(out) is tuple and setting in ("narrowest", "no-lists"):
-                    assert out[0].dtype == width
+                out, _ = _kernels._values(classes, tables, start, length, 0)
+                if type(out) is not list and setting in ("narrowest", "no-lists"):
+                    assert out.dtype == width
             # over F_p: values in [0, p), each table peaking at x0
             maxima = [-(-peak // 4)] * 3
             maxima.append(peak - sum(maxima))
@@ -750,8 +784,6 @@ def test_in_place_subtraction_exact_at_width_edges(setting):
             ref = [v % p for v in indexed_values(none, tables, start, length, dtype=object).tolist()]
             assert ref[x0 - start] == -peak % p
             assert _window_values(none, tables, start, length, p) == ref
-            exact, D = _kernels.exact_values(none, tables, start, length, p)
-            assert ([v % p for v in exact], D) == (ref, 1)
 
 
 @pytest.mark.parametrize("setting", SCAN_SETTINGS)
@@ -782,10 +814,11 @@ def test_list_fold_tiles_each_period_into_one_maximal_period(setting):
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     system = System.of((0, 2, 2**60), (1, 1009, 2**60))
     assert plan_dtype([(2**60,), (2**60,)]) == np.int64  # the scan's plan
-    values, D = _kernels.exact_values(*_scan_input(system.seqs, (), 0, system.lcm()))
+    classes = _columns(system.seqs)
+    values, D = _kernels.exact_values(classes, 0, system.lcm())
     assert D == 1 and max(values) < 2**62
     # every point fits in int64, the total over the period does not
-    total = _kernels.exact_sum(*_scan_input(system.seqs, (), 0, system.lcm()))
+    total = _kernels.exact_sum(classes, 0, system.lcm())
     assert total == (sum(values), 1) == (1011 * 2**60, 1)
     assert int(np.array(values, dtype=np.int64).sum()) != 1011 * 2**60
     rng = random.Random(2**60)

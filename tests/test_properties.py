@@ -57,7 +57,7 @@ from coverkit import (
     window_zero_check,
     zero_system_coefficients,
 )
-from coverkit.covering import _scan_input
+from coverkit.covering import _columns
 from coverkit.cyclotomic import _primes, _vanishes
 from coverkit.fracsets import divisor_union_phis
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
@@ -474,7 +474,7 @@ def test_hypothesis_checks_match_full_period_scans(setting, case, l, start, drop
     candidate = System(base.seqs + tuple(WeightedSequence(*e) for e in refined[: len(refined) - drop]))
     zero = PeriodicValueTable.constant(0)
     with kernel_widths("guard-1"):
-        full_min = min(_kernels.exact_values(*_scan_input(base.seqs, (), 0, base.lcm()))[0])
+        full_min = min(_kernels.exact_values(_columns(base.seqs), 0, base.lcm())[0])
         is_zero = brute_cover_verdict(candidate, zero).ok
         is_equal = brute_cover_verdict(system, PeriodicValueTable.constant(cover_count(system, 0))).ok
     assert is_zero != drop and is_equal >= equal and not brute_cover_verdict(base, zero).ok
@@ -711,7 +711,8 @@ def test_scans_past_the_guard_match_pointwise(setting, case):
     """cover_table, weighted_average_check, brute_cover_verdict (against
     the constant c and against w's own table) and brute_periodic_mod_vec,
     under every scan setting, give what exact pointwise evaluation gives
-    (cover_count and multidim_value).  A plan of lone values (class
+    (cover_count and multidim_value).  cover_table reads on the window
+    route; of the full-period plans, one of lone values (class
     weights, and a constant) splits into fixed-width digits exactly when
     their scaled magnitudes sum past the guard, unless the guard is 1; a
     periodic table past the guard keeps its scan on an object array."""
@@ -725,7 +726,7 @@ def test_scans_past_the_guard_match_pointwise(setting, case):
 
     def recording(weights, tables, work, char=0):
         nums, D = plan(weights, tables, work, char)
-        plans.append(([*zip(weights), *tables], nums))
+        plans.append(([*zip(weights), *tables], work, nums))
         return nums, D
 
     with kernel_widths(setting), mock.patch.object(_kernels, "_plan", recording):
@@ -736,8 +737,12 @@ def test_scans_past_the_guard_match_pointwise(setting, case):
         assert brute_cover_verdict(system, PeriodicValueTable(N, values)).ok
         verdict = brute_periodic_mod_vec(seqs, n0)
     assert (verdict.ok, verdict.witness) == rolled_periodicity(seqs, n0)
-    assert len(plans) == 5
-    for groups, nums in plans:
+    # cover_table's read first, on the window route: a list, or one
+    # fixed-width array; then the four full-period plans
+    assert [work is None for _, work, _ in plans] == [False, True, True, True, True]
+    (_, _, nums), *plans = plans
+    assert type(nums) is list or (len(nums) == 1 and nums[0].dtype.kind == "i")
+    for groups, _, nums in plans:
         peaks = _scaled_peaks(groups)
         assert type(nums) is tuple
         if all(len(g) == 1 for g in groups):

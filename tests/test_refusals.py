@@ -14,6 +14,7 @@ from coverkit import (
     System,
     WeightedSequence,
     brute_periodic_mod_vec,
+    cover_values,
     divisibility_chain_report,
     equal_cover_superset_check,
     exp_sum_eval,
@@ -64,6 +65,11 @@ REFUSALS = {
         lambda _: min_on_window(System.of((0, 2), (1, 2)), [1, 1], -1),
         ValueError,
         "l must be nonnegative, got -1",
+    ),
+    "cover-values-negative-length": (
+        lambda _: cover_values(System.of((0, 2), (1, 2)), 0, -3),
+        ValueError,
+        "negative window length: -3",
     ),
     "expsum-modulus-0": (lambda _: ExpSumSequence(0, ()), ValueError, "modulus must be positive, got 0"),
     "expsum-m-0": (
