@@ -4,20 +4,23 @@ The kernels (window covering counts, periodic-table sums, and the first
 nonzero of a covering function over a box in Z^l) are the only loops in
 the package that touch millions of points.  Every scan first puts its
 exact values over a common denominator with :func:`_plan`, which also
-decides, once, the path the scan runs on.  One ``struct.pack`` as int64
-per group of values (the weights, each table) packs them and checks that
-each is an int within int64 (a Fraction or a larger int fails it, and
-they go over D as exact Python ints; ints past int64 are not packed
-again); the bytes are joined, with no flat list of the values.  From
-about 20 values it beats ``array("q")``: 67 against 150 us for 6000
-values in [-9, 9] on a 2-core Xeon VM.  Values and sums come back over
-the same D (:func:`exact_values`, :func:`exact_sum`), so callers compare
-ints, not Fractions.  A numpy scan gets the narrowest of int8, int16,
-int32 and int64 that no kernel sum can leave.  A scan's cost is memory
-traffic, so an exact cover whose counts stay below 64 scans bytes, not
-words.  The kernels take their dtype from the values they are given, so
-every width runs the same code and the ladder and guard change speed,
-never answers.
+decides, once, the path the scan runs on.  Each group of values (the
+class weights, each table) is a :class:`Column`: its values as ints over
+its own denominator, packed as int64 by one ``struct.pack`` that also
+checks each is an int within int64 (a Fraction or a larger int fails it;
+ints past int64 are not packed again).  ``System`` and
+``PeriodicValueTable`` build theirs once, at construction, with
+:func:`column`, so a plan only joins the bytes, and scales a group only
+when the groups' denominators differ; no flat list of the values is
+built.  From about 20 values the pack beats ``array("q")``: 67 against
+150 us for 6000 values in [-9, 9] on a 2-core Xeon VM.  Values and sums
+come back over the same D (:func:`exact_values`, :func:`exact_sum`), so
+callers compare ints, not Fractions.  A numpy scan gets the narrowest of
+int8, int16, int32 and int64 that no kernel sum can leave.  A scan's cost
+is memory traffic, so an exact cover whose counts stay below 64 scans
+bytes, not words.  The kernels take their dtype from the values they are
+given, so every width runs the same code and the ladder and guard change
+speed, never answers.
 
 Each scan takes one of two routes, by the kind of answer it returns.  A
 window-route scan (every window check, and every read that hands values
@@ -92,10 +95,65 @@ _CHUNK = 2**13
 _CHUNK_MAX = 2**17
 
 
+def _pack(values):
+    """``values`` packed as int64 bytes by one ``struct.pack``, one C pass
+    that also checks each is an int within int64; None when one is not (a
+    Fraction, or an int past int64)."""
+    try:
+        return struct.pack(f"{len(values)}q", *values)
+    except struct.error:
+        return None
+
+
+class Column:
+    """One group of a scan's values (the class weights, or one table), read
+    once: ``nums`` holds them as ints over their common denominator ``D``,
+    and ``packed`` those ints as int64 bytes, or None when one is past
+    int64.  Its length is that of the group."""
+
+    __slots__ = ("nums", "D", "packed")
+
+    def __init__(self, nums, D: int, packed):
+        self.nums, self.D, self.packed = nums, D, packed
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+def column(values, ints: bool = False) -> Column:
+    """``values``, ints or Fractions, or integers of any type the pack
+    takes, as a :class:`Column`.  Values that pack, or that are all Python
+    ints, are kept as they are, over D = 1; ``ints`` says the caller knows
+    them to be, which spares a scan of their types when an int past int64
+    fails the pack.  Other values go over the lcm D of their denominators,
+    and are packed again.  A record builds its columns with this at
+    construction, so its checks plan with no work per value."""
+    packed = _pack(values)
+    if packed is not None or ints or {int}.issuperset(map(type, values)):
+        return Column(values, 1, packed)
+    D = math.lcm(*{v.denominator for v in values})
+    nums = [v.numerator * (D // v.denominator) for v in values]
+    return Column(nums, D, _pack(nums))
+
+
+def _over(group: Column, D: int) -> Column:
+    """``group`` with its values over D, a multiple of its own D."""
+    scale = D // group.D
+    nums = [v * scale for v in group.nums]
+    return Column(nums, D, _pack(nums))
+
+
 def _plan(weights, tables, work, char: int = 0):
     """(nums, D): the class ``weights`` (one column), then the values of the
-    ``tables``, ints or Fractions, as ints over their common denominator D,
-    laid out for the path the scan takes, decided here and nowhere else.
+    ``tables``, as ints over their common denominator D, laid out for the
+    path the scan takes, decided here and nowhere else.
+
+    Each group is a :class:`Column`, or values that are made one here; a
+    record hands in the columns it built at construction.  D is the lcm of
+    the groups' own denominators, and only when it is above 1 is a group
+    over a smaller one scaled and packed again; otherwise the groups'
+    packed bytes are joined as they are, so a plan does no work per value
+    before numpy reads them.
 
     ``work`` is a window-route scan's work estimate, or None for a
     full-period scan, whose sums are reduced mod ``char`` when it is
@@ -105,38 +163,26 @@ def _plan(weights, tables, work, char: int = 0):
     scaled magnitude picks the narrowest width of the ladder whose bound
     it stays below, and the values come back as a 1-tuple of an array in
     it; a sum of weights and one value from each table, or the difference
-    of two such sums, then fits the width.  At or past the int64 guard a
-    window-route scan runs on a list too, and a full-period scan on the
-    tuple of base-2**32 digit arrays of :func:`_digits`, or over F_p, or
-    where a digit would reach the guard, on a 1-tuple of a numpy object
-    array of exact Python ints.
+    of two such sums, then fits the width.  At or past the int64 guard (a
+    group that did not pack is past it) a window-route scan runs on a list
+    too, and a full-period scan on the tuple of base-2**32 digit arrays of
+    :func:`_digits`, or over F_p, or where a digit would reach the guard,
+    on a 1-tuple of a numpy object array of exact Python ints.
     A list of the values is built only for a list, digits or an object
-    array, or when a group fails to pack.
+    array.
     """
-    D = 1
-    flat = None
-    try:
-        # one C pass per group of values, the weights and then each table,
-        # checks that every value is an int within int64 and packs it (a
-        # Fraction or a larger int raises struct.error); the bytes are
-        # joined, so a numpy plan builds no flat list of the values
-        packed = b"".join([struct.pack(f"{len(g)}q", *g) for g in (weights, *tables)])
-    except struct.error:
-        flat = [*weights, *chain.from_iterable(tables)]
-        if {int}.issuperset(map(type, flat)):
-            packed = None  # an int past int64 is past the guard: not packed again
-        else:
-            # Fractions: exact Python ints over D, which may fit now
-            D = math.lcm(*{v.denominator for v in flat})
-            packed = flat = [v.numerator * (D // v.denominator) for v in flat]
+    groups = [g if type(g) is Column else column(g) for g in (weights, *tables)]
+    D = math.lcm(*(g.D for g in groups))
+    if D > 1:
+        groups = [g if g.D == D else _over(g, D) for g in groups]
     k = len(weights)
     if work is None or work > _LIST_WORK:
         firsts = list(accumulate(map(len, tables), initial=k))[:-1]
-        nums = None if packed is None else _fixed(packed, k, firsts)
+        packed = [g.packed for g in groups]
+        nums = None if None in packed else _fixed(b"".join(packed), k, firsts)
         if nums is not None:
             return (nums,), D
-    if flat is None:
-        flat = [*weights, *chain.from_iterable(tables)]
+    flat = [*chain.from_iterable(g.nums for g in groups)]
     if work is not None:
         return flat, D
     digits = None if char else _digits(flat, k, firsts, tables)
@@ -153,9 +199,8 @@ def _fixed(values, k: int, firsts):
     the peak of each table from ``firsts`` stay below; None from the guard."""
     import numpy as np
 
-    try:
-        packed = values if type(values) is bytes else struct.pack(f"{len(values)}q", *values)
-    except struct.error:  # a value past int64, so past the guard
+    packed = values if type(values) is bytes else _pack(values)
+    if packed is None:  # a value past int64, so past the guard
         return None
     nums = np.frombuffer(packed, dtype=np.int64)
     mags = np.abs(nums).view(np.uint64)  # unsigned, so abs(-2**63) is right

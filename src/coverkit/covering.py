@@ -27,7 +27,12 @@ search for a first nonzero point here runs on a window, and the
 full-period search is :mod:`coverkit.oracle`'s.  Every scan is one
 evaluator, D times the covering function minus the tables over one
 common denominator D, and :mod:`coverkit._kernels` picks its path and
-hands back answers: a witness, Python values or their sum.
+hands back answers: a witness, Python values or their sum.  What the
+kernels read of a :class:`System` (residues, moduli, and the weights as
+ints over their common denominator) and of a
+:class:`PeriodicValueTable` (its values likewise) is built once, in
+their constructors, and every check hands those columns on, so no check
+transposes the records or makes a pass over their values.
 Only the zero-set and coefficient functions use :mod:`coverkit.cyclotomic`;
 they import it once per call, so a window check never loads it.
 """
@@ -81,8 +86,14 @@ __all__ = [
 
 def _rational(v) -> Fraction:
     """v as a Fraction of Python ints.  A Fraction made from a numpy
-    integer keeps it as numerator, and fixed-width sums of those wrap."""
-    f = v if type(v) is Fraction else Fraction(v)
+    integer keeps it as numerator, and fixed-width sums of those wrap.
+    An infinite or NaN value (a float or Decimal) is refused."""
+    try:
+        f = v if type(v) is Fraction else Fraction(v)
+    except (OverflowError, ValueError):
+        if isinstance(v, str):
+            raise
+        raise ValueError(f"values must be finite rationals, got {v!r}") from None
     if type(f.numerator) is int and type(f.denominator) is int:
         return f
     return Fraction(int(f.numerator), int(f.denominator))
@@ -92,7 +103,8 @@ def _integers(*values, what: str = "residues and moduli") -> list[int]:
     """Residues, moduli or term indices as Python ints; any value that is
     not an integer of some type (1.5, a Fraction, a string) is refused."""
     for v in values:
-        if not isinstance(v, numbers.Integral):
+        # an int skips the ABC check, which costs several times the rest
+        if type(v) is not int and not isinstance(v, numbers.Integral):
             raise ValueError(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
 
@@ -105,23 +117,34 @@ def _exact(v):
     return int(v) if isinstance(v, numbers.Integral) else _rational(v)
 
 
-def _columns(seqs: Sequence) -> tuple:
-    """(residues, moduli, weights): the class columns of ``seqs`` as the
-    kernels take them, from one transpose of the records; integral weights
-    travel as ints, so all-integer input skips the kernels' per-value
-    Fraction scaling."""
-    if not seqs:
-        return (), (), ()
-    residues, moduli, weights = zip(*seqs)
-    return residues, moduli, [w.numerator if w.denominator == 1 else w for w in weights]
-
-
 def _record(name: str, fields: str) -> type:
     """A named tuple base for a record that checks its fields in ``__new__``;
     its ``_make``, and so ``_replace``, build through that check too."""
     base = namedtuple(name, fields)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
+
+
+class _Carrier:
+    """Base for a record that carries private kernel columns, derived from
+    its fields and set once in ``__new__``.  Assignment and deletion are
+    refused as on a slotted named tuple, and a pickle or copy holds the
+    fields alone, so it rebuilds the columns through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if name not in self._fields:
+            raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
+        super().__setattr__(name, value)  # a field refuses with its own message
+
+    def __delattr__(self, name):
+        if name not in self._fields:
+            raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
+        super().__delattr__(name)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class WeightedSequence(_record("WeightedSequence", "residue modulus weight")):
@@ -139,16 +162,22 @@ class WeightedSequence(_record("WeightedSequence", "residue modulus weight")):
         return (x - self.residue) % self.modulus == 0
 
 
-class System(_record("System", "seqs")):
-    """Nonempty finite family of weighted arithmetic sequences."""
+class System(_Carrier, _record("System", "seqs")):
+    """Nonempty finite family of weighted arithmetic sequences.
 
-    __slots__ = ()
+    It carries ``_classes``, its classes as the kernels take them:
+    residues and moduli as int tuples, and the weights as a
+    :class:`coverkit._kernels.Column` of ints over their common
+    denominator, built once here."""
 
     def __new__(cls, seqs: Sequence[WeightedSequence]):
         seqs = tuple(seqs)
         if not seqs:
             raise ValueError("a system needs at least one sequence")
-        return super().__new__(cls, seqs)
+        self = super().__new__(cls, seqs)
+        residues, moduli, weights = zip(*seqs)
+        object.__setattr__(self, "_classes", (residues, moduli, _kernels.column(weights)))
+        return self
 
     @classmethod
     def of(cls, *entries: tuple) -> System:
@@ -161,7 +190,7 @@ class System(_record("System", "seqs")):
 
     @property
     def moduli(self) -> list[int]:
-        return [s.modulus for s in self.seqs]
+        return list(self._classes[1])
 
     def lcm(self) -> int:
         return lcm_all(self.moduli)
@@ -170,16 +199,16 @@ class System(_record("System", "seqs")):
         return all(s.weight == 1 for s in self.seqs)
 
 
-class PeriodicValueTable(_record("PeriodicValueTable", "period values char")):
+class PeriodicValueTable(_Carrier, _record("PeriodicValueTable", "period values char")):
     """Periodic map Z -> F given by one period of values.
 
     ``char`` 0 means F = Q (values are ints or Fractions, kept as Python
     ints and Fractions of them, so numpy integers become exact); a prime p
     means F = F_p (values are integers, or Fractions with denominator 1,
     reduced into [0, p) at construction; any other value is refused).
+    It carries ``_column``, its values as a
+    :class:`coverkit._kernels.Column`, built once here.
     """
-
-    __slots__ = ()
 
     def __new__(cls, period: int, values: Sequence, char: int = 0):
         if period < 1:
@@ -187,17 +216,22 @@ class PeriodicValueTable(_record("PeriodicValueTable", "period values char")):
         if len(values) != period:
             raise ValueError(f"need {period} values, got {len(values)}")
         values = tuple(values)
+        ints = {int}.issuperset(map(type, values))
         if char:
             if not _is_prime(char):
                 raise ValueError(f"characteristic must be 0 or prime, got {char}")
-            if not {int}.issuperset(map(type, values)):
+            if not ints:
                 for v in values:
                     if not isinstance(v, numbers.Rational) or v.denominator != 1:
                         raise ValueError(f"values over F_{char} must be integers, got {v!r}")
-            values = tuple(int(v) % char for v in values)
-        elif not {int}.issuperset(map(type, values)):
+            # an int needs no int(): its own % reduces it
+            values = tuple(map(char.__rmod__, values) if ints else (int(v) % char for v in values))
+            ints = True
+        elif not ints:
             values = tuple(map(_exact, values))
-        return super().__new__(cls, period, values, char)
+        self = super().__new__(cls, period, values, char)
+        object.__setattr__(self, "_column", _kernels.column(values, ints))
+        return self
 
     @classmethod
     def constant(cls, value, period: int = 1, char: int = 0) -> PeriodicValueTable:
@@ -245,7 +279,7 @@ def cover_values(system: System, start: int, length: int) -> tuple:
 
     Integers when the weights' common denominator is 1, Fractions otherwise.
     """
-    values, D = _kernels.exact_values(_columns(system.seqs), start, _oracle_points(length, "window"))
+    values, D = _kernels.exact_values(system._classes, start, _oracle_points(length, "window"))
     if D == 1:
         return tuple(values)
     return tuple(Fraction(v, D) for v in values)
@@ -279,31 +313,37 @@ def _common_char(psis: Sequence[PeriodicValueTable]) -> int:
     return chars.pop()
 
 
-def _scan_input(
-    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
-):
+# the kernel classes of no system: w = 0
+_NO_CLASSES = ((), (), _kernels.column(()))
+
+
+def _scan_input(system: System | None, psis: Sequence[PeriodicValueTable], start: int, length: int):
     """The kernel arguments (classes, tables, start, length, char) of
     w - sum_s psi_s over [start, start+length), where w is the covering
-    function of ``seqs``, for the searches of ``_kernels``, which find the
-    first x where D times those values is nonzero, D the common denominator
-    of the weights and table values, with sums over F_p reduced mod p.  A
-    window past the oracle cap is refused before anything is allocated."""
+    function of ``system`` (0 for None), for the searches of ``_kernels``,
+    which find the first x where D times those values is nonzero, D the
+    common denominator of the weights and table values, with sums over F_p
+    reduced mod p.  The classes and tables are the columns the records
+    built at construction.  A window past the oracle cap is refused before
+    anything is allocated."""
     _oracle_points(length, "window")
     char = _common_char(psis) if psis else 0
-    if char and seqs:
+    if system is None:
+        return _NO_CLASSES, [t._column for t in psis], start, length, char
+    if char:
         raise ValueError("tables compared with weighted classes must be rational-valued")
-    return _columns(seqs), [t.values for t in psis], start, length, char
+    return system._classes, [t._column for t in psis], start, length, char
 
 
 def _first_nonzero(
-    seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable], start: int, length: int
+    system: System | None, psis: Sequence[PeriodicValueTable], start: int, length: int
 ) -> Verdict:
     """Search the window [start, start+length) for the first x where
     w(x) - sum_s psi_s(x) is nonzero in the tables' field; the witness of a
     failed Verdict.  It runs on the path the kernels' plan picks for a
     window: lists of Python ints when it is short or its values pass the
     widest fixed width, numpy otherwise."""
-    x = _kernels.window_first_nonzero(*_scan_input(seqs, psis, start, length))
+    x = _kernels.window_first_nonzero(*_scan_input(system, psis, start, length))
     return Verdict(x is None, x, length)
 
 
@@ -325,7 +365,7 @@ def window_zero_check(psis: Sequence[PeriodicValueTable], start: int = 0) -> Ver
                     f"characteristic divides period: p={char} divides n={t.period}"
                 )
     L = phi_sum_cardinality([t.period for t in psis])
-    return _first_nonzero((), psis, start, L)
+    return _first_nonzero(None, psis, start, L)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +384,7 @@ def verify_covering_function(
     must be rational-valued.
     """
     L = phi_sum_cardinality(system.moduli + [target.period])
-    return _first_nonzero(system.seqs, [target], start, L)
+    return _first_nonzero(system, [target], start, L)
 
 
 def is_exact_m_cover(system: System, m: int) -> bool:
@@ -375,7 +415,7 @@ def non_exact_witness(system: System, m: int) -> int:
     bound = system.k - sum((p - 1) * e for p, e in exponents.items())
     if m <= bound:
         raise ValueError(f"hypothesis not met: need m > k - f(N) = {bound}, got m={m}")
-    verdict = _first_nonzero(system.seqs, [PeriodicValueTable.constant(m)], 0, L)
+    verdict = _first_nonzero(system, [PeriodicValueTable.constant(m)], 0, L)
     if verdict.ok:
         raise AssertionError("no witness in the window; this contradicts the guarantee")
     return verdict.witness
@@ -483,7 +523,7 @@ def min_on_window(
     # {0, m_s/n_s} mod 1, sorted: m_s is coprime to n_s, so m_s/n_s is 0 mod 1 only when n_s = 1
     R_sets = [(0, Fraction(ms % n, n)) if n > 1 else (0,) for ms, n in zip(multipliers, system.moduli)]
     W_0 = _oracle_points(window_bound(R_sets, 1), "window")
-    values, _ = _kernels.exact_values(_columns(system.seqs), start, W_0)
+    values, _ = _kernels.exact_values(system._classes, start, W_0)
     global_min = min(values)
     if l > global_min:
         raise ValueError(f"l={l} exceeds the minimum coverage {global_min}")
@@ -497,8 +537,10 @@ def min_on_window(
 
 def _unit_terms(system: System, q: int) -> list[tuple[int, Fraction]]:
     # c_{1/q} = sum over {s : q | n_s} of (weight/n_s) * zeta_q^(a_s), as
-    # its (a_s, weight/n_s) terms
-    return [(s.residue, s.weight / s.modulus) for s in system.seqs if s.modulus % q == 0]
+    # its (a_s, weight/n_s) terms, the weight read as v/D from the columns
+    residues, moduli, weights = system._classes
+    D = weights.D
+    return [(a, Fraction(v, D * n)) for a, n, v in zip(residues, moduli, weights.nums) if n % q == 0]
 
 
 def least_period(system: System) -> int:
@@ -530,11 +572,13 @@ def weighted_average_check(system: System) -> bool:
 
     The scan of D * w over the period is summed exactly (its points fit
     the scan's width, their sum over N points need not), and the identity
-    is compared times D * N, in ints: D is a multiple of every weight's
-    denominator and N of every modulus, so no Fraction is built."""
+    is compared times D * N, in ints: D is the weights' common denominator,
+    over which the system's columns hold them, and N a multiple of every
+    modulus, so no Fraction is built."""
     N = _oracle_points(system.lcm())
-    total, D = _kernels.exact_sum(_columns(system.seqs), 0, N)
-    return total == sum(w.numerator * (D // w.denominator) * (N // n) for _, n, w in system.seqs)
+    total, D = _kernels.exact_sum(system._classes, 0, N)
+    _, moduli, weights = system._classes
+    return total == sum(v * (D // weights.D) * (N // n) for n, v in zip(moduli, weights.nums))
 
 
 def zero_system_coefficients(system: System) -> list[tuple[Fraction, CyclotomicElement]]:

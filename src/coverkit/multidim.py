@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .covering import Verdict, _columns, _integers, _oracle_points, _rational, _record
+from .covering import Verdict, _integers, _oracle_points, _rational, _record
 from .fracsets import FractionSet, fraction_set, phi_sum_cardinality
 from .numtheory import least_prime_factor
 
@@ -59,6 +59,15 @@ class MultiSequence(_record("MultiSequence", "residue modulus weight")):
 
     def contains(self, x: IntVector) -> bool:
         return all((xt - at) % nt == 0 for xt, at, nt in zip(x, self.residue, self.modulus))
+
+
+def _columns(seqs: Sequence[MultiSequence]) -> tuple:
+    """(residues, moduli, weights): the class columns of ``seqs`` as the
+    kernels take them, from one transpose of the records; integral weights
+    travel as ints.  A plain list of classes holds no columns of its own,
+    so each check reads them here."""
+    residues, moduli, weights = zip(*seqs)
+    return residues, moduli, [w.numerator if w.denominator == 1 else w for w in weights]
 
 
 def _check_dims(seqs: Sequence[MultiSequence], *vecs: IntVector) -> int:

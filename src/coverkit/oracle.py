@@ -19,13 +19,11 @@ from .covering import (
     PeriodicValueTable,
     System,
     Verdict,
-    WeightedSequence,
-    _columns,
     _oracle_points,
     _scan_input,
     verify_covering_function,
 )
-from .multidim import IntVector, MultiSequence, _check_dims
+from .multidim import IntVector, MultiSequence, _check_dims, _columns
 from .numtheory import divisors_of
 
 __all__ = [
@@ -38,29 +36,31 @@ __all__ = [
 ]
 
 
-def _whole_period(seqs: Sequence[WeightedSequence], psis: Sequence[PeriodicValueTable]) -> Verdict:
-    """Search one full common period N of the classes and tables, at most
-    the oracle cap, for the first x where w(x) - sum_s psi_s(x) is nonzero
-    in the tables' field, on the numpy kernels."""
-    N = _oracle_points(math.lcm(*(s.modulus for s in seqs), *(t.period for t in psis)))
-    x = _kernels.first_nonzero(*_scan_input(seqs, psis, 0, N))
+def _whole_period(system: System | None, psis: Sequence[PeriodicValueTable]) -> Verdict:
+    """Search one full common period N of the classes of ``system`` (none
+    for None) and the tables, at most the oracle cap, for the first x where
+    w(x) - sum_s psi_s(x) is nonzero in the tables' field, on the numpy
+    kernels."""
+    moduli = system.moduli if system is not None else ()
+    N = _oracle_points(math.lcm(*moduli, *(t.period for t in psis)))
+    x = _kernels.first_nonzero(*_scan_input(system, psis, 0, N))
     return Verdict(x is None, x, N)
 
 
 def brute_cover_verdict(system: System, target: PeriodicValueTable) -> Verdict:
     """Compare w with the target on every point of one full common period."""
-    return _whole_period(system.seqs, [target])
+    return _whole_period(system, [target])
 
 
 def brute_tables_zero_verdict(psis: list[PeriodicValueTable]) -> Verdict:
     """Check sum_s psi_s(x) = 0 on every point of one full common period."""
-    return _whole_period((), psis)
+    return _whole_period(None, psis)
 
 
 def brute_least_period(table: PeriodicValueTable) -> int:
     """Smallest divisor d of the period with table(x) = table(x+d) for all
     x; d = N, the period, always is."""
-    return _kernels.first_period(table.values, divisors_of(table.period))
+    return _kernels.first_period(table._column, divisors_of(table.period))
 
 
 def brute_periodic_mod_vec(seqs: Sequence[MultiSequence], n0: IntVector) -> Verdict:

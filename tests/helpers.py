@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -260,6 +261,57 @@ def table_sums_reference(values, offsets, periods, start: int, length: int, char
         total = sum(vals[o + x % n] for o, n in zip(offsets, periods))
         out.append(total % char if char else total)
     return out
+
+
+# the columns a record derives from its fields, by their definition
+
+
+def column_reference(values) -> tuple:
+    """(nums, D, packed) of a group of exact values: D the lcm of their
+    denominators, nums the values times D as Python ints, packed those as
+    int64 bytes when every one fits, else None."""
+    D = lcm(*(Fraction(v).denominator for v in values))
+    nums = [int(Fraction(v) * D) for v in values]
+    fits = all(-(2**63) <= v < 2**63 for v in nums)
+    return nums, D, struct.pack(f"{len(nums)}q", *nums) if fits else None
+
+
+def columns_reference(record) -> tuple:
+    """What a System (residues, moduli, weight column) or a
+    PeriodicValueTable (value column) must carry, from its public fields."""
+    if isinstance(record, System):
+        seqs = record.seqs
+        return [s.residue for s in seqs], [s.modulus for s in seqs], column_reference([s.weight for s in seqs])
+    return column_reference(record.values)
+
+
+def record_columns(record) -> tuple:
+    """The columns ``record`` carries, in the shape of
+    :func:`columns_reference`."""
+
+    def group(c):
+        return list(c.nums), c.D, c.packed
+
+    if isinstance(record, System):
+        residues, moduli, weights = record._classes
+        return list(residues), list(moduli), group(weights)
+    return group(record._column)
+
+
+def column_values(group) -> list:
+    """The exact values a plan group stands for: a kernel Column's ints
+    over its D, or the values given."""
+    if isinstance(group, _kernels.Column):
+        return [Fraction(v, group.D) if group.D > 1 else v for v in group.nums]
+    return list(group)
+
+
+def plan_reference(groups) -> tuple:
+    """(values, D) a plan of ``groups`` of exact values must stand for: all
+    of them over the lcm D of every denominator, as Python ints."""
+    flat = [Fraction(v) for g in groups for v in g]
+    D = lcm(*(v.denominator for v in flat))
+    return [int(v * D) for v in flat], D
 
 
 def indexed_values(classes, tables, start: int, length: int, dtype=np.int64) -> np.ndarray:

@@ -36,6 +36,7 @@ FRACSETS = "src/coverkit/fracsets.py"
 COVERING = "src/coverkit/covering.py"
 
 ZERO_TEST = ("tests/test_properties.py::test_zero_test_matches_division_by_phi",)
+COLUMNS = ("tests/test_properties.py::test_record_columns_follow_the_fields",)
 EQUAL_SETS = ("tests/test_fracsets.py::test_window_bound_tries_equal_sets_once",)
 WINDOW_BOUND = (
     "tests/test_fracsets.py::test_window_bound_examples",
@@ -99,8 +100,8 @@ MUTANTS = [
     ),
     (
         KERNELS,
-        "packed = None  # an int past int64",
-        "packed = flat  # an int past int64",
+        "return Column(values, 1, packed)",
+        "return Column(values, 1, packed or _pack(values))",
         ("tests/test_kernels.py::test_plan_packs_ints_past_int64_once",),
     ),
     (
@@ -114,6 +115,36 @@ MUTANTS = [
         "_sum(s) << 32 * i for i, s in enumerate(sums)",
         "_sum(s) for i, s in enumerate(sums)",
         ("tests/test_kernels.py::test_exact_sum_native_only_where_exact",),
+    ),
+    # the columns records carry: built from their fields, over the lcm of
+    # every denominator, and rebuilt by _replace
+    (
+        COVERING,
+        "residues, moduli, weights = zip(*seqs)",
+        "residues, moduli, weights = zip(*((a + n, n, w) for a, n, w in seqs))",
+        COLUMNS,
+    ),
+    (
+        KERNELS,
+        "D = math.lcm(*{v.denominator for v in values})",
+        "D = values[0].denominator",
+        (*COLUMNS, "tests/test_kernels.py::test_cover_values_is_pointwise_cover_count"),
+    ),
+    (
+        COVERING,
+        'object.__setattr__(self, "_column", _kernels.column(values, ints))',
+        'object.__setattr__(self, "_column", _kernels.column(values, True))',
+        COLUMNS,
+    ),
+    (
+        COVERING,
+        "    def __reduce__(self):\n",
+        "    def _replace(self, **fields):\n"
+        "        new = super()._replace(**fields)\n"
+        "        new.__dict__.update(self.__dict__)\n"
+        "        return new\n\n"
+        "    def __reduce__(self):\n",
+        COLUMNS,
     ),
     # the mean identity, and scan sizes
     (

@@ -13,7 +13,6 @@ from coverkit.covering import (
     System,
     Verdict,
     WeightedSequence,
-    _columns,
     _first_nonzero,
     _scan_input,
     cover_count,
@@ -179,8 +178,10 @@ def test_plan_packing_contract(args, expected):
 
 
 def test_plan_packs_ints_past_int64_once(monkeypatch):
-    """Python ints past int64 fail the pack of their group and are not
-    packed a second time: they are past the guard, so no width holds them."""
+    """Python ints past int64 fail the pack of their group, once, when its
+    column is built, and are not packed a second time: they are past the
+    guard, so no width holds them.  A plan of columns built beforehand, as
+    records hand in, packs nothing."""
     calls = []
     pack = struct.pack
     monkeypatch.setattr(struct, "pack", lambda *a: calls.append(a[0]) or pack(*a))
@@ -190,7 +191,12 @@ def test_plan_packs_ints_past_int64_once(monkeypatch):
     ):
         calls.clear()
         assert plan_summary(*args) == expected
-        assert len(calls) == 1
+        assert len(calls) == 2  # one pack per group
+        weights, tables, *rest = args
+        built = [_kernels.column(g) for g in (weights, *tables)]
+        calls.clear()
+        assert plan_summary(built[0], built[1:], *rest) == expected
+        assert calls == []
 
 
 def test_scaled_picks_the_narrowest_width():
@@ -392,11 +398,12 @@ def test_int64_guard_changes_speed_never_answers(setting):
 
 
 def _at_work(seqs, psis, length: int, work: int):
-    """(seqs, psis) padded to a window check of exactly ``work`` = points +
-    class hits + points per distinct table period + table values: each
-    filler adds one to it and nothing to the sum, a zero-weight class of a
-    modulus past the window or a zero table of period 1 (one is added
-    first)."""
+    """(system, psis), the classes ``seqs`` as a System (None when there
+    are none) and the tables, padded to a window check of exactly ``work``
+    = points + class hits + points per distinct table period + table
+    values: each filler adds one to it and nothing to the sum, a
+    zero-weight class of a modulus past the window or a zero table of
+    period 1 (one is added first)."""
     if not seqs:
         psis = psis + [PeriodicValueTable.constant(0, 1, psis[0].char)]
     periods = [t.period for t in psis]
@@ -404,8 +411,8 @@ def _at_work(seqs, psis, length: int, work: int):
     base = length + hits + length * len(set(periods)) + sum(periods)
     assert base <= work
     if seqs:
-        return seqs + [WeightedSequence(0, length + 1, 0)] * (work - base), psis
-    return seqs, psis + [PeriodicValueTable.constant(0, 1, psis[0].char)] * (work - base)
+        return System(tuple(seqs) + (WeightedSequence(0, length + 1, 0),) * (work - base)), psis
+    return None, psis + [PeriodicValueTable.constant(0, 1, psis[0].char)] * (work - base)
 
 
 def _boundary_cases(rng):
@@ -505,7 +512,7 @@ def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):
     tables = [PeriodicValueTable(720, tuple(int(x == 5) for x in range(720))), PeriodicValueTable(1001, (0,) * 1001)]
     for start in (5, 5 + 720720):
         lengths.clear()
-        assert _kernels.first_nonzero(*_scan_input((), tables, start, 720720)) == start
+        assert _kernels.first_nonzero(*_scan_input(None, tables, start, 720720)) == start
         assert 0 < sum(lengths) <= 2**13
     # the classes above at weight 2**62 + 1 = 2**30 * 2**32 + 1 put the scan
     # on two digits, which fold too: one table_sums call of 2**13 points each
@@ -560,7 +567,7 @@ def test_digit_carries_cancel_across_digits():
     parts = [(0, 2, 2**31)] * 4 + [(0, 2, -(2**33))]
     system = System.of(*big, *parts)
     assert [cover_count(system, x) for x in range(2)] == [0, 0]
-    nums, _ = _kernels._plan(_columns(system.seqs)[2], (), None)
+    nums, _ = _kernels._plan(system._classes[2], (), None)
     assert len(nums) == 2 and nums[1].tolist()[2:] == [0, 0, 0, 0, -2]
     assert sum(nums[0].tolist()) == 2**33
     assert brute_cover_verdict(system, PeriodicValueTable.constant(0)) == Verdict(True)
@@ -814,7 +821,7 @@ def test_list_fold_tiles_each_period_into_one_maximal_period(setting):
 def test_weighted_average_exact_where_int64_total_wraps(monkeypatch):
     system = System.of((0, 2, 2**60), (1, 1009, 2**60))
     assert plan_dtype([(2**60,), (2**60,)]) == np.int64  # the scan's plan
-    classes = _columns(system.seqs)
+    classes = system._classes
     values, D = _kernels.exact_values(classes, 0, system.lcm())
     assert D == 1 and max(values) < 2**62
     # every point fits in int64, the total over the period does not

@@ -13,15 +13,18 @@ fails nothing.
 """
 
 import contextlib
+import copy
 import io
 import math
 import operator
+import pickle
 import random
 import sys
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -57,7 +60,6 @@ from coverkit import (
     window_zero_check,
     zero_system_coefficients,
 )
-from coverkit.covering import _columns
 from coverkit.cyclotomic import _primes, _vanishes
 from coverkit.fracsets import divisor_union_phis
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
@@ -71,10 +73,15 @@ from coverkit.oracle import (
 
 from helpers import (
     SCAN_SETTINGS,
+    column_values,
+    columns_reference,
+    digit_values,
     first_nonzero_reference,
     indexed_values,
     kernel_widths,
+    plan_reference,
     prime_sieve,
+    record_columns,
     rolled_periodicity,
     sequence_table,
     subset_sum_set_reference,
@@ -474,7 +481,7 @@ def test_hypothesis_checks_match_full_period_scans(setting, case, l, start, drop
     candidate = System(base.seqs + tuple(WeightedSequence(*e) for e in refined[: len(refined) - drop]))
     zero = PeriodicValueTable.constant(0)
     with kernel_widths("guard-1"):
-        full_min = min(_kernels.exact_values(_columns(base.seqs), 0, base.lcm())[0])
+        full_min = min(_kernels.exact_values(base._classes, 0, base.lcm())[0])
         is_zero = brute_cover_verdict(candidate, zero).ok
         is_equal = brute_cover_verdict(system, PeriodicValueTable.constant(cover_count(system, 0))).ok
     assert is_zero != drop and is_equal >= equal and not brute_cover_verdict(base, zero).ok
@@ -726,7 +733,7 @@ def test_scans_past_the_guard_match_pointwise(setting, case):
 
     def recording(weights, tables, work, char=0):
         nums, D = plan(weights, tables, work, char)
-        plans.append(([*zip(weights), *tables], work, nums))
+        plans.append(([*zip(column_values(weights)), *map(column_values, tables)], work, nums))
         return nums, D
 
     with kernel_widths(setting), mock.patch.object(_kernels, "_plan", recording):
@@ -790,6 +797,67 @@ def test_fuzzed_cli_check_exits_1_only_with_a_witness(cmd, m, start, data):
         assert x >= start and cover_count(system, x) != m
     else:
         assert witness == "none" and brute_cover_verdict(system, PeriodicValueTable.constant(m)).ok
+
+
+# --- columns that records carry -------------------------------------------------
+
+# ints, Fractions, numpy ints, and values past 2**63
+past_int64 = st.builds(lambda sign, c: sign * (2**63 + c), st.sampled_from([1, -1]), st.integers(-1, 9))
+column_entries = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(np.int64, st.integers(-(2**62), 2**62)),
+    past_int64,
+    st.builds(lambda c, d: Fraction(2**64 + c, d), st.integers(-3, 3), st.sampled_from([3, 7])),
+)
+
+
+@st.composite
+def column_cases(draw):
+    """(system entries, Q table values, p, F_p table values): weights and Q
+    values of every kind above, residues that may be bools, and F_p values
+    up to 2**90 in magnitude, which construction reduces mod p."""
+    residue = st.one_of(st.integers(-30, 30), st.booleans())
+    entries = draw(st.lists(st.tuples(residue, st.integers(1, 12), column_entries), min_size=1, max_size=6))
+    groups = st.lists(column_entries, min_size=1, max_size=6)
+    p = draw(st.sampled_from([2, 5, 2**61 - 1, 2**64 - 59]))
+    fp_values = st.lists(st.integers(-(2**90), 2**90), min_size=1, max_size=6)
+    return entries, draw(st.lists(groups, max_size=3)), p, draw(st.lists(fp_values, min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("setting", SCAN_SETTINGS)
+@settings(PROPERTY, max_examples=30)
+@given(column_cases())
+def test_record_columns_follow_the_fields(setting, case):
+    """Every System and PeriodicValueTable carries the columns its public
+    fields define, in Python ints: residues, moduli, and its weights or
+    values over their common denominator, packed when they fit.  So does
+    each one made from it by _make, _replace, a deep copy or a pickle round
+    trip.  A plan of a system's and its tables' columns stands for every
+    value over the lcm of all their denominators, on every path."""
+    entries, q_values, p, fp_values = case
+    system = System.of(*entries)
+    q_tables = [PeriodicValueTable(len(v), v) for v in q_values]
+    fp_tables = [PeriodicValueTable(len(v), v, p) for v in fp_values]
+    extra = WeightedSequence(1, 2, Fraction(1, 3))
+    for record in (system, *q_tables, *fp_tables):
+        if isinstance(record, System):
+            replaced = record._replace(seqs=record.seqs + (extra,))
+        else:
+            replaced = record._replace(period=record.period + 1, values=record.values + (1,))
+        copies = (type(record)._make(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)))
+        assert all(r == record for r in copies) and replaced != record
+        for r in (record, replaced, *copies):
+            got = record_columns(r)
+            assert got == columns_reference(r)
+            ints = [*got[0], *got[1], *got[2][0]] if isinstance(r, System) else got[0]
+            assert {type(v) for v in ints} <= {int}
+    with kernel_widths(setting):
+        for weights, tables, char in ((system._classes[2], q_tables, 0), (_kernels.column(()), fp_tables, p)):
+            expected = plan_reference([column_values(weights)] + [t.values for t in tables])
+            for work in (None, 1, 10**6):
+                nums, D = _kernels._plan(weights, [t._column for t in tables], work, char)
+                assert (nums if type(nums) is list else digit_values(nums), D) == expected, work
 
 
 # --- parsers ------------------------------------------------------------------

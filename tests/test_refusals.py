@@ -124,6 +124,32 @@ REFUSALS = {
         "divisor components must be positive, got (0, 1)",
     ),
     "factorize-0": (lambda _: factorize(0), ValueError, "factorize expects n >= 1, got 0"),
+    # a non-finite float weight or Q value names itself, never OverflowError
+    "weight-inf": (
+        lambda _: System.of((0, 2, float("inf"))),
+        ValueError,
+        "values must be finite rationals, got inf",
+    ),
+    "weight-nan": (
+        lambda _: WeightedSequence(0, 2, float("nan")),
+        ValueError,
+        "values must be finite rationals, got nan",
+    ),
+    "multidim-weight-inf": (
+        lambda _: MultiSequence((0,), (2,), float("-inf")),
+        ValueError,
+        "values must be finite rationals, got -inf",
+    ),
+    "q-table-inf": (
+        lambda _: PeriodicValueTable(2, (1, float("inf"))),
+        ValueError,
+        "values must be finite rationals, got inf",
+    ),
+    "q-table-nan": (
+        lambda _: PeriodicValueTable(1, (float("nan"),)),
+        ValueError,
+        "values must be finite rationals, got nan",
+    ),
     "cli-target-of-comments": (target_file_of_comments, SystemExit, "error: target file holds no values"),
 }
 
