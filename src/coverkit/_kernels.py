@@ -25,13 +25,16 @@ speed, never answers.
 Each scan takes one of two routes, by the kind of answer it returns.  A
 window-route scan (every window check, and every read that hands values
 of w back to Python, :func:`exact_values`) runs on one fixed-width array,
-or on lists of Python ints when its work is at most ``_LIST_WORK``, too
-short for numpy to pay off, or when its values reach the int64 guard,
-where lists beat numpy object arrays and digits joined in Python.  Over Q
-numpy adds each table period's negated row into the class sums in place;
-over F_p the table sums are reduced, then subtracted.  On lists a table
-whose period divides a longer one is tiled into it first, so the window
-is walked once per maximal table period.
+or on lists of Python ints when its work is too short for numpy to pay
+off, or when its values reach the int64 guard, where lists beat numpy
+object arrays and digits joined in Python.  Too short is at most
+``_LIST_WORK`` while numpy is not yet imported, since a first numpy scan
+pays the import, and at most ``_WARM_LIST_WORK`` once it is; the kernels
+never import numpy to find out.  Over Q numpy adds each table period's
+negated row into the class sums in place; over F_p the table sums are
+reduced, then subtracted.  On lists a table whose period divides a
+longer one is tiled into it first, so the window is walked once per
+maximal table period.
 A full-period scan, whose answer stays in numpy (the oracle's searches
 and compares, and :func:`exact_sum`), always runs numpy, so the oracle is
 a second implementation of every window check.  Past the guard, over Q,
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, floordiv, gt, mul, ne, sub
 from typing import TYPE_CHECKING
@@ -80,9 +84,24 @@ _INT64_GUARD = 2**62
 # guard, which is the ladder's top
 _WIDTHS = ((2**6, "int8"), (2**14, "int16"), (2**30, "int32"), (_INT64_GUARD, "int64"))
 
-# window checks of at most this work run on lists, so short CLI checks never
-# load numpy; warm numpy catches up near 1000 (CLI multidim work reaches 1900)
+# window checks of at most this work run on lists while numpy is not yet
+# imported, so short CLI checks never load it (CLI multidim work reaches 1868)
 _LIST_WORK = 2048
+
+# once numpy is imported, window checks of at most this work run on lists.
+# Warm, lists cost this many times numpy, by work: whole window benchmark
+# operations (seed 1, best of 3), and one window_first_nonzero on 4 to 40
+# classes (best of 7); 2-core Xeon VM
+#
+#   work        operations   one scan
+#   0-255       0.92         0.63-0.78
+#   256-383     -            0.86
+#   384-511     0.99         1.00
+#   512-767     1.09         1.17-1.24
+#   768-1023    1.27         1.43-1.54
+#   1024-1535   1.28-1.39    1.62-2.12
+#   1536-2047   1.67-1.80    2.25-2.51
+_WARM_LIST_WORK = 384
 
 # a periodic row shorter than this is tiled up to it before it is added to
 # a window block by block, when the window holds more than this many copies
@@ -103,6 +122,12 @@ def _pack(values):
         return struct.pack(f"{len(values)}q", *values)
     except struct.error:
         return None
+
+
+def _numpy_loaded() -> bool:
+    """Whether numpy is imported already, so that a scan on it pays no
+    import: the one place the kernels ask."""
+    return "numpy" in sys.modules
 
 
 class Column:
@@ -158,25 +183,26 @@ def _plan(weights, tables, work, char: int = 0):
     ``work`` is a window-route scan's work estimate, or None for a
     full-period scan, whose sums are reduced mod ``char`` when it is
     positive.  A window-route scan runs on a list of Python ints when its
-    work is at most _LIST_WORK, where numpy's call overhead outweighs its
-    speed.  Otherwise the sum of each weight's and each table's largest
-    scaled magnitude picks the narrowest width of the ladder whose bound
-    it stays below, and the values come back as a 1-tuple of an array in
-    it; a sum of weights and one value from each table, or the difference
-    of two such sums, then fits the width.  At or past the int64 guard (a
-    group that did not pack is past it) a window-route scan runs on a list
-    too, and a full-period scan on the tuple of base-2**32 digit arrays of
-    :func:`_digits`, or over F_p, or where a digit would reach the guard,
-    on a 1-tuple of a numpy object array of exact Python ints.
-    A list of the values is built only for a list, digits or an object
-    array.
+    work is at most _LIST_WORK, or at most _WARM_LIST_WORK once numpy is
+    imported (:func:`_numpy_loaded`), where numpy's import and call
+    overhead outweigh its speed.  Otherwise the sum of each weight's and
+    each table's largest scaled magnitude picks the narrowest width of the
+    ladder whose bound it stays below, and the values come back as a
+    1-tuple of an array in it; a sum of weights and one value from each
+    table, or the difference of two such sums, then fits the width.  At or
+    past the int64 guard (a group that did not pack is past it) a
+    window-route scan runs on a list too, and a full-period scan on the
+    tuple of base-2**32 digit arrays of :func:`_digits`, or over F_p, or
+    where a digit would reach the guard, on a 1-tuple of a numpy object
+    array of exact Python ints.  A list of the values is built only for a
+    list, digits or an object array.
     """
     groups = [g if type(g) is Column else column(g) for g in (weights, *tables)]
     D = math.lcm(*(g.D for g in groups))
     if D > 1:
         groups = [g if g.D == D else _over(g, D) for g in groups]
     k = len(weights)
-    if work is None or work > _LIST_WORK:
+    if work is None or work > (_WARM_LIST_WORK if _numpy_loaded() else _LIST_WORK):
         firsts = list(accumulate(map(len, tables), initial=k))[:-1]
         packed = [g.packed for g in groups]
         nums = None if None in packed else _fixed(b"".join(packed), k, firsts)

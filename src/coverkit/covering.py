@@ -196,7 +196,8 @@ class System(_Carrier, _record("System", "seqs")):
         return lcm_all(self.moduli)
 
     def is_unweighted(self) -> bool:
-        return all(s.weight == 1 for s in self.seqs)
+        weights = self._classes[2]  # ints over their common denominator D
+        return weights.D == 1 and {1}.issuperset(weights.nums)
 
 
 class PeriodicValueTable(_Carrier, _record("PeriodicValueTable", "period values char")):
@@ -510,9 +511,9 @@ def min_on_window(
         raise ValueError("minimum-window search expects an unweighted system")
     if len(multipliers) != system.k:
         raise ValueError("need one multiplier per sequence")
-    for ms, seq in zip(multipliers, system.seqs):
-        if math.gcd(ms, seq.modulus) != 1:
-            raise ValueError(f"multiplier {ms} not coprime to modulus {seq.modulus}")
+    for ms, n in zip(multipliers, system._classes[1]):
+        if math.gcd(ms, n) != 1:
+            raise ValueError(f"multiplier {ms} not coprime to modulus {n}")
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
     top = system.k - any(n > 1 for n in system.moduli)  # w <= k-1 off a class mod n > 1

@@ -215,7 +215,8 @@ def enumerate_disjoint_covers(k: int, n_max: int):
 
 # the ways the kernels can run: every answer must be the same under each
 
-NO_LISTS = {"_LIST_WORK": -1}  # every window check below the guard on numpy
+# every window check below the guard on numpy, whether numpy is loaded or not
+NO_LISTS = {"_LIST_WORK": -1, "_WARM_LIST_WORK": -1}
 
 WIDTH_SETTINGS = {
     # as shipped: short windows and windows past the guard on lists, the
@@ -231,9 +232,13 @@ WIDTH_SETTINGS = {
 }
 
 LIST_SETTINGS = {
-    "all-lists": {"_LIST_WORK": inf},  # every window check on lists of Python ints
+    # every window check on lists of Python ints
+    "all-lists": {"_LIST_WORK": inf, "_WARM_LIST_WORK": inf},
     # every window check below the guard in numpy, in the narrowest width
     "no-lists": NO_LISTS,
+    # as shipped, but numpy reported unloaded: window checks up to the cold
+    # crossover _LIST_WORK on lists, as in a fresh CLI process
+    "cold": {"_numpy_loaded": lambda: False},
 }
 
 SCAN_SETTINGS = {**WIDTH_SETTINGS, **LIST_SETTINGS}

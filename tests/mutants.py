@@ -116,6 +116,22 @@ MUTANTS = [
         "_sum(s) for i, s in enumerate(sums)",
         ("tests/test_kernels.py::test_exact_sum_native_only_where_exact",),
     ),
+    # the list work: warm once numpy is loaded, cold until then
+    (
+        KERNELS,
+        "(_WARM_LIST_WORK if _numpy_loaded() else _LIST_WORK)",
+        "_LIST_WORK",
+        ("tests/test_kernels.py::test_list_boundary_keeps_answers",),
+    ),
+    (
+        KERNELS,
+        "(_WARM_LIST_WORK if _numpy_loaded() else _LIST_WORK)",
+        "_WARM_LIST_WORK",
+        (
+            "tests/test_kernels.py::test_list_boundary_keeps_answers",
+            "tests/test_cli.py::test_numpy_loads_only_for_a_scan",
+        ),
+    ),
     # the columns records carry: built from their fields, over the lcm of
     # every denominator, and rebuilt by _replace
     (
@@ -145,6 +161,12 @@ MUTANTS = [
         "        return new\n\n"
         "    def __reduce__(self):\n",
         COLUMNS,
+    ),
+    (
+        COVERING,
+        "return weights.D == 1 and {1}.issuperset(weights.nums)",
+        "return {1}.issuperset(weights.nums)",
+        ("tests/test_properties.py::test_is_unweighted_reads_the_weights",),
     ),
     # the mean identity, and scan sizes
     (

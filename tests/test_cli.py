@@ -606,7 +606,9 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
     """Importing the package and the CLI, the subcommands that scan no
     array, short window checks and short reads of w (min-window), also
     periodicity mod a vector on a small box, leave numpy unloaded; a
-    window or a box past the kernels' list work loads it."""
+    window or a box past the kernels' list work loads it.  A window check
+    whose work lies between the warm and the cold list work stays on lists
+    in a fresh process, so it leaves numpy unloaded too."""
     b = write(tmp_path, "B.txt", B_TEXT)
     quarters = write(tmp_path, "quarters.txt", "0 2\n1 4\n3 4\n")
     big = write(tmp_path, "big.txt", "0 6000000000054\n1 10000000000000061\n")
@@ -633,6 +635,9 @@ def test_numpy_loads_only_for_a_scan(tmp_path):
         assert not loaded_after(RUN_CLI.format(argv, 1), "numpy"), argv
     assert loaded_after(RUN_CLI.format(["exact-cover", "--m", "1", long], 0), "numpy")
     assert loaded_after(RUN_CLI.format(["multidim-period", "--n0", "1,1", wide], 1), "numpy")
+    # w = 1 everywhere, on a window of 500 points: work 1506
+    mid = write(tmp_path, "mid.txt", "0 1\n0 500\n0 500 -1\n")
+    assert not loaded_after(RUN_CLI.format(["exact-cover", "--m", "1", mid], 0), "numpy")
 
 
 SUBMODULES = {f"coverkit.{p.stem}" for p in Path(coverkit.__file__).parent.glob("*.py")} - {"coverkit.__init__"}
@@ -689,10 +694,10 @@ def test_only_kernels_import_numpy():
 
 def test_only_kernels_name_integer_widths():
     """_kernels._plan alone picks the path and the width a scan runs in:
-    no other module names a width, the ladder, the guard or the list
+    no other module names a width, the ladder, the guard or either list
     work, or builds an object array."""
     package = Path(coverkit.__file__).parent
-    for pattern in (r"\bint(8|16|32|64)\b", r"\b(_LIST_WORK|_INT64_GUARD|_WIDTHS)\b", r"dtype=object"):
+    for pattern in (r"\bint(8|16|32|64)\b", r"\b(_LIST_WORK|_WARM_LIST_WORK|_INT64_GUARD|_WIDTHS)\b", r"dtype=object"):
         naming = sorted(p.name for p in package.rglob("*.py") if re.search(pattern, p.read_text()))
         assert naming == ["_kernels.py"], pattern
 

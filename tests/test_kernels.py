@@ -415,11 +415,10 @@ def _at_work(seqs, psis, length: int, work: int):
     return None, psis + [PeriodicValueTable.constant(0, 1, psis[0].char)] * (work - base)
 
 
-def _boundary_cases(rng):
-    """(seqs, psis, start, length, huge) window checks over Q with integer
-    and Fraction weights, with values past 2**62 (huge), and over F_7;
-    about half of them fail."""
-    length = 150
+def _boundary_cases(rng, length: int):
+    """(seqs, psis, start, huge) window checks of ``length`` points over Q
+    with integer and Fraction weights, with values past 2**62 (huge), and
+    over F_7; about half of them fail."""
     for scale in (1, Fraction(1, 3), 2**62 + 1):
         for _ in range(4):
             system = random_weighted_system(rng, k_max=5, n_max=12)
@@ -428,10 +427,10 @@ def _boundary_cases(rng):
             if rng.random() < 0.5:
                 values[rng.randrange(len(values))] += scale
             psis = [PeriodicValueTable(len(values), tuple(values))]
-            yield seqs, psis, rng.randint(-40, 40), length, scale == 2**62 + 1
+            yield seqs, psis, rng.randint(-40, 40), scale == 2**62 + 1
     for _ in range(6):
         psis = random_prime_field_tables(rng, 7, force_zero_sum=rng.random() < 0.5)
-        yield [], psis, rng.choice((0, 2**64 + rng.randrange(99))), length, False
+        yield [], psis, rng.choice((0, 2**64 + rng.randrange(99))), False
 
 
 def _pointwise_witness(seqs, psis, start: int, length: int):
@@ -446,50 +445,56 @@ def _pointwise_witness(seqs, psis, start: int, length: int):
 
 
 def test_list_boundary_keeps_answers(monkeypatch):
-    """At work _LIST_WORK a window check runs on lists, one past it on
+    """At the list work a window check runs on lists, one past it on
     numpy, except that values past the int64 guard keep it on lists at
     both; every path gives the pointwise answer, as does the numpy oracle
     scan, which runs on object arrays past the guard.  first_below on 0/1
-    tables, as expsum_cover_check passes them, at both work levels too."""
+    tables, as expsum_cover_check passes them, at both work levels too.
+    The list work is _WARM_LIST_WORK with numpy loaded, as it is here, and
+    _LIST_WORK with numpy reported unloaded, as in a fresh CLI process; a
+    window of 40 points keeps the checks under the warm one."""
     numpy_calls = []
     for name in ("cover_counts", "table_sums"):
         kernel = getattr(_kernels, name)
         monkeypatch.setattr(_kernels, name, lambda *a, _k=kernel: numpy_calls.append(1) or _k(*a))
-    rng = random.Random(2048)
-    failing = 0
-    for seqs, psis, start, length, huge in _boundary_cases(rng):
-        expected = _pointwise_witness(seqs, psis, start, length)
-        failing += expected is not None
-        for work, on_numpy in ((_kernels._LIST_WORK, False), (_kernels._LIST_WORK + 1, not huge)):
-            padded = _at_work(seqs, psis, length, work)
-            numpy_calls.clear()
-            verdict = _first_nonzero(*padded, start, length)
-            assert bool(numpy_calls) == on_numpy
-            assert (verdict.ok, verdict.witness) == (expected is None, expected)
-            numpy_calls.clear()
-            assert _kernels.first_nonzero(*_scan_input(*padded, start, length)) == verdict.witness
-            assert numpy_calls
-    assert 5 < failing < 15
-    failing, length = 0, 150
-    for _ in range(12):
-        tables = [
-            PeriodicValueTable(n, tuple(int(rng.random() < 0.9) for _ in range(n)))
-            for n in (rng.randint(1, 12) for _ in range(rng.randint(2, 5)))
-        ]
-        least = rng.randint(1, len(tables))
-        start = rng.choice((rng.randint(-40, 40), 2**64 + rng.randrange(99)))
-        sums = [sum(t.value_at(x) for t in tables) for x in range(start, start + length)]
-        expected = next((start + j for j, v in enumerate(sums) if v < least), None)
-        failing += expected is not None
-        for work, on_numpy in ((_kernels._LIST_WORK, False), (_kernels._LIST_WORK + 1, True)):
-            _, padded = _at_work([], tables, length, work)
-            rows = [t.values for t in padded]
-            numpy_calls.clear()
-            assert _kernels.first_below(rows, least, start, length) == expected
-            assert bool(numpy_calls) == on_numpy
-            pointwise = indexed_values(((), (), ()), rows, start, length, dtype=object).tolist()
-            assert next((start + j for j, v in enumerate(pointwise) if v > -least), None) == expected
-    assert 3 < failing < 10
+    assert _kernels._numpy_loaded()
+    for setting, limit, length in (("narrowest", _kernels._WARM_LIST_WORK, 40), ("cold", _kernels._LIST_WORK, 150)):
+        rng = random.Random(2048)
+        with kernel_widths(setting):
+            failing = 0
+            for seqs, psis, start, huge in _boundary_cases(rng, length):
+                expected = _pointwise_witness(seqs, psis, start, length)
+                failing += expected is not None
+                for work, on_numpy in ((limit, False), (limit + 1, not huge)):
+                    padded = _at_work(seqs, psis, length, work)
+                    numpy_calls.clear()
+                    verdict = _first_nonzero(*padded, start, length)
+                    assert bool(numpy_calls) == on_numpy
+                    assert (verdict.ok, verdict.witness) == (expected is None, expected)
+                    numpy_calls.clear()
+                    assert _kernels.first_nonzero(*_scan_input(*padded, start, length)) == verdict.witness
+                    assert numpy_calls
+            assert 5 < failing < 15, setting
+            failing = 0
+            for _ in range(12):
+                tables = [
+                    PeriodicValueTable(n, tuple(int(rng.random() < 0.9) for _ in range(n)))
+                    for n in (rng.randint(1, 12) for _ in range(rng.randint(2, 5)))
+                ]
+                least = rng.randint(1, len(tables))
+                start = rng.choice((rng.randint(-40, 40), 2**64 + rng.randrange(99)))
+                sums = [sum(t.value_at(x) for t in tables) for x in range(start, start + length)]
+                expected = next((start + j for j, v in enumerate(sums) if v < least), None)
+                failing += expected is not None
+                for work, on_numpy in ((limit, False), (limit + 1, True)):
+                    _, padded = _at_work([], tables, length, work)
+                    rows = [t.values for t in padded]
+                    numpy_calls.clear()
+                    assert _kernels.first_below(rows, least, start, length) == expected
+                    assert bool(numpy_calls) == on_numpy
+                    pointwise = indexed_values(((), (), ()), rows, start, length, dtype=object).tolist()
+                    assert next((start + j for j, v in enumerate(pointwise) if v > -least), None) == expected
+            assert 3 < failing < 10, setting
 
 
 def test_full_period_scan_stops_at_the_first_chunk(monkeypatch):

@@ -860,6 +860,26 @@ def test_record_columns_follow_the_fields(setting, case):
                 assert (nums if type(nums) is list else digit_values(nums), D) == expected, work
 
 
+unweighted_entries = st.one_of(
+    st.just(1),
+    st.just(Fraction(2, 2)),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    past_int64,
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(unweighted_entries, min_size=1, max_size=6), st.sampled_from([1, 2, 3]))
+def test_is_unweighted_reads_the_weights(weights, d):
+    """is_unweighted, which reads the weight column, says whether every
+    weight is 1, for int, Fraction, 2/2, negative and past-2**63 weights,
+    also when every weight is 1/d: all over D = d, so each numerator is 1."""
+    for ws in (weights, [Fraction(1, d)] * len(weights)):
+        system = System.of(*((j, j + 1, w) for j, w in enumerate(ws)))
+        assert system.is_unweighted() == all(s.weight == 1 for s in system.seqs)
+
+
 # --- parsers ------------------------------------------------------------------
 
 small = st.integers(-50, 50)
