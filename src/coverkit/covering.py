@@ -32,9 +32,14 @@ kernels read of a :class:`System` (residues, moduli, and the weights as
 ints over their common denominator) and of a
 :class:`PeriodicValueTable` (its values likewise) is built once, in
 their constructors, and every check hands those columns on, so no check
-transposes the records or makes a pass over their values.
-Only the zero-set and coefficient functions use :mod:`coverkit.cyclotomic`;
-they import it once per call, so a window check never loads it.
+transposes the records or makes a pass over their values.  An
+:class:`ExpSumSequence` likewise carries its term fractions and its
+zero-set input (the coefficients lifted once to one level, as ints over
+one denominator), so an exponential-sum check lifts no coefficient and
+builds no Fraction.
+Only the exponential sums and the coefficient functions use
+:mod:`coverkit.cyclotomic`; they import it once per call, so a window
+check on a system never loads it.
 """
 
 from __future__ import annotations
@@ -426,19 +431,30 @@ def non_exact_witness(system: System, m: int) -> int:
 # cover criteria for zero sets of exponential sums
 
 
-class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
+class ExpSumSequence(_Carrier, _record("ExpSumSequence", "modulus terms")):
     """Zero set X = {x : sum_t c_t * e^(2*pi*i*t*x/n) = 0} of an exponential
-    sum with exact cyclotomic coefficients."""
+    sum with exact cyclotomic coefficients.
 
-    __slots__ = ()
+    It carries two columns, built once here: ``_fractions``, its term
+    fractions t/n mod 1, sorted, and ``_zero_set``, the (level, entries)
+    input of :func:`coverkit.cyclotomic.zero_set_from_input`, every
+    coefficient lifted once to the lcm of n and the coefficient levels.  A
+    coefficient that is not a CyclotomicElement is refused here."""
 
     def __new__(cls, modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]):
+        from .cyclotomic import zero_set_input
+
         terms = tuple(terms)
         # e^(2*pi*i*t*x/n) has period n in x only for an integral t
         modulus, *indices = _integers(modulus, *(t for t, _ in terms), what="moduli and term indices")
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        return super().__new__(cls, modulus, tuple(zip(indices, (c for _, c in terms))))
+        self = super().__new__(cls, modulus, tuple(zip(indices, (c for _, c in terms))))
+        # the residues are deduplicated as ints, so each Fraction is made once
+        fractions = tuple(Fraction(r, modulus) for r in sorted({t % modulus for t in indices}))
+        object.__setattr__(self, "_fractions", fractions)
+        object.__setattr__(self, "_zero_set", zero_set_input(modulus, self.terms))
+        return self
 
     @classmethod
     def from_arith_sequence(cls, seq: WeightedSequence, multiplier: int = 1) -> ExpSumSequence:
@@ -455,14 +471,13 @@ class ExpSumSequence(_record("ExpSumSequence", "modulus terms")):
         return cls(n, ((0, c0), (multiplier % n, c1)))
 
     def term_fractions(self) -> FractionSet:
-        n = self.modulus
-        return tuple(sorted({Fraction(t % n, n) for t, _ in self.terms}))
+        return self._fractions
 
     def membership_table(self) -> tuple[bool, ...]:
         """Zero-set indicator over one period (x enters only via x mod n)."""
-        from .cyclotomic import zero_set_table
+        from .cyclotomic import zero_set_from_input
 
-        return zero_set_table(self.modulus, self.terms)
+        return zero_set_from_input(self.modulus, *self._zero_set)
 
 
 def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 0) -> Verdict:
@@ -471,19 +486,19 @@ def expsum_cover_check(exp_seqs: Sequence[ExpSumSequence], m: int, start: int = 
     The window length is the largest sumset cardinality of the term-fraction
     sets over index subsets of size k-m+1; covering that many consecutive
     integers at least m times covers all of Z at least m times.  The window
-    is one kernel call over the 0/1 zero-set indicators; a window or tables
-    past the oracle cap are refused before any table is built.
+    is one kernel call over the 0/1 zero-set indicators, built from the
+    columns the records carry; a window or tables past the oracle cap are
+    refused before any table is built or any level is factored.
     """
-    from .cyclotomic import zero_set_table
+    from .cyclotomic import zero_set_from_input
 
     k = len(exp_seqs)
     if not 1 <= m <= k:
         raise ValueError(f"m must lie in [1, {k}], got {m}")
-    W = _oracle_points(window_bound([es.term_fractions() for es in exp_seqs], m), "window")
+    W = _oracle_points(window_bound([es._fractions for es in exp_seqs], m), "window")
     # a table is n zero tests at the lcm of n and its coefficient levels
-    tables = sum(es.modulus * math.lcm(es.modulus, *(c.level for _, c in es.terms)) for es in exp_seqs)
-    _oracle_points(tables, "zero-set table")
-    indicators = [list(map(int, zero_set_table(es.modulus, es.terms))) for es in exp_seqs]
+    _oracle_points(sum(es.modulus * es._zero_set[0] for es in exp_seqs), "zero-set table")
+    indicators = [list(map(int, zero_set_from_input(es.modulus, *es._zero_set))) for es in exp_seqs]
     x = _kernels.first_below(indicators, m, start, W)
     return Verdict(x is None, x, W)
 

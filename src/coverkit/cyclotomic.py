@@ -12,6 +12,11 @@ This module owns that layout: every element is built from exponent terms
 read back as terms by ``_terms`` (ring operations, lifts, exponential sums,
 zero-set tables).  Only ``is_zero`` still reads the vector itself.
 
+A zero-set table comes in two steps: :func:`zero_set_input` reads an
+exponential sum's coefficients once into integer entries at one level,
+which a ``coverkit.covering.ExpSumSequence`` carries from construction,
+and :func:`zero_set_from_input` factors the level and tests each point.
+
 Rational scalars only — verdicts that hinge on "!= 0" must stay exact, so
 complex floating point is never used anywhere in this module.  Division is
 not provided; nothing downstream needs it.
@@ -22,13 +27,19 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
 from typing import Iterable, Sequence
 
 from .numtheory import factorize
 
-__all__ = ["CyclotomicElement", "root_power", "indicator_sum_check", "exp_sum_eval", "zero_set_table"]
+__all__ = [
+    "CyclotomicElement",
+    "root_power",
+    "indicator_sum_check",
+    "exp_sum_eval",
+    "zero_set_input",
+    "zero_set_from_input",
+    "zero_set_table",
+]
 
 Rational = Fraction | int
 _ZERO = Fraction(0)
@@ -79,9 +90,11 @@ class CyclotomicElement:
 
     def _terms(self, M: int) -> list[tuple[int, Fraction]]:
         """The nonzero terms (j * M/level, c) as exponents of zeta_M, for M
-        a multiple of the level: the one reader of the stored vector."""
+        a multiple of the level: the one reader of the stored vector.  An
+        untouched entry is the shared zero, skipped without a Fraction
+        truth test."""
         step = M // self.level
-        return [(j * step, c) for j, c in enumerate(self.coeffs) if c]
+        return [(j * step, c) for j, c in enumerate(self.coeffs) if c is not _ZERO and c]
 
     def _operand(self, other: object) -> CyclotomicElement | None:
         """``other`` as an element: a rational is the constant at this
@@ -197,30 +210,28 @@ def _vanishes(level: int, primes: list[int], terms: dict[int, int]) -> bool:
     )
 
 
-def _lifted_entries(
-    elements: Sequence[CyclotomicElement], level: int
-) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(den, entries): den the lcm of the elements' coefficient
-    denominators, and each element lifted to ``level`` as its nonzero
-    entries (j, den * coefficient of zeta_level^j), read off its terms
-    with no level-long vector."""
-    if any(level % c.level for c in elements):
-        raise ValueError(f"coefficient levels must divide {level}")
-    lifted = [c._terms(level) for c in elements]
-    den = math.lcm(*(v.denominator for terms in lifted for _, v in terms))
-    return den, [[(j, v.numerator * (den // v.denominator)) for j, v in terms] for terms in lifted]
+def _entries(level: int, pairs: Iterable[tuple[int, CyclotomicElement]]) -> tuple[int, list]:
+    """(den, entries): den the lcm of the coefficients' denominators, and
+    for each (step, coefficient) pair the coefficient lifted to ``level``
+    as its nonzero entries (j, step, den * coefficient of zeta_level^j),
+    read off its terms with no level-long vector."""
+    lifted = []
+    for step, c in pairs:
+        if level % c.level:
+            raise ValueError(f"coefficient levels must divide {level}")
+        lifted.append((step, c._terms(level)))
+    den = math.lcm(*[v.denominator for _, terms in lifted for _, v in terms])
+    return den, [(j, step, v.numerator * (den // v.denominator)) for step, terms in lifted for j, v in terms]
 
 
-def _shifted_sum(level: int, shifted: Iterable[tuple[int, list[tuple[int, int]]]]) -> dict[int, int]:
-    """Integer terms {j: c} of sum of zeta_level^shift * element over the
-    (shift, entries) pairs, entries as :func:`_lifted_entries` gives them:
-    multiplying by zeta_level^shift moves the entry at j to j + shift.
-    A c may be zero where entries cancel."""
+def _shifted_sum(level: int, entries: list[tuple[int, int, int]], x: int) -> dict[int, int]:
+    """Integer terms {j: c} of the sum at x of the (j, step, v) entries:
+    each moves from j to j + step * x, where multiplying by
+    zeta_level^(step * x) puts it.  A c may be zero where entries cancel."""
     terms: dict[int, int] = {}
-    for shift, entries in shifted:
-        for j, v in entries:
-            k = (j + shift) % level
-            terms[k] = terms.get(k, 0) + v
+    for j, step, v in entries:
+        k = (j + step * x) % level
+        terms[k] = terms.get(k, 0) + v
     return terms
 
 
@@ -264,27 +275,54 @@ def exp_sum_eval(
         raise ValueError("coeffs and alphas must have equal length")
     if len(set(alphas)) != len(alphas):
         raise ValueError("alphas must be distinct")
-    shifts = []
+    steps = []
     for alpha in alphas:
         aN = alpha * N
         if aN.denominator != 1:
             raise ValueError(f"denominator of {alpha} does not divide N={N}")
-        shifts.append(-int(aN) * x)
-    den, lifted = _lifted_entries(coeffs, N)
-    terms = _shifted_sum(N, zip(shifts, lifted))
+        steps.append(-int(aN))
+    den, entries = _entries(N, zip(steps, coeffs))
+    terms = _shifted_sum(N, entries, x)
     return CyclotomicElement.from_terms(N, ((j, Fraction(v, den)) for j, v in terms.items() if v))
+
+
+def zero_set_input(modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]) -> tuple[int, list]:
+    """(level, entries): the input of :func:`zero_set_from_input` for
+    sum_t c_t * e^(2*pi*i*t*x/modulus) over the (t, c_t) pairs (t may
+    repeat).  The level is the lcm of the modulus and the coefficient
+    levels, and the entries are one flat list of ints (j, step, v), every
+    coefficient's nonzero terms at that level over one common denominator,
+    with the step level/modulus * t mod level by which its term moves per
+    unit of x.  Nothing is factored and nothing level-long is built.  A
+    coefficient that is not an element is refused, naming its term."""
+    for t, c in terms:
+        if not isinstance(c, CyclotomicElement):
+            raise ValueError(f"coefficient of term {t} must be a CyclotomicElement, got {c!r}")
+    level = math.lcm(modulus, *[c.level for _, c in terms])
+    scale = level // modulus
+    _, entries = _entries(level, [(scale * t % level, c) for t, c in terms])
+    return level, entries
+
+
+def zero_set_from_input(modulus: int, level: int, entries: list[tuple[int, int, int]]) -> tuple[bool, ...]:
+    """The zero set over x in [0, modulus) of the exponential sum that
+    :func:`zero_set_input` gave as (level, entries): one exact zero test
+    per point at that level, on the entries shifted to x and added into
+    one dict.  The level is factored here, once per table."""
+    primes = _primes(level)
+    out = []
+    for x in range(modulus):
+        # _shifted_sum inlined: a call per point costs about 5 % of a check
+        terms: dict[int, int] = {}
+        for j, step, v in entries:
+            k = (j + step * x) % level
+            terms[k] = terms.get(k, 0) + v
+        out.append(_vanishes(level, primes, terms))
+    return tuple(out)
 
 
 def zero_set_table(modulus: int, terms: Sequence[tuple[int, CyclotomicElement]]) -> tuple[bool, ...]:
     """Whether sum_t c_t * e^(2*pi*i*t*x/modulus) = 0 over the (t, c_t)
     pairs (t may repeat), for x in [0, modulus): one zero test per point at
     the lcm of the modulus and the coefficient levels."""
-    level = math.lcm(modulus, *(c.level for _, c in terms))
-    # term t moves by level/modulus * t per unit of x
-    steps = [level // modulus * t % level for t, _ in terms]
-    _, lifted = _lifted_entries([c for _, c in terms], level)
-    primes = _primes(level)
-    return tuple(
-        _vanishes(level, primes, _shifted_sum(level, zip(map(mul, steps, repeat(x)), lifted)))
-        for x in range(modulus)
-    )
+    return zero_set_from_input(modulus, *zero_set_input(modulus, terms))

@@ -15,6 +15,7 @@ import pytest
 
 from coverkit import _kernels
 from coverkit import (
+    ExpSumSequence,
     MultiSequence,
     PeriodicValueTable,
     System,
@@ -282,11 +283,27 @@ def column_reference(values) -> tuple:
 
 
 def columns_reference(record) -> tuple:
-    """What a System (residues, moduli, weight column) or a
-    PeriodicValueTable (value column) must carry, from its public fields."""
+    """What a System (residues, moduli, weight column), a
+    PeriodicValueTable (value column) or an ExpSumSequence (term fractions,
+    and the level with the sorted (j, step, v) entries of its zero-set
+    input) must carry, from its public fields."""
     if isinstance(record, System):
         seqs = record.seqs
         return [s.residue for s in seqs], [s.modulus for s in seqs], column_reference([s.weight for s in seqs])
+    if isinstance(record, ExpSumSequence):
+        n = record.modulus
+        fractions = tuple(sorted({Fraction(t % n, n) for t, _ in record.terms}))
+        level = lcm(n, *(c.level for _, c in record.terms))
+        # each nonzero coefficient of zeta_c^j sits at j * level/c, and
+        # moves by level/n * t mod level per unit of x
+        raw = [
+            (j * (level // c.level), level // n * t % level, Fraction(v))
+            for t, c in record.terms
+            for j, v in enumerate(c.coeffs)
+            if v
+        ]
+        den = lcm(*(v.denominator for *_, v in raw))
+        return fractions, (level, sorted((j, step, int(v * den)) for j, step, v in raw))
     return column_reference(record.values)
 
 
@@ -300,6 +317,9 @@ def record_columns(record) -> tuple:
     if isinstance(record, System):
         residues, moduli, weights = record._classes
         return list(residues), list(moduli), group(weights)
+    if isinstance(record, ExpSumSequence):
+        level, entries = record._zero_set
+        return record._fractions, (level, sorted(entries))
     return group(record._column)
 
 

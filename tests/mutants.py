@@ -37,6 +37,7 @@ COVERING = "src/coverkit/covering.py"
 
 ZERO_TEST = ("tests/test_properties.py::test_zero_test_matches_division_by_phi",)
 COLUMNS = ("tests/test_properties.py::test_record_columns_follow_the_fields",)
+EXPSUM_COLUMNS = ("tests/test_properties.py::test_expsum_columns_follow_the_fields",)
 EQUAL_SETS = ("tests/test_fracsets.py::test_window_bound_tries_equal_sets_once",)
 WINDOW_BOUND = (
     "tests/test_fracsets.py::test_window_bound_examples",
@@ -160,13 +161,34 @@ MUTANTS = [
         "        new.__dict__.update(self.__dict__)\n"
         "        return new\n\n"
         "    def __reduce__(self):\n",
-        COLUMNS,
+        (*COLUMNS, *EXPSUM_COLUMNS),
     ),
     (
         COVERING,
         "return weights.D == 1 and {1}.issuperset(weights.nums)",
         "return {1}.issuperset(weights.nums)",
         ("tests/test_properties.py::test_is_unweighted_reads_the_weights",),
+    ),
+    # the columns an exponential sum carries: term fractions of the
+    # residues mod n, steps mod the level, and no entry for a zero
+    (COVERING, "sorted({t % modulus for t in indices})", "sorted(set(indices))", EXPSUM_COLUMNS),
+    (CYCLOTOMIC, "[(scale * t % level, c) for t, c in terms]", "[(scale * t, c) for t, c in terms]", EXPSUM_COLUMNS),
+    (CYCLOTOMIC, "if c is not _ZERO and c]", "if c is not _ZERO]", EXPSUM_COLUMNS),
+    # an exponential sum's refusals: coefficients at construction, tables
+    # priced before any is built
+    (
+        CYCLOTOMIC,
+        "if not isinstance(c, CyclotomicElement):",
+        "if False:",
+        ("tests/test_refusals.py::test_refusal_and_its_message[expsum-int-coefficient]",),
+    ),
+    (
+        COVERING,
+        '    _oracle_points(sum(es.modulus * es._zero_set[0] for es in exp_seqs), "zero-set table")\n'
+        "    indicators = [list(map(int, zero_set_from_input(es.modulus, *es._zero_set))) for es in exp_seqs]\n",
+        "    indicators = [list(map(int, zero_set_from_input(es.modulus, *es._zero_set))) for es in exp_seqs]\n"
+        '    _oracle_points(sum(es.modulus * es._zero_set[0] for es in exp_seqs), "zero-set table")\n',
+        ("tests/test_covering.py::test_expsum_cover_refuses_zero_set_tables_past_the_cap",),
     ),
     # the mean identity, and scan sizes
     (

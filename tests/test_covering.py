@@ -504,34 +504,43 @@ def test_expsum_cover_matches_oracle():
 
 def test_expsum_cover_refuses_a_window_past_the_cap(monkeypatch):
     """The window of two sums with a term at every t/1009 and every t/1013
-    is their whole sumset, 1022117 points: refused before any membership
-    table is built."""
+    is their whole sumset, 1022117 points: refused before any zero-set
+    table is built, any level is factored or any level-L vector is made."""
+    from coverkit import cyclotomic
+
     one = CyclotomicElement.constant(1, 1)
     exp = [ExpSumSequence(n, tuple((t, one) for t in range(n))) for n in (1009, 1013)]
 
     def unbuilt(*args):
-        raise AssertionError("membership table built for a refused window")
+        raise AssertionError("table, factoring or vector made for a refused window")
 
     monkeypatch.setattr(ExpSumSequence, "membership_table", unbuilt)
-    monkeypatch.setattr(coverkit.cyclotomic, "zero_set_table", unbuilt)
+    monkeypatch.setattr(cyclotomic, "zero_set_from_input", unbuilt)
+    monkeypatch.setattr(cyclotomic, "factorize", unbuilt)
+    monkeypatch.setattr(CyclotomicElement, "from_terms", unbuilt)
     with pytest.raises(ValueError, match="window too large: 1022117 points"):
         expsum_cover_check(exp, 1)
 
 
 def test_expsum_cover_refuses_zero_set_tables_past_the_cap(monkeypatch):
-    """Each table point is one vector at the lcm of the modulus and the
-    coefficient levels: sum_s n_s * lcm(n_s, levels) past the cap is refused
-    before any coefficient is lifted or any table is built."""
+    """Each table point is one zero test at L, the lcm of the modulus and
+    the coefficient levels: sum_s n_s * L_s past the cap is refused before
+    any table is built, any L is factored or any level-L vector is made.
+    Construction reads each coefficient's terms once and builds nothing
+    level-L long either, so it may run under the same guards."""
     from coverkit import cyclotomic
 
     def unbuilt(*args):
-        raise AssertionError("zero-set table built past the cap")
+        raise AssertionError("table, factoring or vector made past the cap")
 
-    monkeypatch.setattr(cyclotomic, "zero_set_table", unbuilt)
-    monkeypatch.setattr(CyclotomicElement, "lift", unbuilt)
     one = CyclotomicElement.constant(1, 1)
-    big = ExpSumSequence(997, ((0, one), (1, CyclotomicElement.constant(991, -1))))
-    small = ExpSumSequence.from_arith_sequence(WeightedSequence(0, 2))
+    minus_one = CyclotomicElement.constant(991, -1)
+    monkeypatch.setattr(cyclotomic, "zero_set_from_input", unbuilt)
+    monkeypatch.setattr(cyclotomic, "factorize", unbuilt)
+    monkeypatch.setattr(CyclotomicElement, "lift", unbuilt)
+    monkeypatch.setattr(CyclotomicElement, "from_terms", unbuilt)
+    big = ExpSumSequence(997, ((0, one), (1, minus_one)))
+    small = ExpSumSequence(2, ((0, one), (1, one)))
     with pytest.raises(ValueError, match=f"zero-set table too large: {997 * 997 * 991 + 2 * 2} points"):
         expsum_cover_check([big, small], 1)
 

@@ -60,7 +60,7 @@ from coverkit import (
     window_zero_check,
     zero_system_coefficients,
 )
-from coverkit.cyclotomic import _primes, _vanishes
+from coverkit.cyclotomic import _primes, _vanishes, zero_set_table
 from coverkit.fracsets import divisor_union_phis
 from coverkit.cli import ParseError, SystemFile, parse_coefficient_file, parse_system, run_command
 from coverkit.numtheory import FACTOR_BOUND, _is_prime, divisors_of, factorize
@@ -878,6 +878,58 @@ def test_is_unweighted_reads_the_weights(weights, d):
     for ws in (weights, [Fraction(1, d)] * len(weights)):
         system = System.of(*((j, j + 1, w) for j, w in enumerate(ws)))
         assert system.is_unweighted() == all(s.weight == 1 for s in system.seqs)
+
+
+@st.composite
+def expsum_column_cases(draw) -> ExpSumSequence:
+    """Exponential sums whose term indices may be negative, past the
+    modulus or repeated mod it, with dense coefficient vectors (their zeros
+    are Fractions made afresh) or sparse ones built from terms."""
+    n = draw(st.integers(1, 8))
+    ts = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        ts.append(ts[0] + n * draw(st.integers(-2, 2)))
+    terms = []
+    for t in ts:
+        level = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            vector = draw(st.lists(rationals.map(Fraction), min_size=level, max_size=level))
+            coeff = CyclotomicElement(level, tuple(vector))
+        else:
+            coeff = CyclotomicElement.from_terms(level, draw(st.lists(st.tuples(st.integers(-30, 30), rationals))))
+        terms.append((t, coeff))
+    return ExpSumSequence(n, terms)
+
+
+@settings(PROPERTY, max_examples=80)
+@example(
+    ExpSumSequence(
+        4, ((-1, root_power(6, 1)), (7, CyclotomicElement.constant(2, Fraction(-1, 3))), (-5, root_power(1, 0)))
+    )
+)
+@given(expsum_column_cases())
+def test_expsum_columns_follow_the_fields(es):
+    """An ExpSumSequence carries the term fractions and the zero-set input
+    its fields define, and so does each one made from it by _make,
+    _replace, a deep copy or a pickle round trip.  Its membership table is
+    exp_sum_eval's zero test at every x, the coefficients of the indices
+    that agree mod n added into one, and so is zero_set_table's."""
+    one = CyclotomicElement.constant(1, 1)
+    replaced = (es._replace(modulus=es.modulus + 1), es._replace(terms=es.terms + ((es.modulus + 1, one),)))
+    copies = (ExpSumSequence._make(es), copy.deepcopy(es), pickle.loads(pickle.dumps(es)))
+    assert all(r == es for r in copies)
+    for r in (es, *replaced, *copies):
+        got = record_columns(r)
+        assert got == columns_reference(r)
+        assert {type(v) for entry in got[1][1] for v in entry} <= {int}
+    n = es.modulus
+    merged: dict[int, CyclotomicElement] = {}
+    for t, c in es.terms:
+        merged[t % n] = merged[t % n] + c if t % n in merged else c
+    N = math.lcm(n, *(c.level for c in merged.values()))
+    alphas = [Fraction(-r, n) % 1 for r in merged]
+    expected = tuple(exp_sum_eval(list(merged.values()), alphas, x, N).is_zero() for x in range(n))
+    assert es.membership_table() == expected == zero_set_table(n, es.terms)
 
 
 # --- parsers ------------------------------------------------------------------

@@ -72,6 +72,18 @@ REFUSALS = {
         "negative window length: -3",
     ),
     "expsum-modulus-0": (lambda _: ExpSumSequence(0, ()), ValueError, "modulus must be positive, got 0"),
+    # a coefficient that is not an element once passed construction and
+    # failed at the first check with an AttributeError
+    "expsum-int-coefficient": (
+        lambda _: ExpSumSequence(2, [(0, 1)]),
+        ValueError,
+        "coefficient of term 0 must be a CyclotomicElement, got 1",
+    ),
+    "expsum-fraction-coefficient": (
+        lambda _: ExpSumSequence(4, [(0, root_power(2, 1)), (3, Fraction(1, 2))]),
+        ValueError,
+        "coefficient of term 3 must be a CyclotomicElement, got Fraction(1, 2)",
+    ),
     "expsum-m-0": (
         lambda _: expsum_cover_check([ExpSumSequence.from_arith_sequence(WeightedSequence(0, 2))], 0),
         ValueError,
